@@ -5,20 +5,22 @@ data files, plus two auxiliary data sets: a tabulated pushforward of
 boundary classes into the genus-3 ring, and a pair of presentation
 equivalences.  From these it builds one flat list of named checks; each
 check recomputes a stored value from the presentations alone and
-compares.  ``run_verification`` filters the list by scope and runs it.
+compares.  Every table kind has one function that lists its cells (stored
+value plus a recompute); the checks and the ``tables`` command both read
+them.  ``run_verification`` filters the checks by scope and runs them.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from importlib import resources
 from typing import Callable
 
-from .errors import UnknownScopeError
+from .errors import DegreeError, UnknownScopeError
 from .exprparse import parse_expression
 from .levels import cusp_count_mu, group_order_gamma, verify_level_identity
 from .linalg import det_exact
@@ -77,12 +79,35 @@ class FiberedSurface:
     base: LoadedRing
     combined: LoadedRing
 
+    def degree(self, element: Polynomial) -> Fraction:
+        """Degree of the pushforward of ``element`` to the base."""
+        return self.relative.relative_degree(element, self.base.functional, self.rule)
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One tabulated number: where it sits, its stored value, its recompute.
+
+    ``recompute`` is None for a value that is recorded but cannot be
+    expressed in the ring generators.  ``note`` follows the stored value
+    wherever it is shown.
+    """
+
+    key: str
+    citation: str
+    expected: Fraction
+    recompute: Callable[[], Fraction] | None
+    note: str = ""
+
+    @property
+    def shown(self) -> str:
+        return f"{self.expected}{self.note}"
+
 
 class Catalog:
-    """Lazy, thread-safe access to the built-in rings and check suite."""
+    """Lazy access to the built-in rings and check suite."""
 
     def __init__(self):
-        self._lock = threading.RLock()
         self._rings: dict[str, LoadedRing] = {}
         self._torelli: TorelliTable | None = None
         self._surface: FiberedSurface | None = None
@@ -97,62 +122,87 @@ class Catalog:
 
     def ring(self, name: str) -> LoadedRing:
         """Load (once) and return a catalog ring by name."""
-        with self._lock:
-            if name not in self._rings:
-                if name not in RING_NAMES:
-                    raise KeyError(f"unknown catalog ring {name!r}")
-                self._rings[name] = load_ring_spec(_read_data(name + ".json"))
-            return self._rings[name]
+        if name not in self._rings:
+            if name not in RING_NAMES:
+                raise KeyError(f"unknown catalog ring {name!r}")
+            self._rings[name] = load_ring_spec(_read_data(name + ".json"))
+        return self._rings[name]
 
     def torelli(self) -> TorelliTable:
         """The tabulated boundary pushforward into the genus-3 ring."""
-        with self._lock:
-            if self._torelli is None:
-                raw = _read_data("torelli.json")
-                target = self.ring(raw["target"])
-                symbols = GeneratorSet(
-                    (entry["name"], entry["codim"]) for entry in raw["symbols"]
-                )
-                images = {
-                    entry["name"]: target.parse(entry["image"])
-                    for entry in raw["symbols"]
-                }
-                push = TabulatedPushforward(
-                    symbols,
-                    target.ring,
-                    images,
-                    stack_degree=raw.get("stack_degree", 1),
-                )
-                self._torelli = TorelliTable(push=push, symbols=symbols, raw=raw)
-            return self._torelli
+        if self._torelli is None:
+            raw = _read_data("torelli.json")
+            target = self.ring(raw["target"])
+            symbols = GeneratorSet(
+                (entry["name"], entry["codim"]) for entry in raw["symbols"]
+            )
+            images = {
+                entry["name"]: target.parse(entry["image"])
+                for entry in raw["symbols"]
+            }
+            push = TabulatedPushforward(
+                symbols,
+                target.ring,
+                images,
+                stack_degree=raw.get("stack_degree", 1),
+            )
+            self._torelli = TorelliTable(push=push, symbols=symbols, raw=raw)
+        return self._torelli
 
     def fibered_surface(self) -> FiberedSurface:
         """The rank-2 bundle over the genus-2 base, with its integration rule."""
-        with self._lock:
-            if self._surface is None:
-                combined = self.ring("x2_tilde")
-                fib = combined.raw["fibration"]
-                base = self.ring(fib["base"])
-                relative = RelativeRing(
-                    base.ring, combined.ring, tuple(fib["fiber"])
-                )
-                rule_raw = fib["rule"]
-                rule = PushforwardRule(
-                    one_image=parse_expression(rule_raw["one"], base.ring.gens),
-                    t_image=parse_expression(rule_raw["t"], base.ring.gens),
-                    s_image=parse_expression(rule_raw["s"], base.ring.gens),
-                    shift=fib.get("shift", 2),
-                )
-                self._surface = FiberedSurface(
-                    relative=relative, rule=rule, base=base, combined=combined
-                )
-            return self._surface
+        if self._surface is None:
+            combined = self.ring("x2_tilde")
+            fib = combined.raw["fibration"]
+            base = self.ring(fib["base"])
+            relative = RelativeRing(base.ring, combined.ring, tuple(fib["fiber"]))
+            rule_raw = fib["rule"]
+            rule = PushforwardRule(
+                one_image=parse_expression(rule_raw["one"], base.ring.gens),
+                t_image=parse_expression(rule_raw["t"], base.ring.gens),
+                s_image=parse_expression(rule_raw["s"], base.ring.gens),
+                shift=fib.get("shift", 2),
+            )
+            self._surface = FiberedSurface(
+                relative=relative, rule=rule, base=base, combined=combined
+            )
+        return self._surface
 
     def equivalences(self) -> dict:
-        with self._lock:
-            if self._equivalences is None:
-                self._equivalences = _read_data("equivalences.json")
-            return self._equivalences
+        if self._equivalences is None:
+            self._equivalences = _read_data("equivalences.json")
+        return self._equivalences
+
+    # ------------------------------------------------------------------
+    # table cells, shared by the checks and the ``tables`` command
+
+    def table_cells(self, loaded: LoadedRing, table) -> list[Cell]:
+        """The cells of one of a ring's tables, in row-major order."""
+        if isinstance(table, PairingTable):
+            return _grid_cells(table, partial(_degree, loaded.functional))
+        if isinstance(table, RelativePairingTable):
+            return _grid_cells(table, self.fibered_surface().degree)
+        if isinstance(table, DegreesTable):
+            return _degree_entry_cells(table, loaded.functional)
+        if isinstance(table, PairingVectorTable):
+            return _vector_cells(table, loaded.functional)
+        raise TypeError(f"unknown table kind {table!r}")  # pragma: no cover
+
+    def table_4a_cells(self) -> list[Cell]:
+        """Table 4a: coefficients of half of each tabulated image, by symbol."""
+        data = self.torelli()
+        table = data.raw["table_4a"]
+        basis = _basis_monomials(table["basis"], data.push.target.gens)
+        return [
+            Cell(
+                f"{row['symbol']}:{label}",
+                f"{table['source']}, {row['symbol']} against {label}",
+                Fraction(value),
+                partial(_half_image_coefficient, data.push, row["symbol"], monomial),
+            )
+            for row in table["rows"]
+            for label, monomial, value in zip(table["basis"], basis, row["values"])
+        ]
 
     # ------------------------------------------------------------------
     # scopes and the check suite
@@ -175,21 +225,20 @@ class Catalog:
 
     def checks(self) -> list[Check]:
         """The full check suite, built once and cached."""
-        with self._lock:
-            if self._checks is None:
-                built: list[Check] = []
-                for name in RING_NAMES:
-                    built.extend(self._ring_checks(self.ring(name)))
-                built.extend(self._surface_checks())
-                built.extend(self._torelli_checks())
-                built.extend(self._equivalence_checks())
-                built.extend(self._level_checks())
-                counts = Counter(check.id for check in built)
-                duplicates = [cid for cid, n in counts.items() if n > 1]
-                if duplicates:
-                    raise ValueError(f"duplicate check ids: {duplicates}")
-                self._checks = built
-            return self._checks
+        if self._checks is None:
+            built: list[Check] = []
+            for name in RING_NAMES:
+                built.extend(self._ring_checks(self.ring(name)))
+            built.extend(self._surface_checks())
+            built.extend(self._torelli_checks())
+            built.extend(self._equivalence_checks())
+            built.extend(self._level_checks())
+            counts = Counter(check.id for check in built)
+            duplicates = [cid for cid, n in counts.items() if n > 1]
+            if duplicates:
+                raise ValueError(f"duplicate check ids: {duplicates}")
+            self._checks = built
+        return self._checks
 
     def select(self, scope: str = "all") -> list[Check]:
         """Checks whose group or parent matches the scope."""
@@ -210,11 +259,9 @@ class Catalog:
             if check.group == normalized or check.parent == normalized
         ]
 
-    def run_verification(
-        self, scope: str = "all", jobs: int | None = None
-    ) -> VerificationReport:
+    def run_verification(self, scope: str = "all") -> VerificationReport:
         """Run every check matching the scope and return the report."""
-        return run_checks(self.select(scope), jobs=jobs)
+        return run_checks(self.select(scope))
 
     # ------------------------------------------------------------------
     # check builders
@@ -226,12 +273,17 @@ class Catalog:
         functional = loaded.functional
 
         if loaded.expected_hilbert is not None:
+            expected = list(loaded.expected_hilbert)
             checks.append(
                 Check(
                     id=f"{name}:hilbert",
                     group=name,
                     citation=f"{loaded.source}, dimension count",
-                    evaluate=_eval_hilbert(ring, loaded.expected_hilbert),
+                    evaluate=partial(
+                        _compare,
+                        expected,
+                        partial(ring.hilbert_function, len(expected) - 1),
+                    ),
                 )
             )
 
@@ -241,10 +293,10 @@ class Catalog:
                     id=f"{name}:normalization",
                     group=name,
                     citation=f"{loaded.source}, degree normalization",
-                    evaluate=_eval_degree(
-                        functional,
-                        functional.reference_element,
+                    evaluate=partial(
+                        _compare,
                         functional.reference_value,
+                        partial(functional.degree, functional.reference_element),
                     ),
                 )
             )
@@ -255,7 +307,9 @@ class Catalog:
                     id=f"{name}:identity:{ident.id}",
                     group=name,
                     citation=ident.source,
-                    evaluate=_eval_identity(ring, ident.lhs, ident.rhs, ident.mode),
+                    evaluate=partial(
+                        _check_identity, ring, ident.lhs, ident.rhs, ident.mode
+                    ),
                 )
             )
 
@@ -265,133 +319,43 @@ class Catalog:
                     id=f"{name}:degree:{expectation.expr_text}",
                     group=name,
                     citation=expectation.source,
-                    evaluate=_eval_degree(
-                        functional,
-                        expectation.element,
+                    evaluate=partial(
+                        _compare,
                         expectation.value,
+                        partial(_degree, functional, expectation.element),
                     ),
                 )
             )
 
         for vector in loaded.pairing_vectors:
-            checks.extend(self._pairing_vector_checks(loaded, vector, in_table=False))
+            cells = _vector_cells(vector, functional)
+            checks.extend(_cell_checks(cells, f"{name}:pairings:{vector.id}", name))
 
         for table in loaded.tables:
-            checks.extend(self._table_checks(loaded, table))
-
-        return checks
-
-    def _table_checks(self, loaded: LoadedRing, table) -> list[Check]:
-        name = loaded.name
-        group = f"table:{table.id}"
-        checks: list[Check] = []
-        if isinstance(table, PairingTable):
-            functional = loaded.functional
-            for i, (row_label, row) in enumerate(zip(table.row_labels, table.rows)):
-                for j, (col_label, col) in enumerate(
-                    zip(table.col_labels, table.cols)
-                ):
-                    checks.append(
-                        Check(
-                            id=f"{group}:r{i}c{j}",
-                            group=group,
-                            parent=name,
-                            citation=f"{table.source}, row {row_label}, col {col_label}",
-                            evaluate=_eval_degree(
-                                functional,
-                                row * col,
-                                table.values[i][j],
-                            ),
-                        )
-                    )
-            checks.append(
-                Check(
-                    id=f"{name}:det:{table.id}",
-                    group=name,
-                    citation=f"{table.source}, determinant",
-                    evaluate=_eval_determinant(
-                        functional, table.codim, table.rows, table.cols, table.det_nonzero
-                    ),
-                )
-            )
-        elif isinstance(table, DegreesTable):
-            for entry in table.entries:
+            group = f"table:{table.id}"
+            cells = self.table_cells(loaded, table)
+            checks.extend(_cell_checks(cells, group, group, parent=name))
+            if isinstance(table, PairingTable):
                 checks.append(
                     Check(
-                        id=f"{group}:{entry.label}",
-                        group=group,
-                        parent=name,
-                        citation=f"{table.source}, {entry.label}",
-                        evaluate=_eval_degree_entry(loaded.functional, entry),
+                        id=f"{name}:det:{table.id}",
+                        group=name,
+                        citation=f"{table.source}, determinant",
+                        evaluate=partial(_check_determinant, functional, table),
                     )
                 )
-        elif isinstance(table, PairingVectorTable):
-            checks.extend(self._pairing_vector_checks(loaded, table, in_table=True))
-        elif isinstance(table, RelativePairingTable):
-            checks.extend(self._relative_table_checks(loaded, table))
-        else:  # pragma: no cover - loader only emits the kinds above
-            raise TypeError(f"unknown table kind {table!r}")
-        return checks
 
-    def _pairing_vector_checks(
-        self, loaded: LoadedRing, vector: PairingVectorTable, in_table: bool
-    ) -> list[Check]:
-        name = loaded.name
-        functional = loaded.functional
-        checks: list[Check] = []
-        if in_table:
-            group = f"table:{vector.id}"
-            parent = name
-            entry_id = lambda label: f"{group}:{label}"  # noqa: E731
-        else:
-            group = name
-            parent = None
-            entry_id = lambda label: f"{name}:pairings:{vector.id}:{label}"  # noqa: E731
-        for label, basis_elt, value in zip(
-            vector.basis_labels, vector.basis, vector.values
-        ):
-            checks.append(
-                Check(
-                    id=entry_id(label),
-                    group=group,
-                    parent=parent,
-                    citation=f"{vector.source}, against {label}",
-                    evaluate=_eval_degree(
-                        functional,
-                        vector.class_poly * basis_elt,
-                        value / vector.divide_by,
-                    ),
-                )
-            )
-        if vector.solve:
-            checks.append(
-                Check(
-                    id=f"{name}:solve:{vector.class_name}",
-                    group=name,
-                    citation=f"{vector.source}, recovered from its pairings",
-                    evaluate=_eval_solve_class(loaded.ring, functional, vector),
-                )
-            )
-        return checks
-
-    def _relative_table_checks(
-        self, loaded: LoadedRing, table: RelativePairingTable
-    ) -> list[Check]:
-        group = f"table:{table.id}"
-        checks: list[Check] = []
-        for i, (row_label, row) in enumerate(zip(table.row_labels, table.rows)):
-            for j, (col_label, col) in enumerate(zip(table.col_labels, table.cols)):
+        vectors = loaded.pairing_vectors + [
+            table for table in loaded.tables if isinstance(table, PairingVectorTable)
+        ]
+        for vector in vectors:
+            if vector.solve:
                 checks.append(
                     Check(
-                        id=f"{group}:r{i}c{j}",
-                        group=group,
-                        parent=loaded.name,
-                        citation=f"{table.source}, row {row_label}, col {col_label}",
-                        evaluate=_eval_relative_degree(
-                            self,
-                            row * col,
-                            table.values[i][j],
-                        ),
+                        id=f"{name}:solve:{vector.class_name}",
+                        group=name,
+                        citation=f"{vector.source}, recovered from its pairings",
+                        evaluate=partial(_check_solve_class, ring, functional, vector),
                     )
                 )
         return checks
@@ -410,9 +374,7 @@ class Catalog:
                     id=f"{combined.name}:push:{expr}",
                     group=combined.name,
                     citation=case["source"],
-                    evaluate=_eval_pushforward(
-                        surface.relative, surface.rule, base.ring, element, expected
-                    ),
+                    evaluate=partial(_check_pushforward, surface, element, expected),
                 )
             )
         return checks
@@ -422,43 +384,20 @@ class Catalog:
         push = data.push
         target_loaded = self.ring(data.raw["target"])
         target = target_loaded.ring
-        checks: list[Check] = []
 
         table = data.raw["table_4a"]
         group = "table:4a"
-        basis_labels = list(table["basis"])
-        basis_monomials = []
-        for label in basis_labels:
-            poly = parse_expression(label, target.gens)
-            ((monomial, coeff),) = poly.terms()
-            if coeff != 1:
-                raise ValueError(f"basis entry {label!r} is not monic")
-            basis_monomials.append(monomial)
-        source = table["source"]
+        checks = _cell_checks(self.table_4a_cells(), group, group, parent="torelli")
+        basis = frozenset(_basis_monomials(table["basis"], target.gens))
         for row in table["rows"]:
             symbol = row["symbol"]
-            values = [Fraction(v) for v in row["values"]]
-            for label, monomial, value in zip(basis_labels, basis_monomials, values):
-                checks.append(
-                    Check(
-                        id=f"{group}:{symbol}:{label}",
-                        group=group,
-                        parent="torelli",
-                        citation=f"{source}, {symbol} against {label}",
-                        evaluate=_eval_half_image_coefficient(
-                            push, symbol, monomial, label, value
-                        ),
-                    )
-                )
             checks.append(
                 Check(
                     id=f"{group}:{symbol}:support",
                     group=group,
                     parent="torelli",
-                    citation=f"{source}, {symbol} support",
-                    evaluate=_eval_half_image_support(
-                        push, symbol, basis_monomials, basis_labels
-                    ),
+                    citation=f"{table['source']}, {symbol} support",
+                    evaluate=partial(_check_half_image_support, push, symbol, basis),
                 )
             )
 
@@ -470,36 +409,38 @@ class Catalog:
                     id=f"torelli:identity:{ident['id']}",
                     group="torelli",
                     citation=ident["source"],
-                    evaluate=_eval_push_identity(
-                        push, target, combo, expected, ident.get("mode", "polynomial")
+                    evaluate=partial(
+                        _check_push_identity,
+                        push,
+                        target,
+                        combo,
+                        expected,
+                        ident.get("mode", "polynomial"),
                     ),
                 )
             )
 
         faber = data.raw["faber_cube"]
         combo = data.parse_combination(faber["combo"])
-        expected = target_loaded.parse(faber["expected"])
-        expected_class = target_loaded.parse(faber["expected_class"])
-        checks.append(
-            Check(
-                id="torelli:faber-cube:coefficients",
-                group="torelli",
-                citation=faber["source"],
-                evaluate=_eval_push_identity(
-                    push, target, combo, expected, "polynomial"
-                ),
+        for suffix, key, mode in (
+            ("coefficients", "expected", "polynomial"),
+            ("class", "expected_class", "class"),
+        ):
+            checks.append(
+                Check(
+                    id=f"torelli:faber-cube:{suffix}",
+                    group="torelli",
+                    citation=faber["source"],
+                    evaluate=partial(
+                        _check_push_identity,
+                        push,
+                        target,
+                        combo,
+                        target_loaded.parse(faber[key]),
+                        mode,
+                    ),
+                )
             )
-        )
-        checks.append(
-            Check(
-                id="torelli:faber-cube:class",
-                group="torelli",
-                citation=faber["source"],
-                evaluate=_eval_push_identity(
-                    push, target, combo, expected_class, "class"
-                ),
-            )
-        )
 
         data504 = data.raw["lambda3_504"]
         lhs = target_loaded.parse(data504["lhs"])
@@ -507,32 +448,20 @@ class Catalog:
         b3_multiple = target_loaded.parse(data504["b3_multiple"])
         xi01_image = target_loaded.parse(data504["xi01_image"])
         c_image = push.image(data504["c_symbol"])
-        checks.append(
-            Check(
-                id="torelli:lambda3-504:half-reading",
-                group="torelli",
-                citation=data504["source"],
-                evaluate=_eval_identity(
-                    target,
-                    half_term + c_image / 2 + b3_multiple,
-                    lhs,
-                    "polynomial",
-                ),
+        for suffix, combination, expected in (
+            ("half-reading", half_term + c_image / 2 + b3_multiple, lhs),
+            ("full-residual", half_term + c_image + b3_multiple - lhs, xi01_image),
+        ):
+            checks.append(
+                Check(
+                    id=f"torelli:lambda3-504:{suffix}",
+                    group="torelli",
+                    citation=data504["source"],
+                    evaluate=partial(
+                        _check_identity, target, combination, expected, "polynomial"
+                    ),
+                )
             )
-        )
-        checks.append(
-            Check(
-                id="torelli:lambda3-504:full-residual",
-                group="torelli",
-                citation=data504["source"],
-                evaluate=_eval_identity(
-                    target,
-                    half_term + c_image + b3_multiple - lhs,
-                    xi01_image,
-                    "polynomial",
-                ),
-            )
-        )
         return checks
 
     def _equivalence_checks(self) -> list[Check]:
@@ -553,8 +482,8 @@ class Catalog:
                     id=f"equivalences:{pair['id']}",
                     group="equivalences",
                     citation=pair["source"],
-                    evaluate=_eval_equivalence(
-                        first.ring, second.ring, forward, backward
+                    evaluate=partial(
+                        _check_equivalence, first.ring, second.ring, forward, backward
                     ),
                 )
             )
@@ -568,7 +497,9 @@ class Catalog:
                     id=f"levels:gamma:g{genus}:l{level}",
                     group="levels",
                     citation="level structure counts, group order",
-                    evaluate=_eval_gamma(genus, level, expected),
+                    evaluate=partial(
+                        _compare, expected, partial(group_order_gamma, genus, level)
+                    ),
                 )
             )
         for genus, level, convention, expected in (
@@ -581,7 +512,11 @@ class Catalog:
                     id=f"levels:mu:g{genus}:l{level}:{convention}",
                     group="levels",
                     citation="level structure counts, boundary components",
-                    evaluate=_eval_mu(genus, level, convention, expected),
+                    evaluate=partial(
+                        _compare,
+                        expected,
+                        partial(cusp_count_mu, genus, level, convention),
+                    ),
                 )
             )
         checks.append(
@@ -589,7 +524,7 @@ class Catalog:
                 id="levels:mu:g2:l3:as-printed",
                 group="levels",
                 citation="level structure counts, boundary components",
-                evaluate=_eval_mu_non_integer(2, 3),
+                evaluate=partial(_check_mu_non_integer, 2, 3),
             )
         )
         for level in (3, 4, 5, 6, 7):
@@ -598,257 +533,198 @@ class Catalog:
                     id=f"levels:identity:l{level}",
                     group="levels",
                     citation="level structure counts, compatibility identity",
-                    evaluate=_eval_level_identity(level),
+                    evaluate=partial(_check_level_identity, level),
                 )
             )
         return checks
 
 
 # ----------------------------------------------------------------------
-# evaluation closures
+# table cells
+
+
+def _degree(functional: DegreeFunctional | None, element: Polynomial) -> Fraction:
+    if functional is None:
+        raise DegreeError("no degree functional on this ring")
+    return functional.degree(element)
+
+
+def _grid_cells(
+    table: PairingTable | RelativePairingTable,
+    degree: Callable[[Polynomial], Fraction],
+) -> list[Cell]:
+    """Pairing-table cells: the degree of each row class times each column class."""
+    return [
+        Cell(
+            f"r{i}c{j}",
+            f"{table.source}, row {row_label}, col {col_label}",
+            table.values[i][j],
+            partial(degree, row * col),
+        )
+        for i, (row_label, row) in enumerate(zip(table.row_labels, table.rows))
+        for j, (col_label, col) in enumerate(zip(table.col_labels, table.cols))
+    ]
+
+
+def _degree_entry_cells(
+    table: DegreesTable, functional: DegreeFunctional | None
+) -> list[Cell]:
+    """Degrees-table cells; an entry outside the ring generators is not recomputed."""
+    return [
+        Cell(
+            entry.label,
+            f"{table.source}, {entry.label}",
+            entry.value,
+            partial(_degree, functional, entry.element) if entry.checkable else None,
+            "" if entry.alt_value is None else f" (alternate reading {entry.alt_value})",
+        )
+        for entry in table.entries
+    ]
+
+
+def _vector_cells(
+    vector: PairingVectorTable, functional: DegreeFunctional | None
+) -> list[Cell]:
+    """Pairings of one class against a basis; stored values are divided by ``divide_by``."""
+    return [
+        Cell(
+            label,
+            f"{vector.source}, against {label}",
+            value / vector.divide_by,
+            partial(_degree, functional, vector.class_poly * element),
+        )
+        for label, element, value in zip(vector.basis_labels, vector.basis, vector.values)
+    ]
+
+
+def _basis_monomials(labels: list[str], gens: GeneratorSet) -> list[tuple]:
+    """Exponent vectors of the monic monomials the labels name."""
+    monomials = []
+    for label in labels:
+        ((monomial, coeff),) = parse_expression(label, gens).terms()
+        if coeff != 1:
+            raise ValueError(f"basis entry {label!r} is not monic")
+        monomials.append(monomial)
+    return monomials
+
+
+def _half_image_coefficient(
+    push: TabulatedPushforward, symbol: str, monomial: tuple
+) -> Fraction:
+    return dict((push.image(symbol) / 2).terms()).get(monomial, Fraction(0))
+
+
+# ----------------------------------------------------------------------
+# check evaluations
 #
-# Each builder returns a zero-argument callable producing the triple
-# (expected, computed, status).  Inputs are captured by value so that the
-# closures stay safe to run on a thread pool.
+# Each returns the triple (expected, computed, status); the builders above
+# bind their arguments with ``partial``.
 
 
-def _eval_hilbert(ring: QuotientRing, expected: list[int]) -> Callable:
-    def evaluate():
-        computed = ring.hilbert_function(len(expected) - 1)
-        status = PASS if computed == list(expected) else FAIL
-        return str(list(expected)), str(computed), status
-
-    return evaluate
-
-
-def _eval_identity(
-    ring: QuotientRing, lhs: Polynomial, rhs: Polynomial, mode: str
-) -> Callable:
-    def evaluate():
-        if mode == "polynomial":
-            equal = lhs == rhs
-            return str(rhs), str(lhs), PASS if equal else FAIL
-        left = ring.normal_form(lhs)
-        right = ring.normal_form(rhs)
-        return str(right), str(left), PASS if left == right else FAIL
-
-    return evaluate
-
-
-def _eval_degree(
-    functional: DegreeFunctional | None,
-    element: Polynomial,
-    expected: Fraction,
-) -> Callable:
-    def evaluate():
-        if functional is None:
-            return str(expected), "no degree functional on this ring", FAIL
-        computed = functional.degree(element)
-        status = PASS if computed == expected else FAIL
-        return str(expected), str(computed), status
-
-    return evaluate
-
-
-def _eval_degree_entry(functional: DegreeFunctional | None, entry) -> Callable:
-    expected = str(entry.value)
-    if entry.alt_value is not None:
-        expected = f"{entry.value} (alternate reading {entry.alt_value})"
-
-    def evaluate():
-        if not entry.checkable:
-            return expected, "recorded only; not expressible in the ring generators", SKIPPED
-        if functional is None:
-            return expected, "no degree functional on this ring", FAIL
-        computed = functional.degree(entry.element)
-        status = PASS if computed == entry.value else FAIL
-        return expected, str(computed), status
-
-    return evaluate
-
-
-def _eval_determinant(
-    functional: DegreeFunctional,
-    codim: int,
-    rows: list[Polynomial],
-    cols: list[Polynomial],
-    expect_nonzero: bool,
-) -> Callable:
-    def evaluate():
-        matrix = functional.pairing_matrix(codim, rows, cols)
-        det = det_exact(matrix)
-        if expect_nonzero:
-            return "nonzero determinant", str(det), PASS if det != 0 else FAIL
-        return "determinant recorded", str(det), PASS
-
-    return evaluate
-
-
-def _eval_solve_class(
-    ring: QuotientRing, functional: DegreeFunctional, vector: PairingVectorTable
-) -> Callable:
-    def evaluate():
-        codim = vector.class_poly.weighted_degree()
-        values = [value / vector.divide_by for value in vector.values]
-        solved = functional.solve_class(codim, list(vector.basis), values)
-        expected = ring.normal_form(vector.class_poly)
-        computed = ring.normal_form(solved)
-        status = PASS if computed == expected else FAIL
-        return str(expected), str(computed), status
-
-    return evaluate
-
-
-def _eval_relative_degree(
-    catalog: Catalog, element: Polynomial, expected: Fraction
-) -> Callable:
-    def evaluate():
-        surface = catalog.fibered_surface()
-        computed = surface.relative.relative_degree(
-            element, surface.base.functional, surface.rule
+def _cell_checks(
+    cells: list[Cell], prefix: str, group: str, parent: str | None = None
+) -> list[Check]:
+    return [
+        Check(
+            id=f"{prefix}:{cell.key}",
+            group=group,
+            parent=parent,
+            citation=cell.citation,
+            evaluate=partial(_compare, cell.expected, cell.recompute, cell.shown),
         )
-        status = PASS if computed == expected else FAIL
-        return str(expected), str(computed), status
-
-    return evaluate
+        for cell in cells
+    ]
 
 
-def _eval_pushforward(
-    relative: RelativeRing,
-    rule: PushforwardRule,
-    base: QuotientRing,
-    element: Polynomial,
-    expected: Polynomial,
-) -> Callable:
-    def evaluate():
-        computed = relative.pushforward(element, rule)
-        expected_nf = base.normal_form(expected)
-        status = PASS if base.classes_equal(computed, expected) else FAIL
-        return str(expected_nf), str(computed), status
-
-    return evaluate
+def _compare(expected, recompute: Callable | None, shown: str | None = None):
+    """Recompute a stored value and compare it with ``==``."""
+    shown = str(expected) if shown is None else shown
+    if recompute is None:
+        return shown, "recorded only; not expressible in the ring generators", SKIPPED
+    computed = recompute()
+    return shown, str(computed), PASS if computed == expected else FAIL
 
 
-def _eval_half_image_coefficient(
-    push: TabulatedPushforward,
-    symbol: str,
-    monomial: tuple,
-    label: str,
-    expected: Fraction,
-) -> Callable:
-    def evaluate():
-        half = push.image(symbol) / 2
-        computed = dict(half.terms()).get(monomial, Fraction(0))
-        status = PASS if computed == expected else FAIL
-        return str(expected), str(computed), status
-
-    return evaluate
+def _check_identity(ring: QuotientRing, lhs: Polynomial, rhs: Polynomial, mode: str):
+    if mode != "polynomial":
+        lhs, rhs = ring.normal_form(lhs), ring.normal_form(rhs)
+    return str(rhs), str(lhs), PASS if lhs == rhs else FAIL
 
 
-def _eval_half_image_support(
-    push: TabulatedPushforward,
-    symbol: str,
-    basis_monomials: list[tuple],
-    basis_labels: list[str],
-) -> Callable:
-    allowed = set(basis_monomials)
-
-    def evaluate():
-        half = push.image(symbol) / 2
-        extra = [m for m, _ in half.terms() if m not in allowed]
-        if not extra:
-            return "support within the basis columns", "no stray monomials", PASS
-        names = ", ".join(
-            str(half.gens.monomial(m, Fraction(1))) for m in extra
-        )
-        return "support within the basis columns", f"stray monomials: {names}", FAIL
-
-    return evaluate
-
-
-def _eval_push_identity(
+def _check_push_identity(
     push: TabulatedPushforward,
     target: QuotientRing,
     combo: Polynomial,
     expected: Polynomial,
     mode: str,
-) -> Callable:
-    def evaluate():
-        image = push.push_combination(combo)
-        if mode == "polynomial":
-            status = PASS if image == expected else FAIL
-            return str(expected), str(image), status
-        left = target.normal_form(image)
-        right = target.normal_form(expected)
-        status = PASS if left == right else FAIL
-        return str(right), str(left), status
-
-    return evaluate
+):
+    return _check_identity(target, push.push_combination(combo), expected, mode)
 
 
-def _eval_equivalence(
-    first: QuotientRing,
-    second: QuotientRing,
-    forward: dict,
-    backward: dict,
-) -> Callable:
-    def evaluate():
-        equal = presentations_equivalent(first, second, forward, backward)
-        return "equivalent presentations", "equivalent" if equal else "not equivalent", (
-            PASS if equal else FAIL
-        )
-
-    return evaluate
+def _check_determinant(functional: DegreeFunctional, table: PairingTable):
+    det = det_exact(functional.pairing_matrix(table.codim, table.rows, table.cols))
+    if table.det_nonzero:
+        return "nonzero determinant", str(det), PASS if det != 0 else FAIL
+    return "determinant recorded", str(det), PASS
 
 
-def _eval_gamma(genus: int, level: int, expected: int) -> Callable:
-    def evaluate():
-        computed = group_order_gamma(genus, level)
-        status = PASS if computed == expected else FAIL
-        return str(expected), str(computed), status
-
-    return evaluate
-
-
-def _eval_mu(genus: int, level: int, convention: str, expected: Fraction) -> Callable:
-    def evaluate():
-        computed = cusp_count_mu(genus, level, convention)
-        status = PASS if computed == expected else FAIL
-        return str(expected), str(computed), status
-
-    return evaluate
+def _check_solve_class(
+    ring: QuotientRing, functional: DegreeFunctional, vector: PairingVectorTable
+):
+    codim = vector.class_poly.weighted_degree()
+    values = [value / vector.divide_by for value in vector.values]
+    solved = functional.solve_class(codim, list(vector.basis), values)
+    expected = ring.normal_form(vector.class_poly)
+    computed = ring.normal_form(solved)
+    return str(expected), str(computed), PASS if computed == expected else FAIL
 
 
-def _eval_mu_non_integer(genus: int, level: int) -> Callable:
-    def evaluate():
-        computed = cusp_count_mu(genus, level, "as-printed")
-        if computed.denominator == 1:
-            return "a non-integral value, flagged but not asserted", str(computed), FAIL
-        return (
-            "a non-integral value, flagged but not asserted",
-            f"{computed} (not an integer; recorded, not asserted)",
-            SKIPPED,
-        )
-
-    return evaluate
+def _check_pushforward(
+    surface: FiberedSurface, element: Polynomial, expected: Polynomial
+):
+    base = surface.base.ring
+    computed = surface.relative.pushforward(element, surface.rule)
+    status = PASS if base.classes_equal(computed, expected) else FAIL
+    return str(base.normal_form(expected)), str(computed), status
 
 
-def _eval_level_identity(level: int) -> Callable:
-    def evaluate():
-        holds = verify_level_identity(level)
-        return "identity holds", "holds" if holds else "violated", PASS if holds else FAIL
+def _check_half_image_support(
+    push: TabulatedPushforward, symbol: str, allowed: frozenset
+):
+    half = push.image(symbol) / 2
+    extra = [m for m, _ in half.terms() if m not in allowed]
+    if not extra:
+        return "support within the basis columns", "no stray monomials", PASS
+    names = ", ".join(str(half.gens.monomial(m, Fraction(1))) for m in extra)
+    return "support within the basis columns", f"stray monomials: {names}", FAIL
 
-    return evaluate
+
+def _check_equivalence(
+    first: QuotientRing, second: QuotientRing, forward: dict, backward: dict
+):
+    equal = presentations_equivalent(first, second, forward, backward)
+    return "equivalent presentations", "equivalent" if equal else "not equivalent", (
+        PASS if equal else FAIL
+    )
 
 
-_default_catalog: Catalog | None = None
-_default_lock = threading.Lock()
+def _check_mu_non_integer(genus: int, level: int):
+    computed = cusp_count_mu(genus, level, "as-printed")
+    if computed.denominator == 1:
+        return "a non-integral value, flagged but not asserted", str(computed), FAIL
+    return (
+        "a non-integral value, flagged but not asserted",
+        f"{computed} (not an integer; recorded, not asserted)",
+        SKIPPED,
+    )
 
 
+def _check_level_identity(level: int):
+    holds = verify_level_identity(level)
+    return "identity holds", "holds" if holds else "violated", PASS if holds else FAIL
+
+
+@cache
 def default_catalog() -> Catalog:
     """Shared catalog instance used by the command line interface."""
-    global _default_catalog
-    with _default_lock:
-        if _default_catalog is None:
-            _default_catalog = Catalog()
-        return _default_catalog
+    return Catalog()

@@ -12,18 +12,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .catalog import RING_NAMES, Catalog, default_catalog
+from .catalog import RING_NAMES, Catalog, Cell, default_catalog
 from .errors import AvchowError
-from .exprparse import parse_expression
 from .poly import Polynomial
-from .ringspec import (
-    DegreesTable,
-    LoadedRing,
-    PairingTable,
-    PairingVectorTable,
-    RelativePairingTable,
-    load_ring_spec,
-)
+from .ringspec import DegreesTable, LoadedRing, PairingVectorTable, load_ring_spec
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -34,7 +26,7 @@ MAP_NAMES = ("x2_tilde", "torelli")
 HILBERT_SEARCH_LIMIT = 40
 
 
-class UsageError(Exception):
+class UsageError(AvchowError):
     """Bad command line input (unknown ring, malformed value, ...)."""
 
 
@@ -122,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the stored checks and report")
     p.add_argument("--scope", default="all", metavar="S", help="all, a ring name, levels, torelli, equivalences, or table:ID")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--jobs", type=int, default=None, metavar="N", help="worker threads (default: sequential)")
+    # Accepted and ignored: checks always run sequentially.
+    p.add_argument("--jobs", type=int, default=None, help=argparse.SUPPRESS)
 
     return parser
 
@@ -139,10 +132,6 @@ def _resolve_ring(spec: str, catalog: Catalog) -> LoadedRing:
     raise UsageError(
         f"unknown ring {spec!r}: not a catalog name and not an existing file"
     )
-
-
-def _parse_in_ring(loaded: LoadedRing, text: str) -> Polynomial:
-    return loaded.parse(text)
 
 
 def _parse_values(tokens: list[str]) -> list[Fraction]:
@@ -179,14 +168,14 @@ def _default_basis(loaded: LoadedRing, degree: int) -> list[Polynomial]:
 
 def _cmd_nf(args, catalog: Catalog) -> int:
     loaded = _resolve_ring(args.ring, catalog)
-    print(loaded.ring.normal_form(_parse_in_ring(loaded, args.expr)))
+    print(loaded.ring.normal_form(loaded.parse(args.expr)))
     return EXIT_OK
 
 
 def _cmd_degree(args, catalog: Catalog) -> int:
     loaded = _resolve_ring(args.ring, catalog)
     functional = _require_functional(loaded)
-    print(functional.degree(_parse_in_ring(loaded, args.expr)))
+    print(functional.degree(loaded.parse(args.expr)))
     return EXIT_OK
 
 
@@ -221,11 +210,11 @@ def _cmd_pairing(args, catalog: Catalog) -> int:
     if args.rows is None:
         rows = _default_basis(loaded, args.deg)
     else:
-        rows = [_parse_in_ring(loaded, text) for text in args.rows]
+        rows = [loaded.parse(text) for text in args.rows]
     if args.cols is None:
         cols = _default_basis(loaded, complement)
     else:
-        cols = [_parse_in_ring(loaded, text) for text in args.cols]
+        cols = [loaded.parse(text) for text in args.cols]
     matrix = functional.pairing_matrix(args.deg, rows, cols)
     print("rows:", "; ".join(str(r) for r in rows))
     print("cols:", "; ".join(str(c) for c in cols))
@@ -241,7 +230,7 @@ def _cmd_solve_class(args, catalog: Catalog) -> int:
     if args.probes is None:
         probes = _default_basis(loaded, complement)
     else:
-        probes = [_parse_in_ring(loaded, text) for text in args.probes]
+        probes = [loaded.parse(text) for text in args.probes]
     values = _parse_values(args.values)
     if len(values) != len(probes):
         raise UsageError(
@@ -271,93 +260,66 @@ def _table_header(table_id: str, source: str) -> str:
     return f"table {table_id}"
 
 
-def _format_table(catalog: Catalog, loaded: LoadedRing, table) -> list[str]:
+def _grid_rows(cells: list[Cell], width: int) -> list[str]:
+    """Recomputed values of row-major cells, one comma-joined string per row."""
+    values = [str(cell.recompute()) for cell in cells]
+    return [",".join(values[start : start + width]) for start in range(0, len(values), width)]
+
+
+def _format_table(table, cells: list[Cell]) -> list[str]:
     lines = [_table_header(table.id, table.source)]
-    if isinstance(table, PairingTable):
-        functional = loaded.functional
-        lines.append("  rows: " + "; ".join(table.row_labels))
-        lines.append("  cols: " + "; ".join(table.col_labels))
-        for row in table.rows:
-            values = [functional.degree(row * col) for col in table.cols]
-            lines.append("  " + ",".join(str(v) for v in values))
-    elif isinstance(table, DegreesTable):
-        for entry in table.entries:
-            if entry.checkable:
-                value = loaded.functional.degree(entry.element)
-                lines.append(f"  {entry.label} = {value}")
+    if isinstance(table, DegreesTable):
+        for cell in cells:
+            if cell.recompute is None:
+                lines.append(f"  {cell.key} = {cell.shown} (recorded; not recomputed)")
             else:
-                noted = str(entry.value)
-                if entry.alt_value is not None:
-                    noted += f" (alternate reading {entry.alt_value})"
-                lines.append(f"  {entry.label} = {noted} (recorded; not recomputed)")
+                lines.append(f"  {cell.key} = {cell.recompute()}")
     elif isinstance(table, PairingVectorTable):
-        functional = loaded.functional
         lines.append("  basis: " + "; ".join(table.basis_labels))
-        values = [
-            functional.degree(table.class_poly * element) for element in table.basis
-        ]
-        lines.append("  " + ",".join(str(v * table.divide_by) for v in values))
+        lines.append("  " + ",".join(str(cell.recompute() * table.divide_by) for cell in cells))
         if table.divide_by != 1:
             lines.append(f"  (entries are {table.divide_by} times the pairing numbers)")
-    elif isinstance(table, RelativePairingTable):
-        surface = catalog.fibered_surface()
+    else:  # a pairing or relative pairing grid
         lines.append("  rows: " + "; ".join(table.row_labels))
         lines.append("  cols: " + "; ".join(table.col_labels))
-        for row in table.rows:
-            values = [
-                surface.relative.relative_degree(
-                    row * col, surface.base.functional, surface.rule
-                )
-                for col in table.cols
-            ]
-            lines.append("  " + ",".join(str(v) for v in values))
+        lines.extend("  " + row for row in _grid_rows(cells, len(table.col_labels)))
     return lines
 
 
 def _format_table_4a(catalog: Catalog) -> list[str]:
-    data = catalog.torelli()
-    raw = data.raw["table_4a"]
-    lines = [_table_header("4a", raw["source"])]
-    lines.append("  basis: " + "; ".join(raw["basis"]))
-    basis_monomials = []
-    target = data.push.target
-    for label in raw["basis"]:
-        ((monomial, _),) = parse_expression(label, target.gens).terms()
-        basis_monomials.append(monomial)
-    for row in raw["rows"]:
-        half = data.push.image(row["symbol"]) / 2
-        coefficients = dict(half.terms())
-        values = [coefficients.get(m, Fraction(0)) for m in basis_monomials]
-        lines.append(f"  {row['symbol']}: " + ",".join(str(v) for v in values))
+    raw = catalog.torelli().raw["table_4a"]
+    rows = _grid_rows(catalog.table_4a_cells(), len(raw["basis"]))
+    lines = [_table_header("4a", raw["source"]), "  basis: " + "; ".join(raw["basis"])]
+    lines.extend(f"  {row['symbol']}: {values}" for row, values in zip(raw["rows"], rows))
     lines.append("  (rows list half the tabulated image)")
     return lines
 
 
 def _cmd_tables(args, catalog: Catalog) -> int:
-    wanted = args.id
     known = catalog.table_ids()
-    if wanted is not None and wanted not in known:
-        raise UsageError(f"unknown table {wanted!r}; known tables: {', '.join(known)}")
-    blocks: list[tuple[str, list[str]]] = []
-    for name in RING_NAMES:
-        loaded = catalog.ring(name)
-        for table in loaded.tables:
-            blocks.append((table.id, _format_table(catalog, loaded, table)))
-    blocks.append(("4a", _format_table_4a(catalog)))
-    blocks.sort(key=lambda pair: pair[0])
-    emitted = 0
-    for table_id, lines in blocks:
-        if wanted is not None and table_id != wanted:
+    if args.id is not None and args.id not in known:
+        raise UsageError(f"unknown table {args.id!r}; known tables: {', '.join(known)}")
+    owners = {
+        table.id: (loaded, table)
+        for loaded in map(catalog.ring, RING_NAMES)
+        for table in loaded.tables
+    }
+    blocks = []
+    for table_id in known:
+        if args.id not in (None, table_id):
             continue
-        if emitted:
-            print()
-        print("\n".join(lines))
-        emitted += 1
+        if table_id == "4a":
+            lines = _format_table_4a(catalog)
+        else:
+            loaded, table = owners[table_id]
+            lines = _format_table(table, catalog.table_cells(loaded, table))
+        blocks.append("\n".join(lines))
+    print("\n\n".join(blocks))
     return EXIT_OK
 
 
 def _cmd_verify(args, catalog: Catalog) -> int:
-    report = catalog.run_verification(args.scope, jobs=args.jobs)
+    report = catalog.run_verification(args.scope)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -383,9 +345,6 @@ def main(argv: list[str] | None = None) -> int:
     catalog = default_catalog()
     try:
         return _COMMANDS[args.command](args, catalog)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except AvchowError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,8 +12,8 @@ integer; the slash is part of the literal, there is no division operator.
 Juxtaposition is not multiplication.  Exponents are non-negative integers,
 optionally parenthesized, and a negative exponent is reported as such.
 Identifiers resolve to generators first, then to an optional table of
-named classes whose polynomials are substituted in place.  All errors
-carry a character position.
+named classes whose polynomials are substituted in place.  Parentheses
+nest at most MAX_NESTING deep.  All errors carry a character position.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ class _Token(NamedTuple):
 
 
 _SINGLE = {"+", "-", "*", "^", "/", "(", ")"}
+
+# Each open parenthesis costs a few frames of the recursive descent; the
+# bound keeps hostile input far from the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -70,6 +74,7 @@ class _Parser:
         self.pos = 0
         self.gens = gens
         self.symbols = symbols
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -149,8 +154,12 @@ class _Parser:
                 return self.symbols[name]
             raise ParseError(f"unknown identifier {name!r}", token.position)
         if token.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", token.position)
             self.advance()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect(")")
             return inner
         shown = token.text or "end of input"
@@ -183,8 +192,3 @@ def parse_expression(
         if value.gens != gens:
             raise ParseError(f"named class {name!r} is over a different generator set", 0)
     return _Parser(_tokenize(text), gens, resolved).parse()
-
-
-def render(p: Polynomial) -> str:
-    """Canonical text for a polynomial; re-parses to the same polynomial."""
-    return str(p)

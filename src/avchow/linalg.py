@@ -1,4 +1,4 @@
-"""Exact linear algebra over Fraction: solve, rank, determinant.
+"""Exact linear algebra over Fraction: solve and determinant.
 
 Small dense systems only (pairing matrices are at most 6x6 here), so plain
 Gaussian elimination with the first nonzero pivot is plenty, and exact
@@ -17,30 +17,6 @@ Matrix = Sequence[Sequence[Fraction]]
 
 def _copy(matrix: Matrix) -> list[list[Fraction]]:
     return [[Fraction(x) for x in row] for row in matrix]
-
-
-def rank_exact(matrix: Matrix) -> int:
-    """Rank of a rectangular matrix."""
-    rows = _copy(matrix)
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def det_exact(matrix: Matrix) -> Fraction:

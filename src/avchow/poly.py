@@ -419,21 +419,6 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Sum of two polynomials over the same generator set."""
-    return p + q
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Product of two polynomials over the same generator set."""
-    return p * q
-
-
-def substitute(p: Polynomial, images: Mapping[str, Polynomial]) -> Polynomial:
-    """Function form of Polynomial.substitute."""
-    return p.substitute(images)
-
-
 def lambda_generators(genus: int) -> GeneratorSet:
     """Generator set (lambda1, ..., lambda_g) with weights (1, ..., g)."""
     if genus < 1:

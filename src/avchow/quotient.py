@@ -9,7 +9,6 @@ one reference value.  All numbers are exact rationals.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -68,7 +67,6 @@ class QuotientRing:
         else:
             self.groebner = GroebnerBasis(self.gens, self.order, (), ())
         self._standard: dict[int, tuple[Monomial, ...]] = {}
-        self._lock = threading.Lock()
 
     @property
     def name(self) -> str:

@@ -334,8 +334,8 @@ def _load_tables(
                 continue
             if kind == "pairing":
                 codim = item.get("codim")
-                if not isinstance(codim, int) or codim < 0:
-                    problems.add(f"{pointer}/codim", "pairing table needs a non-negative codim")
+                if not isinstance(codim, int) or isinstance(codim, bool) or codim < 0:
+                    problems.add(f"{pointer}/codim", "pairing table needs a non-negative integer codim")
                     continue
                 tables.append(
                     PairingTable(
@@ -399,7 +399,7 @@ def _load_pairing_vector(
         return None
     parsed = [_parse_value(v, f"{pointer}/values/{j}", problems) for j, v in enumerate(values)]
     divide_by = item.get("divide_by", 1)
-    if not isinstance(divide_by, int) or divide_by == 0:
+    if not isinstance(divide_by, int) or isinstance(divide_by, bool) or divide_by == 0:
         problems.add(f"{pointer}/divide_by", "divide_by must be a nonzero integer")
         return None
     if class_poly is None or any(b is None for b in basis) or any(v is None for v in parsed):
@@ -435,7 +435,7 @@ def load_ring_spec(source: str | Path | Mapping[str, Any]) -> LoadedRing:
 
     chern_genus = data.get("chern_identity_genus")
     if chern_genus is not None:
-        if not isinstance(chern_genus, int) or chern_genus < 1:
+        if not isinstance(chern_genus, int) or isinstance(chern_genus, bool) or chern_genus < 1:
             problems.add("/chern_identity_genus", f"must be a positive integer, got {chern_genus!r}")
             chern_genus = None
         else:
@@ -535,7 +535,11 @@ def load_ring_spec(source: str | Path | Mapping[str, Any]) -> LoadedRing:
             problems.add("/expected/hilbert", "expected a list of non-negative integers")
         else:
             expected_hilbert = list(hilbert)
-    for i, item in enumerate(expected_raw.get("degrees", [])):
+    degrees_raw = expected_raw.get("degrees", [])
+    if not isinstance(degrees_raw, list):
+        problems.add("/expected/degrees", "expected a list")
+        degrees_raw = []
+    for i, item in enumerate(degrees_raw):
         pointer = f"/expected/degrees/{i}"
         if not isinstance(item, Mapping):
             problems.add(pointer, "expected an object")

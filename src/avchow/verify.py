@@ -1,8 +1,8 @@
 """Verification checks and deterministic report aggregation.
 
 A check is one recomputation with a frozen expected value.  Checks run
-independently (optionally on a thread pool) and the report sorts results
-by check id, so concurrent execution cannot change the output.  A check
+one after another and the report sorts results by check id, so the output
+does not depend on the order in which the checks were built.  A check
 that cannot be evaluated from the presentations is reported as skipped,
 never silently asserted.
 """
@@ -10,7 +10,6 @@ never silently asserted.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,7 +36,7 @@ class Check:
     ``group`` is the scope the check belongs to (a ring name, a table id
     like "table:3g", or a suite name); ``parent`` optionally nests a table
     under its owning ring or suite so that the wider scope includes it.
-    ``evaluate`` does the work and must be safe to call from any thread.
+    ``evaluate`` does the work and returns (expected, computed, status).
     """
 
     id: str
@@ -50,7 +49,7 @@ class Check:
         try:
             expected, computed, status = self.evaluate()
         except Exception as err:  # a crash is a failure, not a missing row
-            return CheckResult(self.id, self.citation, "(evaluation)", f"error: {err}", FAIL)
+            return CheckResult(self.id, self.citation, "(evaluation)", f"error: {type(err).__name__}: {err}", FAIL)
         return CheckResult(self.id, self.citation, expected, computed, status)
 
 
@@ -105,11 +104,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def run_checks(checks: list[Check], jobs: int | None = None) -> VerificationReport:
-    """Run checks, concurrently when jobs != 1, and aggregate deterministically."""
-    if jobs == 1 or len(checks) <= 1:
-        results = [check.run() for check in checks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda c: c.run(), checks))
-    return VerificationReport(results)
+def run_checks(checks: list[Check]) -> VerificationReport:
+    """Run checks in order and aggregate them deterministically."""
+    return VerificationReport([check.run() for check in checks])

@@ -1,6 +1,8 @@
 """Command line interface: outputs and exit codes."""
 
 import json
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,9 @@ TOY_SPEC = {
     "relations": ["x^4"],
     "normalization": {"element": "x^3", "value": "1"},
 }
+
+
+TABLES_GOLDEN = Path(__file__).with_name("tables_golden.txt")
 
 
 def run(capsys, *argv):
@@ -128,6 +133,17 @@ class TestFileRings:
         assert code == 0
         assert out.strip() == "1,1,1,1"
 
+    def test_non_list_degrees_is_usage_error(self, capsys, tmp_path):
+        data = json.loads(
+            (resources.files("avchow") / "data" / "a2_tilde.json").read_text(encoding="utf-8")
+        )
+        data["expected"]["degrees"] = 5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "nf", "--ring", str(path), "lambda1")
+        assert code == 2
+        assert "/expected/degrees" in err
+
     def test_invalid_spec_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         bad = dict(TOY_SPEC, relations=["x + 1"])
@@ -155,6 +171,20 @@ class TestTables:
         code, _, err = run(capsys, "tables", "--id", "9x")
         assert code == 2
         assert "unknown table" in err
+
+    def test_output_matches_golden(self, capsys):
+        code, out, _ = run(capsys, "tables")
+        assert code == 0
+        assert out == TABLES_GOLDEN.read_text(encoding="utf-8")
+
+    def test_single_tables_match_golden_blocks(self, capsys):
+        blocks = TABLES_GOLDEN.read_text(encoding="utf-8").rstrip("\n").split("\n\n")
+        assert len(blocks) == 11
+        for block in blocks:
+            table_id = block.split()[1]
+            code, out, _ = run(capsys, "tables", "--id", table_id)
+            assert code == 0
+            assert out == block + "\n"
 
     def test_recomputed_values_match_catalog(self, capsys):
         code, out, _ = run(capsys, "tables", "--id", "3g")

@@ -1,6 +1,7 @@
 """JSON ring-spec loading, validation, and round-tripping."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -124,6 +125,41 @@ class TestValidation:
         assert len(info.value.problems) >= 2
         assert any("/expected/hilbert" in q for q in pointers)
         assert any("/expected/degrees/0" in q for q in pointers)
+
+    def test_non_list_degrees_reported(self):
+        path = resources.files("avchow") / "data" / "a2_tilde.json"
+        bad = json.loads(path.read_text(encoding="utf-8"))
+        bad["expected"]["degrees"] = 5
+        with pytest.raises(RingSpecError) as info:
+            load_ring_spec(bad)
+        assert ("/expected/degrees", "expected a list") in info.value.problems
+
+    def test_booleans_are_not_integers(self):
+        pairing = {
+            "id": "t",
+            "kind": "pairing",
+            "codim": True,
+            "rows": ["x"],
+            "cols": ["x^2"],
+            "values": [["1"]],
+        }
+        vector = {
+            "id": "v",
+            "kind": "pairing_vector",
+            "class": "x",
+            "basis": ["x^2"],
+            "values": ["1"],
+            "divide_by": True,
+        }
+        for bad, pointer in (
+            (spec(tables=[pairing]), "/tables/0/codim"),
+            (spec(tables=[vector]), "/tables/0/divide_by"),
+            (spec(chern_identity_genus=True), "/chern_identity_genus"),
+        ):
+            with pytest.raises(RingSpecError) as info:
+                load_ring_spec(bad)
+            messages = [m for q, m in info.value.problems if q == pointer]
+            assert messages and "integer" in messages[0], pointer
 
     def test_named_class_cannot_shadow_generator(self):
         with pytest.raises(RingSpecError):

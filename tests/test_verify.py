@@ -29,7 +29,8 @@ class TestCheck:
         check = Check(id="a:2", group="g", citation="c", evaluate=boom)
         result = check.run()
         assert result.status == FAIL
-        assert "nope" in result.computed
+        assert result.expected == "(evaluation)"
+        assert result.computed == "error: ZeroDivisionError: nope"
 
 
 class TestReport:
@@ -71,13 +72,6 @@ class TestReport:
         assert lines[1].startswith("[FAIL] b:")
         assert lines[2].startswith("[SKIP] c:")
         assert lines[-1] == "3 checks: 1 passed, 1 failed, 1 skipped"
-
-    def test_threaded_output_matches_sequential(self):
-        checks = [make_check(f"c{i:02d}") for i in range(20)]
-        sequential = run_checks(checks, jobs=1)
-        threaded = run_checks(checks, jobs=8)
-        assert sequential.to_json() == threaded.to_json()
-        assert sequential.to_text() == threaded.to_text()
 
     def test_empty_report(self):
         report = VerificationReport([])
