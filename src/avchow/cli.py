@@ -23,8 +23,6 @@ EXIT_USAGE = 2
 
 MAP_NAMES = ("x2_tilde", "torelli")
 
-HILBERT_SEARCH_LIMIT = 40
-
 
 class UsageError(AvchowError):
     """Bad command line input (unknown ring, malformed value, ...)."""
@@ -181,24 +179,15 @@ def _cmd_degree(args, catalog: Catalog) -> int:
 
 def _cmd_hilbert(args, catalog: Catalog) -> int:
     loaded = _resolve_ring(args.ring, catalog)
+    ring = loaded.ring
     if args.max is not None:
-        dims = loaded.ring.hilbert_function(args.max)
+        dims = ring.hilbert_function(args.max)
     elif loaded.expected_hilbert is not None:
-        dims = loaded.ring.hilbert_function(len(loaded.expected_hilbert) - 1)
+        dims = ring.hilbert_function(len(loaded.expected_hilbert) - 1)
+    elif ring.artinian:
+        dims = ring.hilbert_function(max(ring.socle_degree, 0))
     else:
-        dims = []
-        degree = 0
-        while degree <= HILBERT_SEARCH_LIMIT:
-            count = len(loaded.ring.standard_monomials(degree))
-            if count == 0:
-                break
-            dims.append(count)
-            degree += 1
-        else:
-            raise UsageError(
-                f"{loaded.name!r} has standard monomials beyond degree "
-                f"{HILBERT_SEARCH_LIMIT}; pass --max"
-            )
+        raise UsageError(f"{loaded.name!r} is not Artinian, so it has no top degree; pass --max")
     print(",".join(str(d) for d in dims))
     return EXIT_OK
 

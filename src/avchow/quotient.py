@@ -5,6 +5,12 @@ quotient ring carries the reduced Groebner basis of the relation ideal,
 normal forms, per-degree standard-monomial bases, the Hilbert function,
 and, when the top graded piece has rank one, a degree functional pinned by
 one reference value.  All numbers are exact rationals.
+
+Every catalog ring is Artinian: each generator has a pure power among the
+Groebner leading monomials, so only finitely many monomials are standard
+and every graded piece above the socle degree is zero.  On such a ring the
+normal form is a linear map over a lazily filled cache of monomial normal
+forms, and monomials above the socle degree map to 0 without reduction.
 """
 
 from __future__ import annotations
@@ -56,7 +62,14 @@ class RingPresentation:
 
 
 class QuotientRing:
-    """Graded quotient of a polynomial ring by a homogeneous ideal."""
+    """Graded quotient of a polynomial ring by a homogeneous ideal.
+
+    ``socle_degree`` is the top degree of a nonzero graded piece when the
+    ring is Artinian (-1 for the zero ring) and None otherwise.  The
+    counters ``nf_hits``, ``nf_misses`` and ``nf_dropped`` count the
+    monomials ``normal_form`` found in its cache, reduced and stored, and
+    sent to 0 for lying above the socle degree.
+    """
 
     def __init__(self, presentation: RingPresentation):
         self.presentation = presentation
@@ -67,6 +80,55 @@ class QuotientRing:
         else:
             self.groebner = GroebnerBasis(self.gens, self.order, (), ())
         self._standard: dict[int, tuple[Monomial, ...]] = {}
+        self.socle_degree: int | None = None
+        if self._has_pure_powers():
+            self.socle_degree = self._enumerate_standard()
+        self._nf_cache: dict[Monomial, dict[Monomial, Fraction]] = {}
+        self.nf_hits = 0
+        self.nf_misses = 0
+        self.nf_dropped = 0
+
+    def _has_pure_powers(self) -> bool:
+        """Does every generator have a pure power among the leading monomials?"""
+        pure = set()
+        for lm in self.groebner.leading_monomials:
+            support = [i for i, e in enumerate(lm) if e]
+            if len(support) <= 1:
+                pure.update(support or range(len(self.gens)))
+        return len(pure) == len(self.gens)
+
+    def _enumerate_standard(self) -> int:
+        """Fill the standard monomials of every degree; return the socle degree.
+
+        Standard monomials are closed under division, so walking up from 1
+        by one generator at a time reaches all of them; pure powers among
+        the leading monomials make the walk finite.
+        """
+        one = (0,) * len(self.gens)
+        seen = {one}
+        found = [one] if self.groebner.is_standard(one) else []
+        frontier = list(found)
+        while frontier:
+            mono = frontier.pop()
+            for i in range(len(mono)):
+                up = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+                if up not in seen:
+                    seen.add(up)
+                    if self.groebner.is_standard(up):
+                        found.append(up)
+                        frontier.append(up)
+        by_degree: dict[int, list[Monomial]] = {}
+        for mono in found:
+            by_degree.setdefault(self.gens.weighted_degree(mono), []).append(mono)
+        socle = max(by_degree, default=-1)
+        for degree in range(socle + 1):
+            monos = by_degree.get(degree, [])
+            self._standard[degree] = tuple(sorted(monos, key=self.gens.sort_key, reverse=True))
+        return socle
+
+    @property
+    def artinian(self) -> bool:
+        return self.socle_degree is not None
 
     @property
     def name(self) -> str:
@@ -87,16 +149,48 @@ class QuotientRing:
         return self.gens.gen(name)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        """Canonical representative of the class of p."""
+        """Canonical representative of the class of p.
+
+        On an Artinian ring this sums the cached normal forms of the terms'
+        monomials; on any other ring it reduces p against the basis.
+        """
         if p.gens != self.gens:
             raise GeneratorMismatchError("element belongs to a different ring")
-        return self.groebner.reduce(p)
+        if self.socle_degree is None:
+            return self.groebner.reduce(p)
+        cache = self._nf_cache
+        hits = 0
+        terms: dict[Monomial, Fraction] = {}
+        for mono, coeff in p._terms.items():
+            image = cache.get(mono)
+            if image is None:
+                image = self._monomial_normal_form(mono)
+            else:
+                hits += 1
+            for target, factor in image.items():
+                total = terms.get(target, 0) + coeff * factor
+                if total:
+                    terms[target] = total
+                else:
+                    del terms[target]
+        self.nf_hits += hits
+        return Polynomial._raw(self.gens, terms)
+
+    def _monomial_normal_form(self, mono: Monomial) -> dict[Monomial, Fraction]:
+        """Terms of the normal form of one monomial, cached up to the socle degree."""
+        if self.gens.weighted_degree(mono) > self.socle_degree:
+            self.nf_dropped += 1
+            return {}
+        self.nf_misses += 1
+        image = self.groebner.reduce(self.gens.monomial(mono))._terms
+        self._nf_cache[mono] = image
+        return image
 
     def classes_equal(self, p: Polynomial, q: Polynomial) -> bool:
         """Exact equality in the quotient: p - q lies in the ideal."""
         if p.gens != self.gens or q.gens != self.gens:
             raise GeneratorMismatchError("elements belong to a different ring")
-        return self.groebner.reduce(p - q).is_zero
+        return self.normal_form(p - q).is_zero
 
     def contains(self, p: Polynomial) -> bool:
         """Ideal membership of p."""
@@ -108,10 +202,13 @@ class QuotientRing:
         """Monomial basis of the degree-d piece, descending by the order.
 
         Standard monomials are the ones not divisible by any leading
-        monomial of the reduced Groebner basis.
+        monomial of the reduced Groebner basis.  An Artinian ring has them
+        all listed from construction, and none above the socle degree.
         """
         cached = self._standard.get(degree)
         if cached is None:
+            if self.socle_degree is not None:
+                return ()
             computed = tuple(
                 m for m in self.gens.monomials_of_degree(degree) if self.groebner.is_standard(m)
             )
@@ -124,7 +221,7 @@ class QuotientRing:
     def hilbert_function(self, max_degree: int) -> list[int]:
         """Ranks of the graded pieces in degrees 0..max_degree."""
         if max_degree < 0:
-            raise ValueError("max_degree must be non-negative")
+            raise DegreeError(f"largest degree must be non-negative, got {max_degree}")
         return [len(self.standard_monomials(d)) for d in range(max_degree + 1)]
 
     def coordinates(self, p: Polynomial) -> tuple[int, list[Fraction]]:
@@ -155,6 +252,10 @@ class DegreeFunctional:
         degree = reference_element.weighted_degree()
         if degree is None:
             raise DegreeError("reference element must be nonzero")
+        if ring.socle_degree is not None and degree != ring.socle_degree:
+            raise DegreeError(
+                f"reference element has degree {degree}, but {ring.name} has socle degree {ring.socle_degree}"
+            )
         self.top_degree = degree
         basis = ring.standard_monomials(degree)
         if len(basis) != 1:

@@ -52,6 +52,17 @@ class TestBasicCommands:
         assert code == 0
         assert out.strip() == "1,1,0,0"
 
+    def test_hilbert_negative_max_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "hilbert", "--ring", "a1_tilde", "--max", "-3")
+        assert code == 2
+        assert out == ""
+        assert "non-negative" in err
+
+    def test_hilbert_far_above_socle(self, capsys):
+        code, out, _ = run(capsys, "hilbert", "--ring", "a3_tilde", "--max", "400")
+        assert code == 0
+        assert out.strip() == ",".join(["1,2,4,6,4,2,1"] + ["0"] * 394)
+
     def test_pairing_default_bases(self, capsys):
         code, out, _ = run(capsys, "pairing", "--ring", "a1_tilde", "--deg", "0")
         assert code == 0
@@ -132,6 +143,39 @@ class TestFileRings:
         code, out, _ = run(capsys, "hilbert", "--ring", str(path))
         assert code == 0
         assert out.strip() == "1,1,1,1"
+
+    def test_hilbert_without_expectations_runs_to_socle(self, capsys, tmp_path):
+        # Degree 1 is empty, so the piece in degree 0 is not the top one.
+        path = tmp_path / "even.json"
+        data = {"name": "even", "generators": [{"name": "y", "degree": 2}], "relations": ["y^3"]}
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "hilbert", "--ring", str(path))
+        assert code == 0
+        assert out.strip() == "1,0,1,0,1"
+
+    def test_hilbert_of_non_artinian_ring_needs_max(self, capsys, tmp_path):
+        path = tmp_path / "axes.json"
+        data = {
+            "name": "axes",
+            "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}],
+            "relations": ["x*y"],
+        }
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "hilbert", "--ring", str(path))
+        assert code == 2
+        assert "--max" in err
+        code, out, _ = run(capsys, "hilbert", "--ring", str(path), "--max", "3")
+        assert code == 0
+        assert out.strip() == "1,2,2,2"
+
+    def test_normalization_below_socle_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "cubic.json"
+        bad = dict(TOY_SPEC, relations=["x^3"], normalization={"element": "1", "value": "1"})
+        path.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "nf", "--ring", str(path), "x")
+        assert code == 2
+        assert "/normalization" in err
+        assert "socle degree 2" in err
 
     def test_non_list_degrees_is_usage_error(self, capsys, tmp_path):
         data = json.loads(

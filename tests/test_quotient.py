@@ -10,13 +10,14 @@ from avchow import (
     DegreeFunctional,
     GeneratorSet,
     PairingError,
+    Polynomial,
     QuotientRing,
     RingPresentation,
     parse_expression,
     presentations_equivalent,
 )
 
-from helpers import random_homogeneous
+from helpers import random_homogeneous, random_polynomial
 from oracles import hilbert_series_oracle
 
 XY = GeneratorSet([("x", 1), ("y", 1)])
@@ -72,6 +73,15 @@ class TestQuotientRing:
     def test_hilbert_function(self):
         ring = make_ring()
         assert ring.hilbert_function(3) == [1, 2, 1, 0]
+        with pytest.raises(DegreeError):
+            ring.hilbert_function(-3)
+
+    def test_artinian_socle_degree(self):
+        ring = make_ring()
+        assert ring.artinian is True
+        assert ring.socle_degree == 2
+        assert ring.standard_monomials(10**9) == ()
+        assert ring.hilbert_function(400) == [1, 2, 1] + [0] * 398
 
     def test_coordinates(self):
         ring = make_ring()
@@ -85,6 +95,76 @@ class TestQuotientRing:
         ring = make_ring()
         with pytest.raises(DegreeError):
             ring.coordinates(q("x*y"))
+
+
+def random_monomial(rng, gens, degree):
+    """Random exponent vector of the given weighted degree (needs a weight-1 generator)."""
+    exponents = [0] * len(gens)
+    remaining = degree
+    while remaining:
+        i = rng.choice([i for i, w in enumerate(gens.weights) if w <= remaining])
+        exponents[i] += 1
+        remaining -= gens.weights[i]
+    return tuple(exponents)
+
+
+class TestArtinianNormalForm:
+    def test_cache_matches_reduction_on_catalog_rings(self, catalog):
+        rng = random.Random(20261018)
+        names = catalog.ring_names()
+        assert len(names) == 9
+        for name in names:
+            loaded = catalog.ring(name)
+            ring = loaded.ring
+            assert ring.artinian, name
+            if loaded.expected_hilbert is not None:
+                dims = loaded.expected_hilbert
+                assert ring.socle_degree == max(d for d, n in enumerate(dims) if n), name
+            for _ in range(60):
+                p = random_polynomial(rng, ring.gens, max_degree=ring.socle_degree + 2, max_terms=4)
+                reduced = ring.groebner.reduce(p)
+                assert ring.normal_form(p) == reduced, (name, str(p))
+                assert ring.groebner.reduce(p, rng=random.Random(rng.random())) == reduced
+
+    def test_cache_bounded_by_monomials_up_to_socle(self, catalog):
+        ring = QuotientRing(catalog.ring("a3_tilde").ring.presentation)
+        gens = ring.gens
+        below = [m for d in range(ring.socle_degree + 1) for m in gens.monomials_of_degree(d)]
+        rng = random.Random(400)
+        high = Polynomial(gens, {random_monomial(rng, gens, 400): rng.randint(1, 9) for _ in range(6)})
+        assert high.weighted_degree() == 400
+        assert ring.normal_form(high).is_zero
+        assert ring.nf_dropped == len(high)
+        low = Polynomial(gens, {m: 1 for m in below})
+        assert ring.normal_form(low + high) == ring.groebner.reduce(low)
+        assert len(ring._nf_cache) <= len(below)
+        assert ring.nf_misses == len(ring._nf_cache)
+
+    def test_repeated_normal_form_counts_hits(self):
+        ring = make_ring()
+        p = q("x^2 + 3*x*y - y + x^3")
+        first = ring.normal_form(p)
+        assert (ring.nf_hits, ring.nf_misses, ring.nf_dropped) == (0, 3, 1)
+        assert ring.normal_form(p) == first
+        assert (ring.nf_hits, ring.nf_misses, ring.nf_dropped) == (3, 3, 2)
+
+    def test_non_artinian_ring_keeps_reduction(self):
+        ring = QuotientRing(RingPresentation("axes", XY, [q("x*y")]))
+        assert ring.artinian is False
+        assert ring.socle_degree is None
+        assert ring.standard_monomials(5) == ((5, 0), (0, 5))
+        assert ring.hilbert_function(3) == [1, 2, 2, 2]
+        rng = random.Random(3)
+        for _ in range(40):
+            p = random_polynomial(rng, XY, max_degree=6, max_terms=4)
+            assert ring.normal_form(p) == ring.groebner.reduce(p)
+        assert (ring.nf_hits, ring.nf_misses, ring.nf_dropped) == (0, 0, 0)
+
+    def test_zero_ring(self):
+        ring = QuotientRing(RingPresentation("zero", XY, [XY.one()]))
+        assert ring.socle_degree == -1
+        assert ring.normal_form(q("x + 1")).is_zero
+        assert ring.hilbert_function(2) == [0, 0, 0]
 
 
 class TestHilbertAgainstOracle:

@@ -161,6 +161,15 @@ class TestValidation:
             messages = [m for q, m in info.value.problems if q == pointer]
             assert messages and "integer" in messages[0], pointer
 
+    def test_normalization_must_sit_in_socle_degree(self):
+        cubic = {"name": "cubic", "generators": [{"name": "x", "degree": 1}], "relations": ["x^3"]}
+        with pytest.raises(RingSpecError) as info:
+            load_ring_spec(dict(cubic, normalization={"element": "1", "value": "1"}))
+        messages = [m for q, m in info.value.problems if q == "/normalization"]
+        assert messages and "socle degree 2" in messages[0]
+        loaded = load_ring_spec(dict(cubic, normalization={"element": "x^2", "value": "1"}))
+        assert loaded.functional.top_degree == 2
+
     def test_named_class_cannot_shadow_generator(self):
         with pytest.raises(RingSpecError):
             load_ring_spec(spec(named_classes={"x": "2*y"}))
