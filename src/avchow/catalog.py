@@ -380,6 +380,7 @@ class Catalog:
         return checks
 
     def _torelli_checks(self) -> list[Check]:
+        """Table 4a, then one check of push(combo) + plus against expected per identity."""
         data = self.torelli()
         push = data.push
         target_loaded = self.ring(data.raw["target"])
@@ -402,63 +403,18 @@ class Catalog:
             )
 
         for ident in data.raw["identities"]:
-            combo = data.parse_combination(ident["combo"])
-            expected = target_loaded.parse(ident["expected"])
+            pushed = push.push_combination(data.parse_combination(ident["combo"]))
             checks.append(
                 Check(
-                    id=f"torelli:identity:{ident['id']}",
+                    id=f"torelli:{ident['id']}",
                     group="torelli",
                     citation=ident["source"],
                     evaluate=partial(
-                        _check_push_identity,
-                        push,
+                        _check_identity,
                         target,
-                        combo,
-                        expected,
-                        ident.get("mode", "polynomial"),
-                    ),
-                )
-            )
-
-        faber = data.raw["faber_cube"]
-        combo = data.parse_combination(faber["combo"])
-        for suffix, key, mode in (
-            ("coefficients", "expected", "polynomial"),
-            ("class", "expected_class", "class"),
-        ):
-            checks.append(
-                Check(
-                    id=f"torelli:faber-cube:{suffix}",
-                    group="torelli",
-                    citation=faber["source"],
-                    evaluate=partial(
-                        _check_push_identity,
-                        push,
-                        target,
-                        combo,
-                        target_loaded.parse(faber[key]),
-                        mode,
-                    ),
-                )
-            )
-
-        data504 = data.raw["lambda3_504"]
-        lhs = target_loaded.parse(data504["lhs"])
-        half_term = target_loaded.parse(data504["half_term"])
-        b3_multiple = target_loaded.parse(data504["b3_multiple"])
-        xi01_image = target_loaded.parse(data504["xi01_image"])
-        c_image = push.image(data504["c_symbol"])
-        for suffix, combination, expected in (
-            ("half-reading", half_term + c_image / 2 + b3_multiple, lhs),
-            ("full-residual", half_term + c_image + b3_multiple - lhs, xi01_image),
-        ):
-            checks.append(
-                Check(
-                    id=f"torelli:lambda3-504:{suffix}",
-                    group="torelli",
-                    citation=data504["source"],
-                    evaluate=partial(
-                        _check_identity, target, combination, expected, "polynomial"
+                        pushed + target_loaded.parse(ident.get("plus", "0")),
+                        target_loaded.parse(ident["expected"]),
+                        ident["mode"],
                     ),
                 )
             )
@@ -649,16 +605,6 @@ def _check_identity(ring: QuotientRing, lhs: Polynomial, rhs: Polynomial, mode: 
     if mode != "polynomial":
         lhs, rhs = ring.normal_form(lhs), ring.normal_form(rhs)
     return str(rhs), str(lhs), PASS if lhs == rhs else FAIL
-
-
-def _check_push_identity(
-    push: TabulatedPushforward,
-    target: QuotientRing,
-    combo: Polynomial,
-    expected: Polynomial,
-    mode: str,
-):
-    return _check_identity(target, push.push_combination(combo), expected, mode)
 
 
 def _check_determinant(functional: DegreeFunctional, table: PairingTable):

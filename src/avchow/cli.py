@@ -23,6 +23,9 @@ EXIT_USAGE = 2
 
 MAP_NAMES = ("x2_tilde", "torelli")
 
+# Zeros above the socle degree that ``hilbert`` writes at once.
+HILBERT_ZERO_CHUNK = 4096
+
 
 class UsageError(AvchowError):
     """Bad command line input (unknown ring, malformed value, ...)."""
@@ -112,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the stored checks and report")
     p.add_argument("--scope", default="all", metavar="S", help="all, a ring name, levels, torelli, equivalences, or table:ID")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    # Accepted and ignored: checks always run sequentially.
-    p.add_argument("--jobs", type=int, default=None, help=argparse.SUPPRESS)
 
     return parser
 
@@ -181,14 +182,20 @@ def _cmd_hilbert(args, catalog: Catalog) -> int:
     loaded = _resolve_ring(args.ring, catalog)
     ring = loaded.ring
     if args.max is not None:
-        dims = ring.hilbert_function(args.max)
+        top = args.max
     elif loaded.expected_hilbert is not None:
-        dims = ring.hilbert_function(len(loaded.expected_hilbert) - 1)
+        top = len(loaded.expected_hilbert) - 1
     elif ring.artinian:
-        dims = ring.hilbert_function(max(ring.socle_degree, 0))
+        top = max(ring.socle_degree, 0)
     else:
         raise UsageError(f"{loaded.name!r} is not Artinian, so it has no top degree; pass --max")
-    print(",".join(str(d) for d in dims))
+    # Pieces above the socle degree are zero: write them in chunks, so a
+    # large --max costs no memory.
+    shown = min(top, max(ring.socle_degree, 0)) if ring.artinian else top
+    sys.stdout.write(",".join(str(d) for d in ring.hilbert_function(shown)))
+    for start in range(shown, top, HILBERT_ZERO_CHUNK):
+        sys.stdout.write(",0" * min(HILBERT_ZERO_CHUNK, top - start))
+    sys.stdout.write("\n")
     return EXIT_OK
 
 

@@ -3,9 +3,10 @@
 Classic Buchberger with the two standard pair-elimination criteria
 (coprime leading monomials, and the chain criterion), followed by
 minimalization and inter-reduction, so the returned basis is the reduced
-monic Groebner basis: unique for a given ideal and monomial order, hence
-byte-for-byte deterministic.  Homogeneous input yields homogeneous basis
-elements; nothing here assumes homogeneity, but the catalog relies on it.
+monic Groebner basis: unique for a given ideal under the monomial order of
+``GeneratorSet.sort_key`` (weighted degree, then lex), hence byte-for-byte
+deterministic.  Homogeneous input yields homogeneous basis elements;
+nothing here assumes homogeneity, but the catalog relies on it.
 
 Normal forms are computed by full reduction.  The deterministic strategy
 reduces the order-largest reducible term first using the earliest-listed
@@ -24,35 +25,6 @@ from .errors import GeneratorMismatchError
 from .poly import GeneratorSet, Monomial, Polynomial
 
 
-class MonomialOrder:
-    """Weighted-degree order with lexicographic tie-break.
-
-    Degree first; ties broken on the exponent vector with earlier
-    generators more significant.  Total, multiplicative, and 1 is minimal,
-    so it is a valid order for Buchberger's algorithm.
-    """
-
-    kind = "wdeglex"
-
-    def __init__(self, gens: GeneratorSet):
-        self.gens = gens
-
-    def key(self, mono: Monomial) -> tuple[int, Monomial]:
-        return self.gens.sort_key(mono)
-
-    def leading_term(self, p: Polynomial) -> tuple[Monomial, Fraction]:
-        if p.is_zero:
-            raise ValueError("zero polynomial has no leading term")
-        mono = max(p._terms, key=self.key)
-        return mono, p._terms[mono]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MonomialOrder) and other.gens == self.gens
-
-    def __repr__(self) -> str:
-        return f"MonomialOrder({self.kind}, {self.gens!r})"
-
-
 def monomial_divides(divisor: Monomial, mono: Monomial) -> bool:
     return all(d <= m for d, m in zip(divisor, mono))
 
@@ -65,15 +37,14 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
-    _, lead = order.leading_term(p)
+def _monic(p: Polynomial) -> Polynomial:
+    _, lead = p.leading_term()
     return p if lead == 1 else p * (Fraction(1) / lead)
 
 
 def reduce(
     p: Polynomial,
     basis: Sequence[Polynomial],
-    order: MonomialOrder | None = None,
     rng: random.Random | None = None,
 ) -> Polynomial:
     """Full normal form of p modulo the listed basis.
@@ -83,21 +54,19 @@ def reduce(
     divisor); with ``rng`` the reducible term and the divisor are chosen at
     random, for confluence testing.
     """
-    if order is None:
-        order = MonomialOrder(p.gens)
     active: list[tuple[Monomial, Fraction, Polynomial]] = []
     for b in basis:
         if b.is_zero:
             continue
         if b.gens != p.gens:
             raise GeneratorMismatchError("basis element over a different generator set")
-        lm, lc = order.leading_term(b)
+        lm, lc = b.leading_term()
         active.append((lm, lc, b))
     if not active:
         return p
 
     terms = dict(p._terms)
-    key = order.key
+    key = p.gens.sort_key
     while True:
         if rng is None:
             chosen: tuple[Monomial, int] | None = None
@@ -138,10 +107,10 @@ def reduce(
     return Polynomial._raw(p.gens, terms)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial: cancel the leading terms of f and g against their lcm."""
-    lmf, lcf = order.leading_term(f)
-    lmg, lcg = order.leading_term(g)
+    lmf, lcf = f.leading_term()
+    lmg, lcg = g.leading_term()
     l = monomial_lcm(lmf, lmg)
     uf = tuple(a - b for a, b in zip(l, lmf))
     ug = tuple(a - b for a, b in zip(l, lmg))
@@ -149,22 +118,20 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 
 
 class GroebnerBasis:
-    """Reduced monic Groebner basis plus the order it was computed under."""
+    """Reduced monic Groebner basis, with the generators it was computed from."""
 
-    __slots__ = ("gens", "order", "elements", "source", "_leading")
+    __slots__ = ("gens", "elements", "source", "_leading")
 
     def __init__(
         self,
         gens: GeneratorSet,
-        order: MonomialOrder,
         elements: Sequence[Polynomial],
         source: Sequence[Polynomial] = (),
     ):
         self.gens = gens
-        self.order = order
         self.elements = tuple(elements)
         self.source = tuple(source)
-        self._leading = tuple(order.leading_term(e)[0] for e in self.elements)
+        self._leading = tuple(e.leading_monomial() for e in self.elements)
 
     @property
     def leading_monomials(self) -> tuple[Monomial, ...]:
@@ -177,7 +144,7 @@ class GroebnerBasis:
         return iter(self.elements)
 
     def reduce(self, p: Polynomial, rng: random.Random | None = None) -> Polynomial:
-        return reduce(p, self.elements, self.order, rng=rng)
+        return reduce(p, self.elements, rng=rng)
 
     def contains(self, p: Polynomial) -> bool:
         return self.reduce(p).is_zero
@@ -187,10 +154,7 @@ class GroebnerBasis:
         return not any(monomial_divides(lm, mono) for lm in self._leading)
 
 
-def buchberger(
-    generators: Iterable[Polynomial],
-    order: MonomialOrder | None = None,
-) -> GroebnerBasis:
+def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal spanned by the generators."""
     source = tuple(generators)
     gens: GeneratorSet | None = None
@@ -201,18 +165,16 @@ def buchberger(
             raise GeneratorMismatchError("ideal generators over different generator sets")
     if gens is None:
         raise ValueError("cannot infer the generator set of an empty ideal; pass at least one polynomial")
-    if order is None:
-        order = MonomialOrder(gens)
 
-    basis = [_monic(g, order) for g in source if not g.is_zero]
+    basis = [_monic(g) for g in source if not g.is_zero]
     if not basis:
-        return GroebnerBasis(gens, order, (), source)
+        return GroebnerBasis(gens, (), source)
 
-    lead = [order.leading_term(b)[0] for b in basis]
+    lead = [b.leading_monomial() for b in basis]
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
 
     def pair_key(ij: tuple[int, int]):
-        return (order.key(monomial_lcm(lead[ij[0]], lead[ij[1]])), ij)
+        return (gens.sort_key(monomial_lcm(lead[ij[0]], lead[ij[1]])), ij)
 
     while pairs:
         i, j = min(pairs, key=pair_key)
@@ -234,17 +196,17 @@ def buchberger(
                 break
         if skip:
             continue
-        remainder = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
+        remainder = reduce(s_polynomial(basis[i], basis[j]), basis)
         if remainder.is_zero:
             continue
-        basis.append(_monic(remainder, order))
-        lead.append(order.leading_term(basis[-1])[0])
+        basis.append(_monic(remainder))
+        lead.append(basis[-1].leading_monomial())
         new = len(basis) - 1
         pairs.update((t, new) for t in range(new))
 
     # Minimalize: keep only elements whose leading monomial is not divisible
     # by another kept one.
-    by_lm = sorted(range(len(basis)), key=lambda i: order.key(lead[i]))
+    by_lm = sorted(range(len(basis)), key=lambda i: gens.sort_key(lead[i]))
     kept: list[int] = []
     for i in by_lm:
         if not any(monomial_divides(lead[k], lead[i]) for k in kept):
@@ -259,13 +221,13 @@ def buchberger(
             others = reduced[:idx] + reduced[idx + 1 :]
             if not others:
                 continue
-            replacement = _monic(reduce(reduced[idx], others, order), order)
+            replacement = _monic(reduce(reduced[idx], others))
             if replacement != reduced[idx]:
                 reduced[idx] = replacement
                 changed = True
 
-    reduced.sort(key=lambda b: order.key(order.leading_term(b)[0]), reverse=True)
-    return GroebnerBasis(gens, order, reduced, source)
+    reduced.sort(key=lambda b: gens.sort_key(b.leading_monomial()), reverse=True)
+    return GroebnerBasis(gens, reduced, source)
 
 
 def ideal_membership(p: Polynomial, basis: GroebnerBasis) -> bool:

@@ -19,9 +19,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeError, GeneratorMismatchError, InconsistentSystemError, PairingError, SingularSystemError
-from .groebner import GroebnerBasis, MonomialOrder, buchberger
+from .groebner import GroebnerBasis, buchberger
 from .linalg import solve_exact
 from .poly import GeneratorSet, Monomial, Polynomial, expand_chern_identity
+
+# An Artinian ring lists all its standard monomials when it is built, so
+# this bounds the work a short presentation such as ``x^100000000`` can
+# ask for.  The largest catalog ring has 20.
+MAX_STANDARD_MONOMIALS = 10_000
 
 
 class RingPresentation:
@@ -74,11 +79,10 @@ class QuotientRing:
     def __init__(self, presentation: RingPresentation):
         self.presentation = presentation
         self.gens = presentation.gens
-        self.order = MonomialOrder(self.gens)
         if presentation.relations:
-            self.groebner: GroebnerBasis = buchberger(presentation.relations, self.order)
+            self.groebner: GroebnerBasis = buchberger(presentation.relations)
         else:
-            self.groebner = GroebnerBasis(self.gens, self.order, (), ())
+            self.groebner = GroebnerBasis(self.gens, ())
         self._standard: dict[int, tuple[Monomial, ...]] = {}
         self.socle_degree: int | None = None
         if self._has_pure_powers():
@@ -102,7 +106,8 @@ class QuotientRing:
 
         Standard monomials are closed under division, so walking up from 1
         by one generator at a time reaches all of them; pure powers among
-        the leading monomials make the walk finite.
+        the leading monomials make the walk finite, and the walk stops with
+        a DegreeError beyond MAX_STANDARD_MONOMIALS of them.
         """
         one = (0,) * len(self.gens)
         seen = {one}
@@ -115,6 +120,11 @@ class QuotientRing:
                 if up not in seen:
                     seen.add(up)
                     if self.groebner.is_standard(up):
+                        if len(found) == MAX_STANDARD_MONOMIALS:
+                            raise DegreeError(
+                                f"{self.name} has more than MAX_STANDARD_MONOMIALS = "
+                                f"{MAX_STANDARD_MONOMIALS} standard monomials"
+                            )
                         found.append(up)
                         frontier.append(up)
         by_degree: dict[int, list[Monomial]] = {}

@@ -43,7 +43,6 @@ class DegreeEntry:
 class DegreesTable:
     id: str
     entries: tuple[DegreeEntry, ...]
-    scale_note: str | None
     source: str
     kind: str = "degrees"
 
@@ -91,8 +90,6 @@ class RelativePairingTable:
 @dataclass(frozen=True)
 class Identity:
     id: str
-    lhs_text: str
-    rhs_text: str
     lhs: Polynomial
     rhs: Polynomial
     mode: str  # "class" or "polynomial"
@@ -292,8 +289,7 @@ def _load_tables(
                 if value is None:
                     continue
                 entries.append(DegreeEntry(label, element, value, alt_value, checkable))
-            scale_note = item.get("scale_note")
-            tables.append(DegreesTable(table_id, tuple(entries), scale_note, source))
+            tables.append(DegreesTable(table_id, tuple(entries), source))
         elif kind in ("pairing", "relative_pairing"):
             row_labels = item.get("rows")
             col_labels = item.get("cols")
@@ -517,9 +513,7 @@ def load_ring_spec(source: str | Path | Mapping[str, Any]) -> LoadedRing:
         rhs = _parse_expr(item.get("rhs"), gens, named, f"{pointer}/rhs", problems)
         if lhs is None or rhs is None:
             continue
-        identities.append(
-            Identity(identity_id, item.get("lhs"), item.get("rhs"), lhs, rhs, mode, item.get("source", ""))
-        )
+        identities.append(Identity(identity_id, lhs, rhs, mode, item.get("source", "")))
 
     expected_hilbert: list[int] | None = None
     degrees: list[DegreeExpectation] = []

@@ -148,7 +148,7 @@ def test_torelli_pushforward_suite(catalog):
     assert ring.classes_equal(torelli.push.image("delta1sq"), a3.parse("-2*A21"))
     assert ring.classes_equal(torelli.push.image("qi"), a3.parse("A111"))
 
-    cube = torelli.raw["faber_cube"]
+    cube = next(i for i in torelli.raw["identities"] if i["id"] == "faber-cube:coefficients")
     pushed = torelli.push.push_combination(torelli.parse_combination(cube["combo"]))
     coefficient_level = a3.parse(
         "2*(2016*lambda3 - 4*lambda1^2*sigma1 - 24*lambda1*sigma2 + 11/3*sigma2*sigma1)"

@@ -1,6 +1,9 @@
 """Command line interface: outputs and exit codes."""
 
+import hashlib
 import json
+import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -18,6 +21,8 @@ TOY_SPEC = {
 
 
 TABLES_GOLDEN = Path(__file__).with_name("tables_golden.txt")
+# The verifier output the benchmark compares against; read, never written.
+VERIFY_GOLDEN = Path(__file__).parents[1] / "perfbench" / "verify_golden.txt"
 
 
 def run(capsys, *argv):
@@ -62,6 +67,31 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "hilbert", "--ring", "a3_tilde", "--max", "400")
         assert code == 0
         assert out.strip() == ",".join(["1,2,4,6,4,2,1"] + ["0"] * 394)
+
+    def test_hilbert_far_above_socle_streams_zeros(self, monkeypatch):
+        class CountingWriter:
+            def __init__(self):
+                self.digest = hashlib.sha256()
+                self.size = 0
+
+            def write(self, text):
+                self.digest.update(text.encode())
+                self.size += len(text)
+
+        top = 2_000_000
+        ring = cli.default_catalog().ring("a1_tilde").ring
+        expected = (",".join(str(d) for d in ring.hilbert_function(top)) + "\n").encode()
+        writer = CountingWriter()
+        monkeypatch.setattr("sys.stdout", writer)
+        tracemalloc.start()
+        try:
+            code = cli.main(["hilbert", "--ring", "a1_tilde", "--max", str(top)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (writer.size, writer.digest.digest()) == (len(expected), hashlib.sha256(expected).digest())
+        assert peak < 2_000_000
 
     def test_pairing_default_bases(self, capsys):
         code, out, _ = run(capsys, "pairing", "--ring", "a1_tilde", "--deg", "0")
@@ -177,6 +207,19 @@ class TestFileRings:
         assert "/normalization" in err
         assert "socle degree 2" in err
 
+    def test_huge_standard_monomial_walk_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        data = {"name": "huge", "generators": [{"name": "x", "degree": 1}], "relations": ["x^100000000"]}
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hilbert", "--ring", str(path))
+        # Walking all 10^8 standard monomials would take minutes.
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "MAX_STANDARD_MONOMIALS" in err
+
     def test_non_list_degrees_is_usage_error(self, capsys, tmp_path):
         data = json.loads(
             (resources.files("avchow") / "data" / "a2_tilde.json").read_text(encoding="utf-8")
@@ -237,6 +280,11 @@ class TestTables:
 
 
 class TestVerify:
+    def test_output_matches_golden(self, capsys):
+        code, out, _ = run(capsys, "verify", "--scope", "all")
+        assert code == 0
+        assert out == VERIFY_GOLDEN.read_text(encoding="utf-8")
+
     def test_scope_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--scope", "a1_tilde")
         assert code == 0
@@ -257,7 +305,7 @@ class TestVerify:
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         class Fake:
-            def run_verification(self, scope="all", jobs=None):
+            def run_verification(self, scope="all"):
                 bad = Check(
                     id="x",
                     group="g",
@@ -270,11 +318,6 @@ class TestVerify:
         code, out, _ = run(capsys, "verify")
         assert code == 1
         assert "[FAIL]" in out
-
-    def test_jobs_flag_output_identical(self, capsys):
-        code1, out1, _ = run(capsys, "verify", "--scope", "a3_tilde")
-        code2, out2, _ = run(capsys, "verify", "--scope", "a3_tilde", "--jobs", "4")
-        assert (code1, out1) == (code2, out2)
 
 
 class TestUsageErrors:

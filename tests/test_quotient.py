@@ -160,6 +160,14 @@ class TestArtinianNormalForm:
             assert ring.normal_form(p) == ring.groebner.reduce(p)
         assert (ring.nf_hits, ring.nf_misses, ring.nf_dropped) == (0, 0, 0)
 
+    def test_standard_monomial_walk_is_capped(self, monkeypatch):
+        monkeypatch.setattr("avchow.quotient.MAX_STANDARD_MONOMIALS", 5)
+        X = GeneratorSet([("x", 1)])
+        at_cap = QuotientRing(RingPresentation("at-cap", X, [X.gen("x") ** 5]))
+        assert at_cap.hilbert_function(4) == [1, 1, 1, 1, 1]
+        with pytest.raises(DegreeError, match="more than MAX_STANDARD_MONOMIALS = 5"):
+            QuotientRing(RingPresentation("over-cap", X, [X.gen("x") ** 6]))
+
     def test_zero_ring(self):
         ring = QuotientRing(RingPresentation("zero", XY, [XY.one()]))
         assert ring.socle_degree == -1
