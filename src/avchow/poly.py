@@ -103,25 +103,38 @@ class GeneratorSet:
 
     def monomials_of_degree(self, degree: int) -> list[Monomial]:
         """All exponent vectors of the given weighted degree, descending."""
-        if degree < 0:
-            return []
-        found: list[Monomial] = []
-        prefix = [0] * len(self.weights)
+        return list(self.iter_monomials_of_degree(degree))
 
-        def fill(slot: int, remaining: int) -> None:
-            if slot == len(self.weights):
-                if remaining == 0:
-                    found.append(tuple(prefix))
+    def iter_monomials_of_degree(self, degree: int) -> Iterator[Monomial]:
+        """Yield the exponent vectors of the given weighted degree, descending.
+
+        Each exponent but the last runs from its largest value down and the
+        last one is solved for, so the vectors come out in lex order, which
+        is the monomial order within one degree, and the search does not
+        loop over the last exponent.
+        """
+        weights = self.weights
+        if degree < 0:
+            return
+        if not weights:
+            if degree == 0:
+                yield ()
+            return
+        last = len(weights) - 1
+        prefix = [0] * len(weights)
+
+        def fill(slot: int, remaining: int) -> Iterator[Monomial]:
+            weight = weights[slot]
+            if slot == last:
+                if remaining % weight == 0:
+                    prefix[slot] = remaining // weight
+                    yield tuple(prefix)
                 return
-            weight = self.weights[slot]
             for e in range(remaining // weight, -1, -1):
                 prefix[slot] = e
-                fill(slot + 1, remaining - e * weight)
-            prefix[slot] = 0
+                yield from fill(slot + 1, remaining - e * weight)
 
-        fill(0, degree)
-        found.sort(key=self.sort_key, reverse=True)
-        return found
+        yield from fill(0, degree)
 
     # Polynomial constructors.
 

@@ -16,6 +16,7 @@ forms, and monomials above the socle degree map to 0 without reduction.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeError, GeneratorMismatchError, InconsistentSystemError, PairingError, SingularSystemError
@@ -27,6 +28,13 @@ from .poly import GeneratorSet, Monomial, Polynomial, expand_chern_identity
 # this bounds the work a short presentation such as ``x^100000000`` can
 # ask for.  The largest catalog ring has 20.
 MAX_STANDARD_MONOMIALS = 10_000
+
+# A ring that is not Artinian lists each degree's standard monomials on
+# demand by examining every monomial of that degree; this bounds the
+# monomials examined over all degrees of one ring, so ``hilbert --max N``
+# on two degree-1 generators stops at degree 446 instead of running for
+# minutes.
+MAX_MONOMIALS_EXAMINED = 100_000
 
 
 class RingPresentation:
@@ -84,6 +92,7 @@ class QuotientRing:
         else:
             self.groebner = GroebnerBasis(self.gens, ())
         self._standard: dict[int, tuple[Monomial, ...]] = {}
+        self._examined = 0
         self.socle_degree: int | None = None
         if self._has_pure_powers():
             self.socle_degree = self._enumerate_standard()
@@ -219,10 +228,17 @@ class QuotientRing:
         if cached is None:
             if self.socle_degree is not None:
                 return ()
-            computed = tuple(
-                m for m in self.gens.monomials_of_degree(degree) if self.groebner.is_standard(m)
-            )
-            cached = self._standard.setdefault(degree, computed)
+            budget = MAX_MONOMIALS_EXAMINED - self._examined
+            monomials = list(islice(self.gens.iter_monomials_of_degree(degree), budget + 1))
+            if len(monomials) > budget:
+                raise DegreeError(
+                    f"{self.name} is not Artinian, and listing its degree-{degree} standard "
+                    f"monomials would take the monomials examined past "
+                    f"MAX_MONOMIALS_EXAMINED = {MAX_MONOMIALS_EXAMINED}"
+                )
+            self._examined += len(monomials)
+            cached = tuple(m for m in monomials if self.groebner.is_standard(m))
+            self._standard[degree] = cached
         return cached
 
     def standard_basis_polynomials(self, degree: int) -> list[Polynomial]:

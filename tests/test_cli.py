@@ -198,6 +198,27 @@ class TestFileRings:
         assert code == 0
         assert out.strip() == "1,2,2,2"
 
+    def test_hilbert_of_non_artinian_ring_is_bounded(self, capsys, tmp_path):
+        path = tmp_path / "axes.json"
+        data = {
+            "name": "axes",
+            "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}],
+            "relations": ["x*y"],
+        }
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "hilbert", "--ring", str(path), "--max", "445")
+        assert code == 0
+        assert out.strip() == ",".join(["1"] + ["2"] * 445)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hilbert", "--ring", str(path), "--max", "800")
+        # Examining all 321,201 monomials of degree <= 800 took 19 s; a hang
+        # guard, not a timing gate.
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "MAX_MONOMIALS_EXAMINED" in err
+
     def test_normalization_below_socle_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "cubic.json"
         bad = dict(TOY_SPEC, relations=["x^3"], normalization={"element": "1", "value": "1"})

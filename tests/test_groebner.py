@@ -1,15 +1,20 @@
 """Buchberger completion and confluent reduction."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from avchow import GeneratorSet, buchberger, ideal_membership, parse_expression
-from avchow.groebner import reduce, s_polynomial
+from avchow import GeneratorMismatchError, GeneratorSet, buchberger, ideal_membership, parse_expression
+from avchow.groebner import BuchbergerStats, reduce, s_polynomial
 
 from helpers import random_homogeneous, random_polynomial
 
 XYZ = GeneratorSet([("x", 1), ("y", 1), ("z", 1)])
+
+# Every catalog ring's reduced basis, captured before the pair heap and the
+# heap reducer replaced a rescan of all pairs and of all terms per step.
+GROEBNER_GOLDEN = Path(__file__).with_name("groebner_golden.txt")
 
 
 def p(text, gens=XYZ):
@@ -45,6 +50,43 @@ class TestReduce:
             deterministic = basis.reduce(q)
             for seed in range(4):
                 assert basis.reduce(q, rng=random.Random(seed)) == deterministic
+
+
+    def test_irreducible_largest_term_above_reducible_ones(self):
+        basis = [p("y^2 - z^2")]
+        # x^3 is the largest term and no leading monomial divides it.
+        assert reduce(p("x^3 + 2*y^2 + x*y^2"), basis) == p("x^3 + x*z^2 + 2*z^2")
+        assert reduce(p("x^3 + y^3"), basis) == p("x^3 + y*z^2")
+
+    def test_inhomogeneous_input_against_plain_list(self):
+        assert reduce(p("z^5 + x"), [p("x"), p("y"), p("z - 1")]) == p("1")
+
+    def test_zero_polynomial_in_basis_is_skipped(self):
+        q = p("x^2*y + y^3")
+        assert reduce(q, [XYZ.zero(), p("x^2 - y*z"), XYZ.zero()]) == p("y^2*z + y^3")
+        assert reduce(q, [XYZ.zero()]) == q
+        assert reduce(q, [XYZ.zero()], rng=random.Random(1)) == q
+
+    def test_basis_over_other_generators_rejected(self):
+        other = GeneratorSet([("x", 1), ("y", 2)])
+        q = p("x^2 + y")
+        with pytest.raises(GeneratorMismatchError):
+            reduce(q, [p("x^2 - y", other)])
+        with pytest.raises(GeneratorMismatchError):
+            reduce(q, [p("x^2 - y", other)], rng=random.Random(2))
+        with pytest.raises(GeneratorMismatchError):
+            basis_of("x^2 - y", gens=other).reduce(q)
+
+    @pytest.mark.parametrize("name", ["a3_tilde", "x2_tilde"])
+    def test_deterministic_and_random_paths_agree_on_catalog_rings(self, catalog, name):
+        basis = catalog.ring(name).ring.groebner
+        gens = basis.gens
+        rng = random.Random(name)
+        for _ in range(30):
+            q = random_polynomial(rng, gens, max_degree=7, max_terms=6)
+            deterministic = basis.reduce(q)
+            assert reduce(q, basis.elements) == deterministic
+            assert basis.reduce(q, rng=random.Random(rng.random())) == deterministic
 
 
 class TestSPolynomial:
@@ -115,6 +157,35 @@ class TestBuchberger:
         basis = basis_of("x", "y", "z - 1")
         assert basis.reduce(p("z^5 + x")) == p("1")
         assert not basis.contains(p("1"))
+
+
+    def test_catalog_bases_match_golden(self, catalog):
+        lines = []
+        for name in catalog.ring_names():
+            lines.append(name)
+            lines.extend(f"  {element}" for element in catalog.ring(name).ring.groebner.elements)
+        assert "\n".join(lines) + "\n" == GROEBNER_GOLDEN.read_text(encoding="utf-8")
+
+    def test_stats_of_a3_tilde(self, catalog):
+        # Counted on the algorithm that rescanned every pair for the smallest
+        # lcm; equal counts mean the pairs pop in the same order.
+        basis = buchberger(catalog.ring("a3_tilde").ring.presentation.relations)
+        assert basis.stats == BuchbergerStats(
+            pairs_queued=253,
+            pairs_popped=253,
+            coprime_skipped=101,
+            chain_skipped=91,
+            s_polynomials_reduced=61,
+            zero_reductions=47,
+            reduction_steps=265,
+        )
+
+    def test_stats_add_up(self):
+        stats = basis_of("x^2 - y*z", "y^2 - x*z", "z^2 - x*y").stats
+        assert stats.pairs_popped == stats.pairs_queued > 0
+        skipped = stats.coprime_skipped + stats.chain_skipped
+        assert stats.pairs_popped == skipped + stats.s_polynomials_reduced
+        assert buchberger([XYZ.zero()]).stats == BuchbergerStats()
 
 
 class TestIdealMembership:

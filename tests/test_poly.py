@@ -1,5 +1,6 @@
 """Sparse weighted-graded polynomial arithmetic."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -75,6 +76,15 @@ class TestGeneratorSet:
         monos = XY.monomials_of_degree(4)
         assert sorted(monos) == [(0, 2), (2, 1), (4, 0)]
         assert XY.monomials_of_degree(0) == [(0, 0)]
+
+    def test_monomials_of_degree_match_brute_force(self):
+        for weights in [(1,), (2,), (1, 1), (2, 1), (3, 2, 1), (2, 2, 3), (1, 2, 1, 3)]:
+            gens = GeneratorSet((f"g{i}", w) for i, w in enumerate(weights))
+            for degree in range(-1, 11):
+                every = itertools.product(range(11), repeat=len(weights))
+                expected = [m for m in every if gens.weighted_degree(m) == degree]
+                expected.sort(key=gens.sort_key, reverse=True)
+                assert gens.monomials_of_degree(degree) == expected, (weights, degree)
 
     def test_weighted_degree_of_monomial(self):
         assert XY.weighted_degree((3, 2)) == 7

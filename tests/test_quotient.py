@@ -160,6 +160,15 @@ class TestArtinianNormalForm:
             assert ring.normal_form(p) == ring.groebner.reduce(p)
         assert (ring.nf_hits, ring.nf_misses, ring.nf_dropped) == (0, 0, 0)
 
+    def test_non_artinian_monomials_examined_are_capped(self, monkeypatch):
+        monkeypatch.setattr("avchow.quotient.MAX_MONOMIALS_EXAMINED", 10)
+        ring = QuotientRing(RingPresentation("axes", XY, [q("x*y")]))
+        # Degrees 0..3 have 1 + 2 + 3 + 4 = 10 monomials; asking again is free.
+        assert ring.hilbert_function(3) == [1, 2, 2, 2]
+        assert ring.standard_monomials(2) == ((2, 0), (0, 2))
+        with pytest.raises(DegreeError, match="MAX_MONOMIALS_EXAMINED = 10"):
+            ring.standard_monomials(4)
+
     def test_standard_monomial_walk_is_capped(self, monkeypatch):
         monkeypatch.setattr("avchow.quotient.MAX_STANDARD_MONOMIALS", 5)
         X = GeneratorSet([("x", 1)])
