@@ -40,7 +40,7 @@ from .quotient import (
     RingPresentation,
     presentations_equivalent,
 )
-from .ringspec import LoadedRing, dump_ring_spec, load_ring_spec
+from .ringspec import LoadedRing, load_ring_spec
 from .verify import Check, CheckResult, VerificationReport, run_checks
 
 __version__ = "0.1.0"
@@ -75,7 +75,6 @@ __all__ = [
     "buchberger",
     "cusp_count_mu",
     "default_catalog",
-    "dump_ring_spec",
     "format_rational",
     "group_order_gamma",
     "ideal_membership",

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from importlib import resources
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DegreeError, UnknownScopeError
 from .exprparse import parse_expression
@@ -57,8 +56,7 @@ def _read_data(filename: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-@dataclass(frozen=True)
-class TorelliTable:
+class TorelliTable(NamedTuple):
     """Tabulated pushforward plus the raw data it was read from."""
 
     push: TabulatedPushforward
@@ -70,8 +68,7 @@ class TorelliTable:
         return parse_expression(text, self.symbols)
 
 
-@dataclass(frozen=True)
-class FiberedSurface:
+class FiberedSurface(NamedTuple):
     """A relative ring together with its integration rule and base data."""
 
     relative: RelativeRing
@@ -84,8 +81,7 @@ class FiberedSurface:
         return self.relative.relative_degree(element, self.base.functional, self.rule)
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One tabulated number: where it sits, its stored value, its recompute.
 
     ``recompute`` is None for a value that is recorded but cannot be

@@ -14,15 +14,25 @@ optionally parenthesized, and a negative exponent is reported as such.
 Identifiers resolve to generators first, then to an optional table of
 named classes whose polynomials are substituted in place.  Parentheses
 nest at most MAX_NESTING deep.  All errors carry a character position.
+
+The parser evaluates as it goes, on term dicts (exponent vector to nonzero
+Fraction) rather than on polynomials.  Each term keeps one scalar and one
+exponent vector: literals and their powers multiply the scalar, generators
+and their powers add to the exponents, and a parenthesized expression or
+named class of a single term folds into both.  Only factors with several
+terms are multiplied, once the term ends, with ``poly.mul_terms``; powers
+of them go through ``poly.pow_terms``.  Terms are summed in place and the
+result becomes a ``Polynomial`` once, at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping, NamedTuple
 
 from .errors import ParseError
-from .poly import GeneratorSet, Polynomial
+from .poly import GeneratorSet, Monomial, Polynomial, add_terms, mul_terms, pow_terms
 
 
 class _Token(NamedTuple):
@@ -69,111 +79,141 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Evaluates while it parses; every value it returns is a new term dict."""
+
     def __init__(self, tokens: list[_Token], gens: GeneratorSet, symbols: Mapping[str, Polynomial]):
         self.tokens = tokens
         self.pos = 0
-        self.gens = gens
+        self.index = gens._index
+        self.width = len(gens)
         self.symbols = symbols
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
     def expect(self, kind: str) -> _Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind != kind:
             shown = token.text or "end of input"
             raise ParseError(f"expected {kind!r}, found {shown!r}", token.position)
-        return self.advance()
+        self.pos += 1
+        return token
 
-    def parse(self) -> Polynomial:
+    def parse(self) -> dict[Monomial, Fraction]:
         value = self.expr()
-        tail = self.peek()
+        tail = self.tokens[self.pos]
         if tail.kind != "END":
             raise ParseError(f"unexpected trailing {tail.text!r}", tail.position)
         return value
 
-    def expr(self) -> Polynomial:
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            sign = -1 if self.advance().kind == "-" else 1
-        value = self.term() * sign
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            operand = self.term()
-            value = value + operand if op.kind == "+" else value - operand
+    def expr(self) -> dict[Monomial, Fraction]:
+        kind = self.tokens[self.pos].kind
+        if kind in ("+", "-"):
+            self.pos += 1
+        value = self.term(-1 if kind == "-" else 1)
+        kind = self.tokens[self.pos].kind
+        while kind in ("+", "-"):
+            self.pos += 1
+            add_terms(value, self.term(-1 if kind == "-" else 1))
+            kind = self.tokens[self.pos].kind
         return value
 
-    def term(self) -> Polynomial:
-        value = self.factor()
-        while self.peek().kind == "*":
-            self.advance()
-            value = value * self.factor()
-        return value
+    def term(self, sign: int) -> dict[Monomial, Fraction]:
+        """One product: a scalar, an exponent vector and the factors that are sums."""
+        tokens = self.tokens
+        scalar: int | Fraction = sign
+        exponents = [0] * self.width
+        sums: list[dict[Monomial, Fraction]] = []
+        while True:
+            token = tokens[self.pos]
+            kind = token.kind
+            if kind == "INT":
+                value = self.rational()
+                if tokens[self.pos].kind == "^":
+                    self.pos += 1
+                    value **= self.exponent()
+                scalar *= value
+            elif kind == "IDENT":
+                self.pos += 1
+                slot = self.index.get(token.text)
+                if slot is not None:
+                    if tokens[self.pos].kind == "^":
+                        self.pos += 1
+                        exponents[slot] += self.exponent()
+                    else:
+                        exponents[slot] += 1
+                else:
+                    named = self.symbols.get(token.text)
+                    if named is None:
+                        raise ParseError(f"unknown identifier {token.text!r}", token.position)
+                    # A copy, because the term's value may be this very dict.
+                    sums.append(self.power(dict(named._terms)))
+            elif kind == "(":
+                if self.depth == MAX_NESTING:
+                    raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", token.position)
+                self.pos += 1
+                self.depth += 1
+                inner = self.expr()
+                self.depth -= 1
+                self.expect(")")
+                sums.append(self.power(inner))
+            else:
+                shown = token.text or "end of input"
+                raise ParseError(f"expected a value, found {shown!r}", token.position)
+            if tokens[self.pos].kind != "*":
+                break
+            self.pos += 1
+        product: dict[Monomial, Fraction] | None = None
+        for factor in sums:
+            if len(factor) == 1:
+                ((mono, coeff),) = factor.items()
+                scalar *= coeff
+                exponents = list(map(add, exponents, mono))
+            elif not factor:
+                scalar = 0
+            elif product is None:
+                product = factor
+            else:
+                product = mul_terms(product, factor)
+        if not scalar:
+            return {}
+        if product is None:
+            return {tuple(exponents): Fraction(scalar)}
+        if scalar == 1 and not any(exponents):
+            return product
+        return mul_terms({tuple(exponents): Fraction(scalar)}, product)
 
-    def factor(self) -> Polynomial:
-        base = self.atom()
-        if self.peek().kind != "^":
+    def power(self, base: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+        """``base``, raised to the exponent that follows if a '^' follows."""
+        if self.tokens[self.pos].kind != "^":
             return base
-        self.advance()
-        return base ** self.exponent()
+        self.pos += 1
+        return pow_terms(base, self.exponent(), self.width)
 
     def exponent(self) -> int:
-        token = self.peek()
-        if token.kind == "(":
-            self.advance()
+        if self.tokens[self.pos].kind == "(":
+            self.pos += 1
             inner = self.signed_int()
             self.expect(")")
             return inner
         return self.signed_int()
 
     def signed_int(self) -> int:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind == "-":
             raise ParseError("negative exponent", token.position)
         if token.kind == "+":
-            self.advance()
+            self.pos += 1
+        return int(self.expect("INT").text)
+
+    def rational(self) -> int | Fraction:
+        numerator = int(self.expect("INT").text)
+        if self.tokens[self.pos].kind != "/":
+            return numerator
+        self.pos += 1
         token = self.expect("INT")
-        return int(token.text)
-
-    def atom(self) -> Polynomial:
-        token = self.peek()
-        if token.kind == "INT":
-            return self.gens.constant(self.rational())
-        if token.kind == "IDENT":
-            self.advance()
-            name = token.text
-            if name in self.gens.names:
-                return self.gens.gen(name)
-            if name in self.symbols:
-                return self.symbols[name]
-            raise ParseError(f"unknown identifier {name!r}", token.position)
-        if token.kind == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", token.position)
-            self.advance()
-            self.depth += 1
-            inner = self.expr()
-            self.depth -= 1
-            self.expect(")")
-            return inner
-        shown = token.text or "end of input"
-        raise ParseError(f"expected a value, found {shown!r}", token.position)
-
-    def rational(self) -> Fraction:
-        numerator = self.expect("INT")
-        if self.peek().kind != "/":
-            return Fraction(int(numerator.text))
-        self.advance()
-        denominator = self.expect("INT")
-        if int(denominator.text) == 0:
-            raise ParseError("zero denominator", denominator.position)
-        return Fraction(int(numerator.text), int(denominator.text))
+        denominator = int(token.text)
+        if denominator == 0:
+            raise ParseError("zero denominator", token.position)
+        return Fraction(numerator, denominator)
 
 
 def parse_expression(
@@ -191,4 +231,4 @@ def parse_expression(
     for name, value in resolved.items():
         if value.gens != gens:
             raise ParseError(f"named class {name!r} is over a different generator set", 0)
-    return _Parser(_tokenize(text), gens, resolved).parse()
+    return Polynomial._raw(gens, _Parser(_tokenize(text), gens, resolved).parse())

@@ -31,9 +31,9 @@ is found once per list of divisors, not once per reduction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .errors import GeneratorMismatchError
@@ -191,18 +191,20 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return f.gens.monomial(uf, Fraction(1) / lcf) * f - f.gens.monomial(ug, Fraction(1) / lcg) * g
 
 
-@dataclass
-class BuchbergerStats:
-    """Counts of the Buchberger run that built a basis; printed nowhere."""
+class BuchbergerStats(SimpleNamespace):
+    """Counts of the Buchberger run that built a basis; printed nowhere.
 
-    pairs_queued: int = 0
-    pairs_popped: int = 0
-    coprime_skipped: int = 0
-    chain_skipped: int = 0
-    s_polynomials_reduced: int = 0
-    zero_reductions: int = 0
-    # Over the S-polynomial reductions and the final inter-reduction.
-    reduction_steps: int = 0
+    Every count not given starts at 0.  ``reduction_steps`` counts over the
+    S-polynomial reductions and the final inter-reduction.
+    """
+
+    COUNTS = (
+        "pairs_queued", "pairs_popped", "coprime_skipped", "chain_skipped",
+        "s_polynomials_reduced", "zero_reductions", "reduction_steps",
+    )
+
+    def __init__(self, **counts: int):
+        super().__init__(**(dict.fromkeys(self.COUNTS, 0) | counts))
 
 
 class GroebnerBasis:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import DegreeError, GeneratorMismatchError, SubstitutionError
@@ -161,6 +162,71 @@ class GeneratorSet:
         return Polynomial(self, {tuple(mono): Fraction(coeff)})
 
 
+# Term-dict arithmetic.  A term dict maps exponent vectors to nonzero
+# Fractions, as ``Polynomial._terms`` does.  ``Polynomial``'s sums,
+# products and powers and the expression evaluator share these routines.
+
+
+def add_terms(
+    into: dict[Monomial, Fraction], terms: Mapping[Monomial, Fraction], negate: bool = False
+) -> dict[Monomial, Fraction]:
+    """Add ``terms`` (subtract them, with ``negate``) into ``into`` in place; return ``into``."""
+    for mono, coeff in terms.items():
+        if negate:
+            coeff = -coeff
+        present = into.get(mono)
+        if present is None:
+            into[mono] = coeff
+        else:
+            total = present + coeff
+            if total:
+                into[mono] = total
+            else:
+                del into[mono]
+    return into
+
+
+def mul_terms(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+    """Product of two term dicts, as a new term dict."""
+    product: dict[Monomial, Fraction] = {}
+    for mono_a, coeff_a in a.items():
+        for mono_b, coeff_b in b.items():
+            mono = tuple(map(add, mono_a, mono_b))
+            present = product.get(mono)
+            if present is None:
+                product[mono] = coeff_a * coeff_b
+            else:
+                total = present + coeff_a * coeff_b
+                if total:
+                    product[mono] = total
+                else:
+                    del product[mono]
+    return product
+
+
+def pow_terms(terms: Mapping[Monomial, Fraction], exponent: int, width: int) -> dict[Monomial, Fraction]:
+    """``terms`` to a non-negative integer power, as a new term dict.
+
+    ``width`` is the length of an exponent vector; any base to the power 0
+    is 1.  A single term is raised by scaling its exponents and its
+    coefficient; other bases by repeated squaring.
+    """
+    if exponent == 0:
+        return {(0,) * width: Fraction(1)}
+    if len(terms) == 1:
+        ((mono, coeff),) = terms.items()
+        return {tuple(e * exponent for e in mono): coeff**exponent}
+    result: dict[Monomial, Fraction] | None = None
+    base = terms
+    while exponent:
+        if exponent & 1:
+            result = dict(base) if result is None else mul_terms(result, base)
+        exponent >>= 1
+        if exponent:
+            base = mul_terms(base, base)
+    return result
+
+
 class Polynomial:
     """Immutable sparse polynomial over a fixed GeneratorSet."""
 
@@ -274,14 +340,7 @@ class Polynomial:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for mono, coeff in coerced._terms.items():
-            total = terms.get(mono, Fraction(0)) + coeff
-            if total:
-                terms[mono] = total
-            else:
-                terms.pop(mono, None)
-        return Polynomial._raw(self.gens, terms)
+        return Polynomial._raw(self.gens, add_terms(dict(self._terms), coerced._terms))
 
     __radd__ = __add__
 
@@ -292,7 +351,7 @@ class Polynomial:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return self + (-coerced)
+        return Polynomial._raw(self.gens, add_terms(dict(self._terms), coerced._terms, negate=True))
 
     def __rsub__(self, other: object) -> Polynomial:
         coerced = self._coerce(other)
@@ -309,16 +368,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_gens(other)
-        product: dict[Monomial, Fraction] = {}
-        for mono_a, coeff_a in self._terms.items():
-            for mono_b, coeff_b in other._terms.items():
-                mono = tuple(a + b for a, b in zip(mono_a, mono_b))
-                total = product.get(mono, Fraction(0)) + coeff_a * coeff_b
-                if total:
-                    product[mono] = total
-                else:
-                    product.pop(mono, None)
-        return Polynomial._raw(self.gens, product)
+        return Polynomial._raw(self.gens, mul_terms(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -330,15 +380,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-        result = self.gens.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return Polynomial._raw(self.gens, pow_terms(self._terms, exponent, len(self.gens)))
 
     # Structural maps.
 
@@ -370,37 +412,6 @@ class Polynomial:
                 term = term * images[name] ** e
             result = result + term
         return result
-
-    def embed(self, target: GeneratorSet) -> Polynomial:
-        """Rename-free embedding into a larger generator set.
-
-        Every occurring generator must exist in the target with the same
-        weight, so the grading is preserved.
-        """
-        mapping = []
-        for i, name in enumerate(self.gens.names):
-            if name in target._index:
-                j = target.index(name)
-                if target.weights[j] != self.gens.weights[i]:
-                    raise GeneratorMismatchError(
-                        f"generator {name!r} changes weight under embedding"
-                    )
-                mapping.append(j)
-            else:
-                mapping.append(-1)
-        terms: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
-            image = [0] * len(target)
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                if mapping[i] < 0:
-                    raise GeneratorMismatchError(
-                        f"generator {self.gens.names[i]!r} missing from target set"
-                    )
-                image[mapping[i]] = e
-            terms[tuple(image)] = coeff
-        return Polynomial(target, terms)
 
     # Rendering.  The output re-parses under the expression grammar.
 

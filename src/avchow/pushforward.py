@@ -245,7 +245,3 @@ class TabulatedPushforward:
         for coeff, name in pairs:
             result = result + coeff * self.images[name]
         return result
-
-    def verify_pushforward_identity(self, combo: Combination, expected: Polynomial) -> bool:
-        """Does the pushed combination equal the expected target class?"""
-        return self.target.classes_equal(self.push_combination(combo), expected)

@@ -250,19 +250,6 @@ class QuotientRing:
             raise DegreeError(f"largest degree must be non-negative, got {max_degree}")
         return [len(self.standard_monomials(d)) for d in range(max_degree + 1)]
 
-    def coordinates(self, p: Polynomial) -> tuple[int, list[Fraction]]:
-        """Degree and coordinate vector of a homogeneous class.
-
-        Coordinates are taken against the standard-monomial basis of the
-        degree of p (descending order).  Zero is rejected: it has no degree.
-        """
-        nf = self.normal_form(p)
-        degree = nf.weighted_degree()
-        if degree is None:
-            raise DegreeError("zero class has no coordinate degree")
-        basis = self.standard_monomials(degree)
-        return degree, [nf.coefficient(m) for m in basis]
-
 
 class DegreeFunctional:
     """Linear functional on the rank-one top graded piece of a ring.

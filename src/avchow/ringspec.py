@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .errors import AvchowError, ParseError, RingSpecError
 from .exprparse import parse_expression
@@ -28,8 +27,7 @@ _IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 TABLE_KINDS = ("pairing", "degrees", "pairing_vector", "relative_pairing")
 
 
-@dataclass(frozen=True)
-class DegreeEntry:
+class DegreeEntry(NamedTuple):
     """One row of a degrees table: a label, maybe an element, a value."""
 
     label: str
@@ -39,16 +37,14 @@ class DegreeEntry:
     checkable: bool
 
 
-@dataclass(frozen=True)
-class DegreesTable:
+class DegreesTable(NamedTuple):
     id: str
     entries: tuple[DegreeEntry, ...]
     source: str
     kind: str = "degrees"
 
 
-@dataclass(frozen=True)
-class PairingTable:
+class PairingTable(NamedTuple):
     id: str
     codim: int
     row_labels: tuple[str, ...]
@@ -61,8 +57,7 @@ class PairingTable:
     kind: str = "pairing"
 
 
-@dataclass(frozen=True)
-class PairingVectorTable:
+class PairingVectorTable(NamedTuple):
     id: str
     class_name: str
     class_poly: Polynomial
@@ -75,8 +70,7 @@ class PairingVectorTable:
     kind: str = "pairing_vector"
 
 
-@dataclass(frozen=True)
-class RelativePairingTable:
+class RelativePairingTable(NamedTuple):
     id: str
     row_labels: tuple[str, ...]
     rows: tuple[Polynomial, ...]
@@ -87,8 +81,7 @@ class RelativePairingTable:
     kind: str = "relative_pairing"
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     id: str
     lhs: Polynomial
     rhs: Polynomial
@@ -96,16 +89,14 @@ class Identity:
     source: str
 
 
-@dataclass(frozen=True)
-class DegreeExpectation:
+class DegreeExpectation(NamedTuple):
     expr_text: str
     element: Polynomial
     value: Fraction
     source: str
 
 
-@dataclass
-class LoadedRing:
+class LoadedRing(NamedTuple):
     """A ring spec file after parsing and validation."""
 
     name: str
@@ -116,11 +107,11 @@ class LoadedRing:
     named: dict[str, Polynomial]
     listed_relations: tuple[Polynomial, ...]
     expected_hilbert: list[int] | None
-    degrees: list[DegreeExpectation] = field(default_factory=list)
-    identities: list[Identity] = field(default_factory=list)
-    tables: list[Any] = field(default_factory=list)
-    pairing_vectors: list[PairingVectorTable] = field(default_factory=list)
-    raw: dict = field(default_factory=dict)
+    degrees: list[DegreeExpectation]
+    identities: list[Identity]
+    tables: list[Any]
+    pairing_vectors: list[PairingVectorTable]
+    raw: dict
 
     def parse(self, text: str) -> Polynomial:
         """Parse an expression over this ring, named classes included."""
@@ -576,35 +567,3 @@ def load_ring_spec(source: str | Path | Mapping[str, Any]) -> LoadedRing:
         pairing_vectors=pairing_vectors,
         raw=data,
     )
-
-
-def dump_ring_spec(loaded: LoadedRing) -> dict:
-    """Canonical JSON form of a loaded ring.
-
-    Ring-defining fields are re-rendered canonically (so they re-parse to
-    the same Groebner basis); auxiliary sections pass through unchanged.
-    """
-    data: dict[str, Any] = {
-        "name": loaded.name,
-        "description": loaded.description,
-        "source": loaded.source,
-        "generators": [
-            {"name": n, "degree": w}
-            for n, w in zip(loaded.ring.gens.names, loaded.ring.gens.weights)
-        ],
-        "relations": [str(r) for r in loaded.listed_relations],
-    }
-    genus = loaded.ring.presentation.chern_identity_genus
-    if genus is not None:
-        data["chern_identity_genus"] = genus
-    if loaded.functional is not None:
-        data["normalization"] = {
-            "element": str(loaded.functional.reference_element),
-            "value": str(loaded.functional.reference_value),
-        }
-    if loaded.named:
-        data["named_classes"] = {name: str(poly) for name, poly in loaded.named.items()}
-    for key in ("identities", "expected", "tables", "pairing_vectors", "fibration"):
-        if key in loaded.raw:
-            data[key] = loaded.raw[key]
-    return data

@@ -10,16 +10,14 @@ never silently asserted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one check: frozen expectation vs fresh recomputation."""
 
     id: str
@@ -29,8 +27,7 @@ class CheckResult:
     status: str
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A single verification item.
 
     ``group`` is the scope the check belongs to (a ring name, a table id

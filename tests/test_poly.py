@@ -173,22 +173,6 @@ class TestSubstitution:
         with pytest.raises(GeneratorMismatchError):
             p("x*y").substitute({"x": other.gen("z"), "y": p("y")})
 
-    def test_embed(self):
-        big = GeneratorSet([("w", 3), ("x", 1), ("y", 2)])
-        q = p("x^2*y - 5").embed(big)
-        assert str(q) == "x^2*y - 5"
-        assert q.gens == big
-
-    def test_embed_missing_generator(self):
-        small = GeneratorSet([("x", 1)])
-        with pytest.raises(GeneratorMismatchError):
-            p("y").embed(small)
-
-    def test_embed_weight_clash(self):
-        clash = GeneratorSet([("x", 1), ("y", 3)])
-        with pytest.raises(GeneratorMismatchError):
-            p("y").embed(clash)
-
 
 class TestRendering:
     @pytest.mark.parametrize(

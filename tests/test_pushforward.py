@@ -202,12 +202,3 @@ class TestTabulatedPushforward:
                 self.target,
                 {"d0": self.target.gens.zero()},
             )
-
-    def test_verify_identity(self):
-        combo = parse_expression("d0 + d1", self.symbols)
-        assert self.push.verify_pushforward_identity(combo, self.t("2*x"))
-        # x^2 and y^2 agree as classes, so the check is modulo relations
-        assert self.push.verify_pushforward_identity(
-            parse_expression("e", self.symbols), self.t("x*y - x^2")
-        )
-        assert not self.push.verify_pushforward_identity(combo, self.t("x"))

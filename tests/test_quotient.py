@@ -83,19 +83,6 @@ class TestQuotientRing:
         assert ring.standard_monomials(10**9) == ()
         assert ring.hilbert_function(400) == [1, 2, 1] + [0] * 398
 
-    def test_coordinates(self):
-        ring = make_ring()
-        degree, coords = ring.coordinates(q("2*x - 3*y"))
-        assert degree == 1
-        lookup = dict(zip(ring.standard_monomials(1), coords))
-        assert lookup[(1, 0)] == 2
-        assert lookup[(0, 1)] == -3
-
-    def test_coordinates_of_zero_class_rejected(self):
-        ring = make_ring()
-        with pytest.raises(DegreeError):
-            ring.coordinates(q("x*y"))
-
 
 def random_monomial(rng, gens, degree):
     """Random exponent vector of the given weighted degree (needs a weight-1 generator)."""

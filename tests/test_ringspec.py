@@ -6,7 +6,6 @@ from importlib import resources
 import pytest
 
 from avchow import RingSpecError, load_ring_spec
-from avchow.ringspec import dump_ring_spec
 
 MINIMAL = {
     "name": "toy",
@@ -177,28 +176,3 @@ class TestValidation:
     def test_chern_identity_needs_lambda_generators(self):
         with pytest.raises(RingSpecError):
             load_ring_spec(spec(chern_identity_genus=2))
-
-
-class TestRoundTrip:
-    def test_dump_then_load_gives_same_groebner_basis(self, catalog):
-        for name in catalog.ring_names():
-            loaded = catalog.ring(name)
-            dumped = dump_ring_spec(loaded)
-            reloaded = load_ring_spec(dumped)
-            first = [str(e) for e in loaded.ring.groebner.elements]
-            second = [str(e) for e in reloaded.ring.groebner.elements]
-            assert first == second, name
-            assert reloaded.ring.gens == loaded.ring.gens
-
-    def test_dump_preserves_expectations(self, catalog):
-        loaded = catalog.ring("a2_tilde")
-        reloaded = load_ring_spec(dump_ring_spec(loaded))
-        assert reloaded.expected_hilbert == loaded.expected_hilbert
-        assert len(reloaded.tables) == len(loaded.tables)
-        assert len(reloaded.identities) == len(loaded.identities)
-        assert reloaded.functional.reference_value == loaded.functional.reference_value
-
-    def test_dump_is_json_serializable(self, catalog):
-        dumped = dump_ring_spec(catalog.ring("a3_tilde"))
-        text = json.dumps(dumped)
-        assert json.loads(text) == dumped
