@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     RingSpecError,
     SingularSystemError,
+    SizeError,
     SubstitutionError,
     UnknownScopeError,
     UnknownSymbolError,
@@ -67,6 +68,7 @@ __all__ = [
     "RingPresentation",
     "RingSpecError",
     "SingularSystemError",
+    "SizeError",
     "SubstitutionError",
     "TabulatedPushforward",
     "UnknownScopeError",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .catalog import RING_NAMES, Catalog, Cell, default_catalog
 from .errors import AvchowError
-from .poly import Polynomial
+from .poly import Polynomial, format_rational
 from .ringspec import DegreesTable, LoadedRing, PairingVectorTable, load_ring_spec
 
 EXIT_OK = 0
@@ -167,14 +167,14 @@ def _default_basis(loaded: LoadedRing, degree: int) -> list[Polynomial]:
 
 def _cmd_nf(args, catalog: Catalog) -> int:
     loaded = _resolve_ring(args.ring, catalog)
-    print(loaded.ring.normal_form(loaded.parse(args.expr)))
+    print(loaded.ring.normal_form(loaded.parse_class(args.expr)))
     return EXIT_OK
 
 
 def _cmd_degree(args, catalog: Catalog) -> int:
     loaded = _resolve_ring(args.ring, catalog)
     functional = _require_functional(loaded)
-    print(functional.degree(loaded.parse(args.expr)))
+    print(format_rational(functional.degree(loaded.parse_class(args.expr))))
     return EXIT_OK
 
 
@@ -206,16 +206,16 @@ def _cmd_pairing(args, catalog: Catalog) -> int:
     if args.rows is None:
         rows = _default_basis(loaded, args.deg)
     else:
-        rows = [loaded.parse(text) for text in args.rows]
+        rows = [loaded.parse_class(text) for text in args.rows]
     if args.cols is None:
         cols = _default_basis(loaded, complement)
     else:
-        cols = [loaded.parse(text) for text in args.cols]
+        cols = [loaded.parse_class(text) for text in args.cols]
     matrix = functional.pairing_matrix(args.deg, rows, cols)
     print("rows:", "; ".join(str(r) for r in rows))
     print("cols:", "; ".join(str(c) for c in cols))
     for row in matrix:
-        print(",".join(str(value) for value in row))
+        print(",".join(format_rational(value) for value in row))
     return EXIT_OK
 
 
@@ -226,7 +226,7 @@ def _cmd_solve_class(args, catalog: Catalog) -> int:
     if args.probes is None:
         probes = _default_basis(loaded, complement)
     else:
-        probes = [loaded.parse(text) for text in args.probes]
+        probes = [loaded.parse_class(text) for text in args.probes]
     values = _parse_values(args.values)
     if len(values) != len(probes):
         raise UsageError(
@@ -240,7 +240,7 @@ def _cmd_solve_class(args, catalog: Catalog) -> int:
 def _cmd_push(args, catalog: Catalog) -> int:
     if args.map == "x2_tilde":
         surface = catalog.fibered_surface()
-        element = surface.combined.parse(args.expr)
+        element = surface.combined.parse_class(args.expr)
         image = surface.relative.pushforward(element, surface.rule)
         print(image)
         return EXIT_OK

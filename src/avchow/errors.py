@@ -19,6 +19,10 @@ class DegreeError(AvchowError):
     """Input is non-homogeneous or has the wrong weighted degree."""
 
 
+class SizeError(AvchowError):
+    """A number is too large to compute within the package's caps, or to print."""
+
+
 class SingularSystemError(AvchowError):
     """Exact linear system has no unique solution (rank deficient)."""
 

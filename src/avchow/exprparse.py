@@ -20,9 +20,17 @@ Fraction) rather than on polynomials.  Each term keeps one scalar and one
 exponent vector: literals and their powers multiply the scalar, generators
 and their powers add to the exponents, and a parenthesized expression or
 named class of a single term folds into both.  Only factors with several
-terms are multiplied, once the term ends, with ``poly.mul_terms``; powers
-of them go through ``poly.pow_terms``.  Terms are summed in place and the
-result becomes a ``Polynomial`` once, at the end.
+terms are multiplied, once the term ends, with ``poly.truncated_product``;
+powers of them go through ``poly.pow_terms``.  Terms are summed in place
+and the result becomes a ``Polynomial`` once, at the end.
+
+With ``max_degree`` (an Artinian ring passes its socle degree), products
+and powers drop every monomial above it as they are formed, so
+``(x + y)^100000`` costs a few products instead of a full expansion.  Those
+monomials lie in the ideal of such a ring, so its normal form is unchanged.
+Literal powers and the coefficients of products and powers are bounded by
+``poly.MAX_COEFFICIENT_BITS``, so ``7^1000000000000`` raises SizeError
+instead of running out of memory.
 """
 
 from __future__ import annotations
@@ -32,7 +40,16 @@ from operator import add
 from typing import Mapping, NamedTuple
 
 from .errors import ParseError
-from .poly import GeneratorSet, Monomial, Polynomial, add_terms, mul_terms, pow_terms
+from .poly import (
+    GeneratorSet,
+    Monomial,
+    Polynomial,
+    add_terms,
+    check_size,
+    pow_terms,
+    rational_power,
+    truncated_product,
+)
 
 
 class _Token(NamedTuple):
@@ -81,12 +98,20 @@ def _tokenize(text: str) -> list[_Token]:
 class _Parser:
     """Evaluates while it parses; every value it returns is a new term dict."""
 
-    def __init__(self, tokens: list[_Token], gens: GeneratorSet, symbols: Mapping[str, Polynomial]):
+    def __init__(
+        self,
+        tokens: list[_Token],
+        gens: GeneratorSet,
+        symbols: Mapping[str, Polynomial],
+        max_degree: int | None,
+    ):
         self.tokens = tokens
         self.pos = 0
         self.index = gens._index
+        self.weights = gens.weights
         self.width = len(gens)
         self.symbols = symbols
+        self.max_degree = max_degree
         self.depth = 0
 
     def expect(self, kind: str) -> _Token:
@@ -129,8 +154,9 @@ class _Parser:
                 value = self.rational()
                 if tokens[self.pos].kind == "^":
                     self.pos += 1
-                    value **= self.exponent()
-                scalar *= value
+                    scalar = check_size(scalar * rational_power(value, self.exponent()))
+                else:
+                    scalar *= value
             elif kind == "IDENT":
                 self.pos += 1
                 slot = self.index.get(token.text)
@@ -165,28 +191,28 @@ class _Parser:
         for factor in sums:
             if len(factor) == 1:
                 ((mono, coeff),) = factor.items()
-                scalar *= coeff
+                scalar = check_size(scalar * coeff)
                 exponents = list(map(add, exponents, mono))
             elif not factor:
                 scalar = 0
             elif product is None:
                 product = factor
             else:
-                product = mul_terms(product, factor)
+                product = truncated_product(product, factor, self.weights, self.max_degree)
         if not scalar:
             return {}
         if product is None:
             return {tuple(exponents): Fraction(scalar)}
         if scalar == 1 and not any(exponents):
             return product
-        return mul_terms({tuple(exponents): Fraction(scalar)}, product)
+        return truncated_product({tuple(exponents): Fraction(scalar)}, product, self.weights, self.max_degree)
 
     def power(self, base: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
         """``base``, raised to the exponent that follows if a '^' follows."""
         if self.tokens[self.pos].kind != "^":
             return base
         self.pos += 1
-        return pow_terms(base, self.exponent(), self.width)
+        return pow_terms(base, self.exponent(), self.weights, self.max_degree)
 
     def exponent(self) -> int:
         if self.tokens[self.pos].kind == "(":
@@ -220,15 +246,18 @@ def parse_expression(
     text: str,
     gens: GeneratorSet,
     symbols: Mapping[str, Polynomial] | None = None,
+    max_degree: int | None = None,
 ) -> Polynomial:
     """Parse an expression into a polynomial over the given generators.
 
     ``symbols`` optionally maps extra identifiers (named classes) to
     polynomials over the same generator set; generator names win on
-    collision.
+    collision.  With ``max_degree``, products and powers drop their
+    monomials above it, so the result equals the full expansion up to
+    monomials of higher degree.
     """
     resolved: Mapping[str, Polynomial] = symbols or {}
     for name, value in resolved.items():
         if value.gens != gens:
             raise ParseError(f"named class {name!r} is over a different generator set", 0)
-    return Polynomial._raw(gens, _Parser(_tokenize(text), gens, resolved).parse())
+    return Polynomial._raw(gens, _Parser(_tokenize(text), gens, resolved, max_degree).parse())

@@ -1,5 +1,11 @@
 """Groebner bases for weighted-homogeneous ideals over Q.
 
+``QuotientRing`` builds its basis by a degree-by-degree elimination (see
+``avchow.quotient``), which also yields its standard monomials and normal
+forms.  This module holds the basis type, reduction, and Buchberger's
+algorithm, which ``QuotientRing`` runs only when that elimination passes
+its caps; tests also use it as a reference.
+
 Classic Buchberger with the two standard pair-elimination criteria
 (coprime leading monomials, and the chain criterion), followed by
 minimalization and inter-reduction, so the returned basis is the reduced
@@ -208,7 +214,12 @@ class BuchbergerStats(SimpleNamespace):
 
 
 class GroebnerBasis:
-    """Reduced monic Groebner basis, with the generators it was computed from."""
+    """Reduced monic Groebner basis, with the generators it was computed from.
+
+    ``stats`` holds the counts of the run that built it: ``BuchbergerStats``
+    from ``buchberger``, or the degree sweep's ``degrees_swept``,
+    ``candidate_rows``, ``zero_rows`` and ``pivots``.
+    """
 
     __slots__ = ("gens", "elements", "source", "stats", "_divisors", "_leading")
 
@@ -217,7 +228,7 @@ class GroebnerBasis:
         gens: GeneratorSet,
         elements: Sequence[Polynomial],
         source: Sequence[Polynomial] = (),
-        stats: BuchbergerStats | None = None,
+        stats: SimpleNamespace | None = None,
     ):
         self.gens = gens
         self.elements = tuple(elements)

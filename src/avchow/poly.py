@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import DegreeError, GeneratorMismatchError, SubstitutionError
+from .errors import DegreeError, GeneratorMismatchError, SizeError, SubstitutionError
 
 # The scalar type used everywhere: exact, lowest terms, positive denominator.
 Rational = Fraction
@@ -30,6 +30,13 @@ Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 _RATIONAL_FORM = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+
+# Coefficients are exact, so a short expression can ask for a huge number:
+# ``7^1000000000000`` has about 2.8e12 bits.  Literal powers, and the powers
+# and products the expression parser forms, raise SizeError instead of
+# making a coefficient of more than this many bits (about 30,000 decimal
+# digits; Python prints at most 4,300 digits of an int by default).
+MAX_COEFFICIENT_BITS = 100_000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -48,8 +55,34 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Scalar) -> str:
-    """Canonical textual form, "p/q" or "p"; inverse of parse_rational."""
-    return str(Fraction(value))
+    """Canonical textual form, "p/q" or "p"; inverse of parse_rational.
+
+    Raises SizeError when Python refuses to convert the numerator or the
+    denominator to text (more than 4,300 digits, by default).
+    """
+    try:
+        return str(value if isinstance(value, Fraction) else Fraction(value))
+    except ValueError:
+        raise SizeError("a number in the result has more digits than Python converts to text") from None
+
+
+def check_size(value: Scalar) -> Scalar:
+    """``value``, or SizeError when it has more than MAX_COEFFICIENT_BITS bits."""
+    if value.numerator.bit_length() + value.denominator.bit_length() > MAX_COEFFICIENT_BITS:
+        raise SizeError(f"a coefficient would have more than MAX_COEFFICIENT_BITS = {MAX_COEFFICIENT_BITS} bits")
+    return value
+
+
+def rational_power(value: Scalar, exponent: int) -> Scalar:
+    """``value ** exponent``, refused before it is computed when it is too large.
+
+    A numerator or denominator of b bits, raised to the power e, has at
+    least (b - 1) * e + 1 bits; past MAX_COEFFICIENT_BITS this raises
+    SizeError.
+    """
+    if (value.numerator.bit_length() + value.denominator.bit_length() - 2) * exponent > MAX_COEFFICIENT_BITS:
+        raise SizeError(f"a power would have more than MAX_COEFFICIENT_BITS = {MAX_COEFFICIENT_BITS} bits")
+    return value**exponent
 
 
 class GeneratorSet:
@@ -204,26 +237,57 @@ def mul_terms(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]) ->
     return product
 
 
-def pow_terms(terms: Mapping[Monomial, Fraction], exponent: int, width: int) -> dict[Monomial, Fraction]:
+def truncated_product(
+    a: Mapping[Monomial, Fraction],
+    b: Mapping[Monomial, Fraction],
+    weights: tuple[int, ...],
+    max_degree: int | None = None,
+) -> dict[Monomial, Fraction]:
+    """Product of two term dicts without its monomials above ``max_degree``.
+
+    ``weights`` are the generators' weights; with ``max_degree`` None
+    nothing is dropped.  Raises SizeError when a coefficient of the result
+    has more than MAX_COEFFICIENT_BITS bits.
+    """
+    product = mul_terms(a, b)
+    if max_degree is not None:
+        product = {m: c for m, c in product.items() if sum(map(mul, m, weights)) <= max_degree}
+    for coeff in product.values():
+        check_size(coeff)
+    return product
+
+
+def pow_terms(
+    terms: Mapping[Monomial, Fraction],
+    exponent: int,
+    weights: tuple[int, ...],
+    max_degree: int | None = None,
+) -> dict[Monomial, Fraction]:
     """``terms`` to a non-negative integer power, as a new term dict.
 
-    ``width`` is the length of an exponent vector; any base to the power 0
-    is 1.  A single term is raised by scaling its exponents and its
-    coefficient; other bases by repeated squaring.
+    ``weights`` are the generators' weights; any base to the power 0 is 1.
+    With ``max_degree``, every monomial above it is dropped as the power is
+    formed, so the cost does not grow with the exponent once the base's
+    monomials are all above it.  A single term is raised by scaling its
+    exponents and its coefficient; other bases by repeated squaring.
+    Raises SizeError when a coefficient would pass MAX_COEFFICIENT_BITS.
     """
     if exponent == 0:
-        return {(0,) * width: Fraction(1)}
+        return {(0,) * len(weights): Fraction(1)}
     if len(terms) == 1:
         ((mono, coeff),) = terms.items()
-        return {tuple(e * exponent for e in mono): coeff**exponent}
+        mono = tuple(e * exponent for e in mono)
+        if max_degree is not None and sum(map(mul, mono, weights)) > max_degree:
+            return {}
+        return {mono: rational_power(coeff, exponent)}
     result: dict[Monomial, Fraction] | None = None
     base = terms
     while exponent:
         if exponent & 1:
-            result = dict(base) if result is None else mul_terms(result, base)
+            result = dict(base) if result is None else truncated_product(result, base, weights, max_degree)
         exponent >>= 1
         if exponent:
-            base = mul_terms(base, base)
+            base = truncated_product(base, base, weights, max_degree)
     return result
 
 
@@ -380,7 +444,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-        return Polynomial._raw(self.gens, pow_terms(self._terms, exponent, len(self.gens)))
+        return Polynomial._raw(self.gens, pow_terms(self._terms, exponent, self.gens.weights))
 
     # Structural maps.
 
@@ -427,12 +491,10 @@ class Polynomial:
                 elif e > 1:
                     factors.append(f"{name}^{e}")
             magnitude = abs(coeff)
-            if not factors:
-                body = str(magnitude)
-            elif magnitude == 1:
+            if factors and magnitude == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(magnitude), *factors])
+                body = "*".join([format_rational(magnitude), *factors])
             if not chunks:
                 chunks.append(body if coeff > 0 else f"-{body}")
             else:

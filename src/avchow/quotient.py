@@ -6,26 +6,40 @@ normal forms, per-degree standard-monomial bases, the Hilbert function,
 and, when the top graded piece has rank one, a degree functional pinned by
 one reference value.  All numbers are exact rationals.
 
-Every catalog ring is Artinian: each generator has a pure power among the
-Groebner leading monomials, so only finitely many monomials are standard
+A ring is built by one sweep over the degrees 0, 1, 2, ...: in each
+degree the relations and the generator multiples of the rows found below
+are put in reduced row echelon form (Macaulay's matrices, as Lazard used
+them; the choice of multipliers follows Faugere's F4).  The pivots of a
+degree are its nonstandard monomials, each pivot row is that monomial
+minus its normal form, and the rows that no smaller pivot explains form
+the reduced Groebner basis.  The sweep stops once max(w) consecutive
+degrees have no standard monomial (the ring is Artinian), or once it is
+past every S-pair of its basis while some generator has no pure power
+(the ring is not).  Buchberger's algorithm runs only when the sweep passes
+MAX_SWEEP_MONOMIALS or MAX_STANDARD_MONOMIALS first.
+
+Every catalog ring is Artinian: only finitely many monomials are standard
 and every graded piece above the socle degree is zero.  On such a ring the
-normal form is a linear map over a lazily filled cache of monomial normal
-forms, and monomials above the socle degree map to 0 without reduction.
+normal form is a linear map over the table of monomial normal forms the
+sweep filled up to the socle degree; a monomial with no entry (above the
+socle degree, or with normal form 0) maps to 0.  Other rings reduce
+against the basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DegreeError, GeneratorMismatchError, InconsistentSystemError, PairingError, SingularSystemError
-from .groebner import GroebnerBasis, buchberger
+from .groebner import GroebnerBasis, buchberger, monomial_lcm
 from .linalg import solve_exact
 from .poly import GeneratorSet, Monomial, Polynomial, expand_chern_identity
 
-# An Artinian ring lists all its standard monomials when it is built, so
-# this bounds the work a short presentation such as ``x^100000000`` can
+# The degree sweep lists the standard monomials of every degree it passes,
+# so this bounds the work a short presentation such as ``x^100000000`` can
 # ask for.  The largest catalog ring has 20.
 MAX_STANDARD_MONOMIALS = 10_000
 
@@ -35,6 +49,12 @@ MAX_STANDARD_MONOMIALS = 10_000
 # on two degree-1 generators stops at degree 446 instead of running for
 # minutes.
 MAX_MONOMIALS_EXAMINED = 100_000
+
+# The degree sweep that builds a ring looks at the monomials of each degree
+# that may be standard or have a nonzero normal form, until it has decided
+# whether the ring is Artinian; past this many it hands the presentation
+# to Buchberger's algorithm.  The catalog rings look at most at 204.
+MAX_SWEEP_MONOMIALS = 100_000
 
 
 class RingPresentation:
@@ -79,71 +99,26 @@ class QuotientRing:
 
     ``socle_degree`` is the top degree of a nonzero graded piece when the
     ring is Artinian (-1 for the zero ring) and None otherwise.  The
-    counters ``nf_hits``, ``nf_misses`` and ``nf_dropped`` count the
-    monomials ``normal_form`` found in its cache, reduced and stored, and
-    sent to 0 for lying above the socle degree.
+    counters ``nf_hits`` and ``nf_dropped`` count the monomials
+    ``normal_form`` found in its table and those it sent to 0 for having
+    no entry there.
     """
 
     def __init__(self, presentation: RingPresentation):
         self.presentation = presentation
         self.gens = presentation.gens
-        if presentation.relations:
-            self.groebner: GroebnerBasis = buchberger(presentation.relations)
-        else:
-            self.groebner = GroebnerBasis(self.gens, ())
-        self._standard: dict[int, tuple[Monomial, ...]] = {}
         self._examined = 0
-        self.socle_degree: int | None = None
-        if self._has_pure_powers():
-            self.socle_degree = self._enumerate_standard()
-        self._nf_cache: dict[Monomial, dict[Monomial, Fraction]] = {}
         self.nf_hits = 0
-        self.nf_misses = 0
         self.nf_dropped = 0
-
-    def _has_pure_powers(self) -> bool:
-        """Does every generator have a pure power among the leading monomials?"""
-        pure = set()
-        for lm in self.groebner.leading_monomials:
-            support = [i for i, e in enumerate(lm) if e]
-            if len(support) <= 1:
-                pure.update(support or range(len(self.gens)))
-        return len(pure) == len(self.gens)
-
-    def _enumerate_standard(self) -> int:
-        """Fill the standard monomials of every degree; return the socle degree.
-
-        Standard monomials are closed under division, so walking up from 1
-        by one generator at a time reaches all of them; pure powers among
-        the leading monomials make the walk finite, and the walk stops with
-        a DegreeError beyond MAX_STANDARD_MONOMIALS of them.
-        """
-        one = (0,) * len(self.gens)
-        seen = {one}
-        found = [one] if self.groebner.is_standard(one) else []
-        frontier = list(found)
-        while frontier:
-            mono = frontier.pop()
-            for i in range(len(mono)):
-                up = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
-                if up not in seen:
-                    seen.add(up)
-                    if self.groebner.is_standard(up):
-                        if len(found) == MAX_STANDARD_MONOMIALS:
-                            raise DegreeError(
-                                f"{self.name} has more than MAX_STANDARD_MONOMIALS = "
-                                f"{MAX_STANDARD_MONOMIALS} standard monomials"
-                            )
-                        found.append(up)
-                        frontier.append(up)
-        by_degree: dict[int, list[Monomial]] = {}
-        for mono in found:
-            by_degree.setdefault(self.gens.weighted_degree(mono), []).append(mono)
-        socle = max(by_degree, default=-1)
-        for degree in range(socle + 1):
-            monos = by_degree.get(degree, [])
-            self._standard[degree] = tuple(sorted(monos, key=self.gens.sort_key, reverse=True))
-        return socle
+        try:
+            self.groebner, self.socle_degree, self._standard, self._nf_cache = _sweep(
+                self.name, self.gens, presentation.relations
+            )
+        except _SweepGaveUp as cap:
+            self.groebner = buchberger(presentation.relations)
+            if _has_pure_powers(self.groebner.leading_monomials, len(self.gens)):
+                raise DegreeError(str(cap)) from None
+            self.socle_degree, self._standard, self._nf_cache = None, {}, {}
 
     @property
     def artinian(self) -> bool:
@@ -170,22 +145,22 @@ class QuotientRing:
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Canonical representative of the class of p.
 
-        On an Artinian ring this sums the cached normal forms of the terms'
-        monomials; on any other ring it reduces p against the basis.
+        On an Artinian ring this sums the tabulated normal forms of the
+        terms' monomials, and a monomial missing from the table maps to 0;
+        on any other ring it reduces p against the basis.
         """
         if p.gens != self.gens:
             raise GeneratorMismatchError("element belongs to a different ring")
         if self.socle_degree is None:
             return self.groebner.reduce(p)
-        cache = self._nf_cache
+        table = self._nf_cache
         hits = 0
         terms: dict[Monomial, Fraction] = {}
         for mono, coeff in p._terms.items():
-            image = cache.get(mono)
+            image = table.get(mono)
             if image is None:
-                image = self._monomial_normal_form(mono)
-            else:
-                hits += 1
+                continue
+            hits += 1
             for target, factor in image.items():
                 total = terms.get(target, 0) + coeff * factor
                 if total:
@@ -193,17 +168,8 @@ class QuotientRing:
                 else:
                     del terms[target]
         self.nf_hits += hits
+        self.nf_dropped += len(p._terms) - hits
         return Polynomial._raw(self.gens, terms)
-
-    def _monomial_normal_form(self, mono: Monomial) -> dict[Monomial, Fraction]:
-        """Terms of the normal form of one monomial, cached up to the socle degree."""
-        if self.gens.weighted_degree(mono) > self.socle_degree:
-            self.nf_dropped += 1
-            return {}
-        self.nf_misses += 1
-        image = self.groebner.reduce(self.gens.monomial(mono))._terms
-        self._nf_cache[mono] = image
-        return image
 
     def classes_equal(self, p: Polynomial, q: Polynomial) -> bool:
         """Exact equality in the quotient: p - q lies in the ideal."""
@@ -249,6 +215,260 @@ class QuotientRing:
         if max_degree < 0:
             raise DegreeError(f"largest degree must be non-negative, got {max_degree}")
         return [len(self.standard_monomials(d)) for d in range(max_degree + 1)]
+
+
+class _Swept(NamedTuple):
+    """What the degree sweep found; the tables are empty when socle_degree is None."""
+
+    basis: GroebnerBasis
+    socle_degree: int | None
+    standard: dict[int, tuple[Monomial, ...]]
+    normal_forms: dict[Monomial, dict[Monomial, Fraction]]
+
+
+class _SweepGaveUp(Exception):
+    """The sweep passed a cap before it finished; the message names the cap."""
+
+
+def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _Swept:
+    """Reduced Groebner basis of the relations by elimination, degree by degree.
+
+    Each nonstandard monomial t gets a row t + tail(t) in the ideal, with
+    the tail on standard monomials, so NF(t) = -tail(t); a row with an
+    empty tail is bare.  In degree d the candidate rows are the relations
+    of degree d and, for each monomial m with some m/x_i nonstandard, the
+    products x_i * row(m/x_i), which have leading monomial m.  Those x_i
+    are joined when m/(x_i*x_j) is nonstandard too, and one candidate per
+    joined group suffices: the difference of two joined products lies in
+    the span of candidates with smaller leading monomials (the chain
+    criterion).  Gaussian elimination puts the rows in echelon form, and
+    back-substitution in ascending order rewrites each pivot row's tail on
+    standard monomials, so the pivots of degree d are its nonstandard
+    monomials.  The pivot rows whose leading monomial has no nonstandard
+    divisor m/x_i are the reduced Groebner basis.
+
+    Only two kinds of monomial of degree d are looked at: x_i * s for a
+    standard s, which may be standard, and x_i * t for a t with a nonempty
+    tail.  Any other monomial of degree d has only nonstandard divisors,
+    all with bare rows, so its own row is bare: it is in the ideal, its
+    normal form is 0, and it is dropped from the relations.  So each degree
+    keeps its standard monomials and the tails that are not empty, and the
+    work follows them rather than the number of monomials.
+
+    Nothing is decided before the top relation degree.  The ring is
+    Artinian once max(w) consecutive degrees have no standard monomial:
+    every monomial of higher degree has a nonstandard divisor in that
+    window, so no basis element lies above it.  One such degree is not
+    enough: with weights 1, 2, 3 a monomial of degree 8 can have no divisor
+    of degree 7.  The ring is not Artinian once the sweep has passed the
+    degree of every lcm of two basis leading monomials while some generator
+    has no pure power among them: every S-polynomial then reduces to 0
+    (Buchberger's criterion), so the basis is complete, and only the basis
+    is returned.  The sweep raises _SweepGaveUp once it has looked at more
+    than MAX_SWEEP_MONOMIALS monomials or found more than
+    MAX_STANDARD_MONOMIALS standard ones.
+    """
+    weights = gens.weights
+    window = max(weights, default=1)
+    relations_of: dict[int, list[dict[Monomial, Fraction]]] = {}
+    for relation in relations:
+        relations_of.setdefault(relation.weighted_degree(), []).append(relation._terms)
+    top_relation = max(relations_of, default=0)
+    standard: list[tuple[Monomial, ...]] = []
+    standard_sets: list[set[Monomial]] = []
+    tails_of: list[dict[Monomial, dict[Monomial, Fraction]]] = []  # the tails that are not empty
+    elements: list[tuple[Monomial, Polynomial]] = []
+    stats = SimpleNamespace(degrees_swept=0, candidate_rows=0, zero_rows=0, pivots=0)
+    lcm_top = 0  # the largest degree of the lcm of two leading monomials
+    looked = found = full_run = 0
+    socle = -1
+    degree = 0
+    while True:
+        products = {(0,) * len(weights)} if degree == 0 else set()
+        looked_at = set()
+        for i, weight in enumerate(weights):
+            if weight <= degree:
+                products.update(s[:i] + (s[i] + 1,) + s[i + 1 :] for s in standard[degree - weight])
+                looked_at.update(t[:i] + (t[i] + 1,) + t[i + 1 :] for t in tails_of[degree - weight])
+        looked_at |= products
+        looked += len(looked_at)
+        if looked > MAX_SWEEP_MONOMIALS:
+            raise _SweepGaveUp(
+                f"{name}: the degree sweep looked at more than MAX_SWEEP_MONOMIALS = "
+                f"{MAX_SWEEP_MONOMIALS} monomials before it decided whether the ring is Artinian"
+            )
+
+        # For each monomial, its nonstandard divisors m/x_i with their tails.
+        lower: dict[Monomial, list[tuple[int, Monomial, dict[Monomial, Fraction]]]] = {}
+        for m in looked_at:
+            under = []
+            for i, e in enumerate(m):
+                if e:
+                    t = m[:i] + (e - 1,) + m[i + 1 :]
+                    below = degree - weights[i]
+                    if t not in standard_sets[below]:
+                        under.append((i, t, tails_of[below].get(t, _BARE)))
+            if under:
+                lower[m] = under
+
+        # A monomial with no nonstandard divisor may be standard; the others
+        # are in the ideal, and bare, if one of their rows is.
+        if len(lower) < len(looked_at) or not all(any(not tail for _, _, tail in under) for under in lower.values()):
+            rows = _candidate_rows(lower, standard_sets, degree, weights)
+            for relation in relations_of.get(degree, ()):
+                rows.append((None, {m: c for m, c in relation.items() if m in looked_at}))
+            tails = _back_substitute(_echelon(rows, stats))
+        else:
+            # Every monomial of this degree has a bare row: the degree is
+            # full, and neither elimination nor its relations add anything.
+            tails = dict.fromkeys(lower, _BARE)
+        stats.degrees_swept += 1
+        stats.pivots += len(tails)
+        for lead, tail in tails.items():
+            if lead not in lower:
+                for other, _ in elements:
+                    lcm_top = max(lcm_top, gens.weighted_degree(monomial_lcm(lead, other)))
+                terms = dict(tail)
+                terms[lead] = Fraction(1)
+                elements.append((lead, Polynomial._raw(gens, terms)))
+        tails_of.append({lead: tail for lead, tail in tails.items() if tail})
+        here = sorted((m for m in products if m not in tails), reverse=True)
+        standard.append(tuple(here))
+        standard_sets.append(set(here))
+
+        if here:
+            found += len(here)
+            if found > MAX_STANDARD_MONOMIALS:
+                raise _SweepGaveUp(
+                    f"{name} has more than MAX_STANDARD_MONOMIALS = {MAX_STANDARD_MONOMIALS} standard monomials"
+                )
+            socle = degree
+            full_run = 0
+        else:
+            full_run += 1
+        if degree >= top_relation:
+            if full_run >= window:
+                break
+            if degree >= lcm_top and not _has_pure_powers((lead for lead, _ in elements), len(weights)):
+                break
+        degree += 1
+
+    elements.sort(key=lambda item: gens.sort_key(item[0]), reverse=True)
+    basis = GroebnerBasis(gens, [element for _, element in elements], relations, stats)
+    if full_run < window:
+        return _Swept(basis, None, {}, {})
+    normal_forms: dict[Monomial, dict[Monomial, Fraction]] = {}
+    for d in range(socle + 1):
+        for t, tail in tails_of[d].items():
+            normal_forms[t] = {s: -c for s, c in tail.items()}
+        for m in standard[d]:
+            normal_forms[m] = {m: Fraction(1)}
+    return _Swept(basis, socle, dict(enumerate(standard[: socle + 1])), normal_forms)
+
+
+# The tail of a bare row; shared, and never changed.
+_BARE: dict[Monomial, Fraction] = {}
+
+
+def _has_pure_powers(leading: Iterable[Monomial], width: int) -> bool:
+    """Does every generator have a pure power among the leading monomials?"""
+    pure = set()
+    for lm in leading:
+        support = [i for i, e in enumerate(lm) if e]
+        if len(support) <= 1:
+            pure.update(support or range(width))
+    return len(pure) == width
+
+
+def _candidate_rows(lower, standard_sets, degree, weights):
+    """Rows x_i * row(m/x_i), one per group, as (leading monomial m, row)."""
+    rows = []
+    for m, under in lower.items():
+        for i, _, tail in _one_per_group(under, standard_sets, degree, weights):
+            row = {m: Fraction(1)}
+            for s, c in tail.items():
+                row[s[:i] + (s[i] + 1,) + s[i + 1 :]] = c
+            rows.append((m, row))
+    return rows
+
+
+def _echelon(rows, stats):
+    """Rows with distinct leading monomials, each at coefficient 1.
+
+    All rows lie in one degree, where the monomial order is the order of
+    the exponent tuples, so ``max`` finds a leading monomial; one given as
+    None is found here.  Rows are consumed, and may be empty; ``stats``
+    counts the candidates and those reduced to zero.
+    """
+    stats.candidate_rows += len(rows)
+    echelon: dict[Monomial, dict[Monomial, Fraction]] = {}
+    for lead, row in rows:
+        if row and lead is None:
+            lead = max(row)
+        while row and lead in echelon:
+            factor = row[lead]
+            for mono, c in echelon[lead].items():
+                total = row.get(mono, 0) - factor * c
+                if total:
+                    row[mono] = total
+                else:
+                    del row[mono]
+            if row:
+                lead = max(row)
+        if not row:
+            stats.zero_rows += 1
+            continue
+        factor = row[lead]
+        echelon[lead] = row if factor == 1 else {mono: c / factor for mono, c in row.items()}
+    return echelon
+
+
+def _back_substitute(echelon):
+    """Each pivot's tail, rewritten on the monomials that are not pivots.
+
+    Pivots are taken in ascending order, so the pivots in a tail are
+    already final when they are substituted.
+    """
+    tails: dict[Monomial, dict[Monomial, Fraction]] = {}
+    for lead in sorted(echelon):
+        tail: dict[Monomial, Fraction] = {}
+        for mono, c in echelon[lead].items():
+            if mono == lead:
+                continue
+            known = tails.get(mono)
+            if known is None:
+                tail[mono] = tail.get(mono, 0) + c
+            else:
+                for s, f in known.items():
+                    tail[s] = tail.get(s, 0) - c * f
+        tails[lead] = {s: c for s, c in tail.items() if c}
+    return tails
+
+
+def _one_per_group(under, standard_sets, degree, weights):
+    """One (i, m/x_i, tail) from each group of ``under``, joined where m/(x_i*x_j) is nonstandard.
+
+    Each group keeps its member with the shortest tail, so a bare monomial
+    row is preferred; members with bare rows give the same candidate m and
+    are joined without a lookup.
+    """
+    if len(under) == 1:
+        return under
+    under.sort(key=lambda item: len(item[2]))
+    group = list(range(len(under)))
+    for a in range(1, len(under)):
+        i, t, tail = under[a]
+        for b in range(a):
+            if group[b] == group[a]:
+                continue
+            j = under[b][0]
+            if tail or under[b][2]:
+                u = t[:j] + (t[j] - 1,) + t[j + 1 :]
+                if u in standard_sets[degree - weights[i] - weights[j]]:
+                    continue
+            keep, drop = sorted((group[a], group[b]))
+            group = [keep if g == drop else g for g in group]
+    return [member for a, member in enumerate(under) if group[a] == a]
 
 
 class DegreeFunctional:

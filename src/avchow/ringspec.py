@@ -117,6 +117,15 @@ class LoadedRing(NamedTuple):
         """Parse an expression over this ring, named classes included."""
         return parse_expression(text, self.ring.gens, self.named)
 
+    def parse_class(self, text: str) -> Polynomial:
+        """Parse an expression as a class of this ring, for input from outside.
+
+        On an Artinian ring, products and powers drop their monomials above
+        the socle degree as they are formed, so ``(x + y)^100000`` costs a
+        few products.  The class, and so every normal form, is unchanged.
+        """
+        return parse_expression(text, self.ring.gens, self.named, self.ring.socle_degree)
+
 
 class _Collector:
     """Accumulates (json_pointer, message) problems for one file."""

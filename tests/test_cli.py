@@ -341,6 +341,45 @@ class TestVerify:
         assert "[FAIL]" in out
 
 
+class TestLargeExpressions:
+    @pytest.mark.parametrize("expr", ["7^6000", "7^3000*7^3000"])
+    def test_unprintable_result_is_usage_error(self, capsys, expr):
+        # 5,071 decimal digits, past the 4,300 that Python converts to text.
+        code, out, err = run(capsys, "nf", "--ring", "a1_tilde", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "digits" in err
+
+    def test_unprintable_degree_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "degree", "--ring", "a1_tilde", "7^6000*lambda1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_huge_literal_power_is_refused(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "nf", "--ring", "a1_tilde", "7^1000000000000")
+        # Computing the power would exhaust memory; a hang guard, not a timing gate.
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "MAX_COEFFICIENT_BITS" in err
+
+    @pytest.mark.parametrize("exponent", ["3000", "100000"])
+    def test_power_above_socle_is_truncated(self, capsys, exponent):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "nf", "--ring", "a1_tilde", f"(lambda1+sigma1)^{exponent}")
+        # Expanding ^3000 in full was killed after 20 s; a hang guard, not a timing gate.
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert out.strip() == "0"
+
+    def test_truncated_power_keeps_low_degrees(self, capsys):
+        code, out, _ = run(capsys, "nf", "--ring", "a1_tilde", "(1+lambda1)^1000000000000")
+        assert code == 0
+        assert out.strip() == "250000000000/3*sigma1 + 1"
+
+
 class TestUsageErrors:
     def test_unknown_ring(self, capsys):
         code, _, err = run(capsys, "nf", "--ring", "nope", "x")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from avchow import GeneratorSet, ParseError, UnknownSymbolError, parse_expression
+from avchow import GeneratorSet, ParseError, SizeError, UnknownSymbolError, parse_expression
 from avchow.exprparse import MAX_NESTING
 
 from helpers import random_polynomial
@@ -127,3 +127,36 @@ class TestRoundTrip:
             gens = gens_pool[rng.randrange(len(gens_pool))]
             q = random_polynomial(rng, gens, max_degree=5, max_terms=5)
             assert parse_expression(str(q), gens) == q
+
+
+class TestBounds:
+    def test_products_and_powers_drop_monomials_above_max_degree(self):
+        assert parse_expression("(lambda1 + sigma1)^100000", GENS, max_degree=3).is_zero
+        assert parse_expression("(1 + lambda1)^10", GENS, max_degree=1) == p("1 + 10*lambda1")
+        assert parse_expression("(lambda1 + sigma2)*(lambda1 - 1)", GENS, max_degree=2) == p(
+            "lambda1^2 - lambda1 - sigma2"
+        )
+        assert parse_expression("(2*sigma2)^1000000000000", GENS, max_degree=5).is_zero
+
+    def test_max_degree_keeps_everything_up_to_it(self):
+        rng = random.Random(9)
+        for _ in range(30):
+            a, b = (random_polynomial(rng, GENS, max_degree=3) for _ in range(2))
+            text = f"({a})*({b})^2 + ({b})^3"
+            full = p(text)
+            kept = {m: c for m, c in full._terms.items() if GENS.weighted_degree(m) <= 4}
+            assert parse_expression(text, GENS, max_degree=4)._terms == kept, text
+
+    def test_huge_coefficients_are_refused(self):
+        for text in ("7^1000000000000", "(7*lambda1)^1000000000000"):
+            with pytest.raises(SizeError, match="MAX_COEFFICIENT_BITS"):
+                parse_expression(text, GENS)
+        with pytest.raises(SizeError, match="MAX_COEFFICIENT_BITS"):
+            parse_expression("(2 + lambda1)^1000000000000", GENS, max_degree=3)
+        with pytest.raises(SizeError, match="MAX_COEFFICIENT_BITS"):
+            p("*".join(["3^40000"] * 3))
+        assert p("(-1)^1000000000000") == p("1")
+
+    def test_unprintable_coefficient_raises_size_error(self):
+        with pytest.raises(SizeError, match="digits"):
+            str(p("7^6000*lambda1"))

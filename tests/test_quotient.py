@@ -117,6 +117,15 @@ class TestArtinianNormalForm:
         ring = QuotientRing(catalog.ring("a3_tilde").ring.presentation)
         gens = ring.gens
         below = [m for d in range(ring.socle_degree + 1) for m in gens.monomials_of_degree(d)]
+        # The table is filled when the ring is built: every monomial up to
+        # the socle degree whose normal form is not 0, and nothing else.
+        nonzero = set()
+        for mono in below:
+            reduced = ring.groebner.reduce(gens.monomial(mono))._terms
+            assert ring._nf_cache.get(mono, {}) == reduced, mono
+            if reduced:
+                nonzero.add(mono)
+        assert set(ring._nf_cache) == nonzero
         rng = random.Random(400)
         high = Polynomial(gens, {random_monomial(rng, gens, 400): rng.randint(1, 9) for _ in range(6)})
         assert high.weighted_degree() == 400
@@ -124,16 +133,17 @@ class TestArtinianNormalForm:
         assert ring.nf_dropped == len(high)
         low = Polynomial(gens, {m: 1 for m in below})
         assert ring.normal_form(low + high) == ring.groebner.reduce(low)
-        assert len(ring._nf_cache) <= len(below)
-        assert ring.nf_misses == len(ring._nf_cache)
+        assert len(ring._nf_cache) == len(nonzero)
 
     def test_repeated_normal_form_counts_hits(self):
         ring = make_ring()
+        assert len(ring._nf_cache) == 5  # 1, x, y, x^2 and y^2; x*y is 0
         p = q("x^2 + 3*x*y - y + x^3")
         first = ring.normal_form(p)
-        assert (ring.nf_hits, ring.nf_misses, ring.nf_dropped) == (0, 3, 1)
+        assert (ring.nf_hits, ring.nf_dropped) == (2, 2)
         assert ring.normal_form(p) == first
-        assert (ring.nf_hits, ring.nf_misses, ring.nf_dropped) == (3, 3, 2)
+        assert (ring.nf_hits, ring.nf_dropped) == (4, 4)
+        assert len(ring._nf_cache) == 5
 
     def test_non_artinian_ring_keeps_reduction(self):
         ring = QuotientRing(RingPresentation("axes", XY, [q("x*y")]))
@@ -145,7 +155,7 @@ class TestArtinianNormalForm:
         for _ in range(40):
             p = random_polynomial(rng, XY, max_degree=6, max_terms=4)
             assert ring.normal_form(p) == ring.groebner.reduce(p)
-        assert (ring.nf_hits, ring.nf_misses, ring.nf_dropped) == (0, 0, 0)
+        assert (ring.nf_hits, ring.nf_dropped) == (0, 0)
 
     def test_non_artinian_monomials_examined_are_capped(self, monkeypatch):
         monkeypatch.setattr("avchow.quotient.MAX_MONOMIALS_EXAMINED", 10)
