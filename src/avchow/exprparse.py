@@ -15,6 +15,13 @@ Identifiers resolve to generators first, then to an optional table of
 named classes whose polynomials are substituted in place.  Parentheses
 nest at most MAX_NESTING deep.  All errors carry a character position.
 
+The text is scanned once, by one compiled regular expression whose
+``findall`` returns the token texts; a table keyed by a token's first
+character gives its kind, and a character missing from the table is an
+error.  The parser reads the kinds and texts as two flat lists.  Character
+positions are computed only when an error is raised, by scanning the text
+again with ``finditer``.
+
 The parser evaluates as it goes, on term dicts (exponent vector to nonzero
 Fraction) rather than on polynomials.  Each term keeps one scalar and one
 exponent vector: literals and their powers multiply the scalar, generators
@@ -30,14 +37,17 @@ and powers drop every monomial above it as they are formed, so
 monomials lie in the ideal of such a ring, so its normal form is unchanged.
 Literal powers and the coefficients of products and powers are bounded by
 ``poly.MAX_COEFFICIENT_BITS``, so ``7^1000000000000`` raises SizeError
-instead of running out of memory.
+instead of running out of memory, and a single product by
+``poly.MAX_PRODUCT_PAIRS``, so ``(x + y)^3000`` raises SizeError where
+nothing truncates it.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import add
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .errors import ParseError
 from .poly import (
@@ -52,60 +62,63 @@ from .poly import (
 )
 
 
-class _Token(NamedTuple):
-    kind: str  # INT IDENT + - * ^ / ( ) END
-    text: str
-    position: int
+# One match per token: optional whitespace, then an integer, an identifier
+# or any other single character.  ``\s`` matches exactly the characters
+# ``str.isspace`` accepts.
+_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S)")
 
-
-_SINGLE = {"+", "-", "*", "^", "/", "(", ")"}
+# A token's kind by its first character; a character missing here is not
+# in the grammar.
+_KIND = {
+    **dict.fromkeys("0123456789", "INT"),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz", "IDENT"),
+    **{op: op for op in "+-*^/()"},
+}
 
 # Each open parenthesis costs a few frames of the recursive descent; the
 # bound keeps hostile input far from the interpreter's recursion limit.
 MAX_NESTING = 100
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            start = i
-            while i < n and "0" <= text[i] <= "9":
-                i += 1
-            tokens.append(_Token("INT", text[start:i], start))
-            continue
-        if ("a" <= ch <= "z") or ("A" <= ch <= "Z") or ch == "_":
-            start = i
-            while i < n and (text[i].isascii() and (text[i].isalnum() or text[i] == "_")):
-                i += 1
-            tokens.append(_Token("IDENT", text[start:i], start))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("END", "", n))
-    return tokens
+def _scan(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and the texts of the tokens of ``text``, each list ending with END.
+
+    Raises ParseError at the first character that starts no token.
+    """
+    words = _TOKEN.findall(text)
+    kinds = [_KIND.get(word[0]) for word in words]
+    if None in kinds:
+        index = kinds.index(None)
+        raise ParseError(f"unexpected character {words[index]!r}", _position(text, index))
+    kinds.append("END")
+    words.append("")
+    return kinds, words
+
+
+def _position(text: str, index: int) -> int:
+    """Character position of token ``index`` of ``text``; END sits at ``len(text)``."""
+    for i, match in enumerate(_TOKEN.finditer(text)):
+        if i == index:
+            return match.start(1)
+    return len(text)
 
 
 class _Parser:
-    """Evaluates while it parses; every value it returns is a new term dict."""
+    """Evaluates while it parses; every value it returns is a new term dict.
+
+    Tokens are two parallel lists, ``kinds`` and ``words``, read at
+    ``pos``; a token's character position is found only for an error.
+    """
 
     def __init__(
         self,
-        tokens: list[_Token],
+        text: str,
         gens: GeneratorSet,
         symbols: Mapping[str, Polynomial],
         max_degree: int | None,
     ):
-        self.tokens = tokens
+        self.text = text
+        self.kinds, self.words = _scan(text)
         self.pos = 0
         self.index = gens._index
         self.weights = gens.weights
@@ -114,67 +127,71 @@ class _Parser:
         self.max_degree = max_degree
         self.depth = 0
 
-    def expect(self, kind: str) -> _Token:
-        token = self.tokens[self.pos]
-        if token.kind != kind:
-            shown = token.text or "end of input"
-            raise ParseError(f"expected {kind!r}, found {shown!r}", token.position)
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """A ParseError at token ``at``, the current token by default."""
+        return ParseError(message, _position(self.text, self.pos if at is None else at))
+
+    def shown(self) -> str:
+        return self.words[self.pos] or "end of input"
+
+    def expect(self, kind: str) -> str:
+        if self.kinds[self.pos] != kind:
+            raise self.error(f"expected {kind!r}, found {self.shown()!r}")
         self.pos += 1
-        return token
+        return self.words[self.pos - 1]
 
     def parse(self) -> dict[Monomial, Fraction]:
         value = self.expr()
-        tail = self.tokens[self.pos]
-        if tail.kind != "END":
-            raise ParseError(f"unexpected trailing {tail.text!r}", tail.position)
+        if self.kinds[self.pos] != "END":
+            raise self.error(f"unexpected trailing {self.words[self.pos]!r}")
         return value
 
     def expr(self) -> dict[Monomial, Fraction]:
-        kind = self.tokens[self.pos].kind
+        kind = self.kinds[self.pos]
         if kind in ("+", "-"):
             self.pos += 1
         value = self.term(-1 if kind == "-" else 1)
-        kind = self.tokens[self.pos].kind
+        kind = self.kinds[self.pos]
         while kind in ("+", "-"):
             self.pos += 1
             add_terms(value, self.term(-1 if kind == "-" else 1))
-            kind = self.tokens[self.pos].kind
+            kind = self.kinds[self.pos]
         return value
 
     def term(self, sign: int) -> dict[Monomial, Fraction]:
         """One product: a scalar, an exponent vector and the factors that are sums."""
-        tokens = self.tokens
+        kinds = self.kinds
         scalar: int | Fraction = sign
         exponents = [0] * self.width
         sums: list[dict[Monomial, Fraction]] = []
         while True:
-            token = tokens[self.pos]
-            kind = token.kind
+            kind = kinds[self.pos]
             if kind == "INT":
                 value = self.rational()
-                if tokens[self.pos].kind == "^":
+                if kinds[self.pos] == "^":
                     self.pos += 1
                     scalar = check_size(scalar * rational_power(value, self.exponent()))
                 else:
                     scalar *= value
             elif kind == "IDENT":
+                name = self.words[self.pos]
                 self.pos += 1
-                slot = self.index.get(token.text)
+                slot = self.index.get(name)
                 if slot is not None:
-                    if tokens[self.pos].kind == "^":
+                    if kinds[self.pos] == "^":
                         self.pos += 1
                         exponents[slot] += self.exponent()
                     else:
                         exponents[slot] += 1
                 else:
-                    named = self.symbols.get(token.text)
+                    named = self.symbols.get(name)
                     if named is None:
-                        raise ParseError(f"unknown identifier {token.text!r}", token.position)
+                        raise self.error(f"unknown identifier {name!r}", self.pos - 1)
                     # A copy, because the term's value may be this very dict.
                     sums.append(self.power(dict(named._terms)))
             elif kind == "(":
                 if self.depth == MAX_NESTING:
-                    raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", token.position)
+                    raise self.error(f"parentheses nested deeper than {MAX_NESTING}")
                 self.pos += 1
                 self.depth += 1
                 inner = self.expr()
@@ -182,9 +199,8 @@ class _Parser:
                 self.expect(")")
                 sums.append(self.power(inner))
             else:
-                shown = token.text or "end of input"
-                raise ParseError(f"expected a value, found {shown!r}", token.position)
-            if tokens[self.pos].kind != "*":
+                raise self.error(f"expected a value, found {self.shown()!r}")
+            if kinds[self.pos] != "*":
                 break
             self.pos += 1
         product: dict[Monomial, Fraction] | None = None
@@ -209,13 +225,13 @@ class _Parser:
 
     def power(self, base: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
         """``base``, raised to the exponent that follows if a '^' follows."""
-        if self.tokens[self.pos].kind != "^":
+        if self.kinds[self.pos] != "^":
             return base
         self.pos += 1
         return pow_terms(base, self.exponent(), self.weights, self.max_degree)
 
     def exponent(self) -> int:
-        if self.tokens[self.pos].kind == "(":
+        if self.kinds[self.pos] == "(":
             self.pos += 1
             inner = self.signed_int()
             self.expect(")")
@@ -223,22 +239,21 @@ class _Parser:
         return self.signed_int()
 
     def signed_int(self) -> int:
-        token = self.tokens[self.pos]
-        if token.kind == "-":
-            raise ParseError("negative exponent", token.position)
-        if token.kind == "+":
+        kind = self.kinds[self.pos]
+        if kind == "-":
+            raise self.error("negative exponent")
+        if kind == "+":
             self.pos += 1
-        return int(self.expect("INT").text)
+        return int(self.expect("INT"))
 
     def rational(self) -> int | Fraction:
-        numerator = int(self.expect("INT").text)
-        if self.tokens[self.pos].kind != "/":
+        numerator = int(self.expect("INT"))
+        if self.kinds[self.pos] != "/":
             return numerator
         self.pos += 1
-        token = self.expect("INT")
-        denominator = int(token.text)
+        denominator = int(self.expect("INT"))
         if denominator == 0:
-            raise ParseError("zero denominator", token.position)
+            raise self.error("zero denominator", self.pos - 1)
         return Fraction(numerator, denominator)
 
 
@@ -260,4 +275,4 @@ def parse_expression(
     for name, value in resolved.items():
         if value.gens != gens:
             raise ParseError(f"named class {name!r} is over a different generator set", 0)
-    return Polynomial._raw(gens, _Parser(_tokenize(text), gens, resolved, max_degree).parse())
+    return Polynomial._raw(gens, _Parser(text, gens, resolved, max_degree).parse())

@@ -38,6 +38,13 @@ _RATIONAL_FORM = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 # digits; Python prints at most 4,300 digits of an int by default).
 MAX_COEFFICIENT_BITS = 100_000
 
+# A product of two term dicts forms one term for each pair of their terms
+# before anything cancels or is dropped.  ``truncated_product`` refuses,
+# with SizeError, a product of more pairs than this, so ``(x + y)^3000`` on
+# a ring that is not Artinian fails within a second instead of expanding
+# for minutes.  ``(x + y)^300`` forms at most 129 * 129 pairs.
+MAX_PRODUCT_PAIRS = 100_000
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse the textual form: optional sign, integer, optional '/' integer.
@@ -111,6 +118,8 @@ class GeneratorSet:
         return len(self.names)
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, GeneratorSet):
             return NotImplemented
         return self.names == other.names and self.weights == other.weights
@@ -129,7 +138,7 @@ class GeneratorSet:
             raise KeyError(f"unknown generator {name!r}") from None
 
     def weighted_degree(self, mono: Monomial) -> int:
-        return sum(e * w for e, w in zip(mono, self.weights))
+        return sum(map(mul, mono, self.weights))
 
     def sort_key(self, mono: Monomial) -> tuple[int, Monomial]:
         """Key realizing the monomial order: weighted degree, then lex."""
@@ -246,9 +255,16 @@ def truncated_product(
     """Product of two term dicts without its monomials above ``max_degree``.
 
     ``weights`` are the generators' weights; with ``max_degree`` None
-    nothing is dropped.  Raises SizeError when a coefficient of the result
-    has more than MAX_COEFFICIENT_BITS bits.
+    nothing is dropped.  Raises SizeError, before multiplying, when the
+    product would form more than MAX_PRODUCT_PAIRS pairs of terms, and
+    after, when a coefficient of the result has more than
+    MAX_COEFFICIENT_BITS bits.
     """
+    if len(a) * len(b) > MAX_PRODUCT_PAIRS:
+        raise SizeError(
+            f"a product of {len(a)} by {len(b)} terms would form more than "
+            f"MAX_PRODUCT_PAIRS = {MAX_PRODUCT_PAIRS} pairs"
+        )
     product = mul_terms(a, b)
     if max_degree is not None:
         product = {m: c for m, c in product.items() if sum(map(mul, m, weights)) <= max_degree}
@@ -270,7 +286,8 @@ def pow_terms(
     formed, so the cost does not grow with the exponent once the base's
     monomials are all above it.  A single term is raised by scaling its
     exponents and its coefficient; other bases by repeated squaring.
-    Raises SizeError when a coefficient would pass MAX_COEFFICIENT_BITS.
+    Raises SizeError when a coefficient would pass MAX_COEFFICIENT_BITS or a
+    product MAX_PRODUCT_PAIRS.
     """
     if exponent == 0:
         return {(0,) * len(weights): Fraction(1)}

@@ -95,3 +95,51 @@ def hilbert_series_oracle(weights, relations, max_degree):
     return [
         graded_dimension(weights, relations, d) for d in range(max_degree + 1)
     ]
+
+
+class ScanError(Exception):
+    """A character outside the expression grammar, at a position."""
+
+    def __init__(self, message, position):
+        super().__init__(message, position)
+        self.message = message
+        self.position = position
+
+
+_OPERATORS = {"+", "-", "*", "^", "/", "(", ")"}
+
+
+def scan_expression(text):
+    """Tokens of an expression as (kind, text, position) triples, ending with END.
+
+    A character-by-character reference for the expression scanner: kinds
+    are INT, IDENT, an operator itself or END.  Raises ScanError at the
+    first character that starts no token.
+    """
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _OPERATORS:
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if "0" <= ch <= "9":
+            start = i
+            while i < n and "0" <= text[i] <= "9":
+                i += 1
+            tokens.append(("INT", text[start:i], start))
+            continue
+        if ("a" <= ch <= "z") or ("A" <= ch <= "Z") or ch == "_":
+            start = i
+            while i < n and (text[i].isascii() and (text[i].isalnum() or text[i] == "_")):
+                i += 1
+            tokens.append(("IDENT", text[start:i], start))
+            continue
+        raise ScanError(f"unexpected character {ch!r}", i)
+    tokens.append(("END", "", n))
+    return tokens

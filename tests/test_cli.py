@@ -379,6 +379,35 @@ class TestLargeExpressions:
         assert code == 0
         assert out.strip() == "250000000000/3*sigma1 + 1"
 
+    def test_power_on_non_artinian_ring_is_bounded(self, capsys, tmp_path):
+        path = tmp_path / "xy.json"
+        data = {
+            "name": "xy",
+            "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}],
+            "relations": ["x*y"],
+        }
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "nf", "--ring", str(path), "(x+y)^300")
+        assert code == 0
+        assert out.strip() == "x^300 + y^300"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "nf", "--ring", str(path), "(x+y)^3000")
+        # The full expansion was killed after 15 s; a hang guard, not a timing gate.
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "MAX_PRODUCT_PAIRS" in err
+
+    def test_torelli_power_of_a_sum_is_bounded(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "push", "--map", "torelli", "(xi0+xi1)^3000")
+        # The symbol ring expanded the power in full and was killed after 15 s;
+        # a hang guard, not a timing gate.
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "MAX_PRODUCT_PAIRS" in err
+
 
 class TestUsageErrors:
     def test_unknown_ring(self, capsys):

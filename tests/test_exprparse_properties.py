@@ -3,9 +3,11 @@
 The differential test draws expression trees over a catalog ring's
 generators and named classes, renders them to text, and compares
 ``parse_expression`` with the value of the same tree built from
-``Polynomial`` arithmetic, and with the tree evaluated at a rational point.
-The fuzz test feeds hostile text and allows only a polynomial or a
-``ParseError`` back.
+``Polynomial`` arithmetic, with the tree evaluated at a rational point, and
+with the same text parsed with the socle truncation.  The fuzz test feeds
+hostile text and allows only a polynomial or a ``ParseError`` back.  The
+scanner test compares the parser's tokens, and its answers and error
+positions on arbitrary text, with a character-by-character reference.
 """
 
 import re
@@ -15,8 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avchow import ParseError, Polynomial, parse_expression
+from avchow import AvchowError, GeneratorSet, ParseError, Polynomial, parse_expression
 from avchow.catalog import RING_NAMES
+from avchow.exprparse import _position, _scan
+
+from oracles import ScanError, scan_expression
 
 # Expression trees are tuples: ("lit", Fraction), ("gen", name), ("named", name),
 # ("neg", tree), ("+" | "-" | "*", left, right) and ("^", tree, exponent).
@@ -143,6 +148,8 @@ def test_parse_equals_polynomial_arithmetic(catalog, ring_name, data):
     assert_canonical(parsed)
     point = {name: Fraction(2 * i + 1, i + 2) for i, name in enumerate(names)}
     assert evaluate_polynomial(parsed, point) == evaluate(tree, point, loaded), text
+    ring = loaded.ring
+    assert ring.normal_form(loaded.parse_class(text)) == ring.normal_form(parsed), text
 
 
 @pytest.mark.parametrize(
@@ -170,9 +177,9 @@ def test_edge_cases(catalog, text, expected):
 # Hostile text: the grammar's alphabet, whole identifiers of a3_tilde, some
 # non-ASCII characters (a space, letters and digits that are not ASCII) and
 # digits.  Exponents stay small: the text keeps at most two '^' and each
-# exponent literal is below 4.  The evaluator expands (a + b)^N in full
-# before any normal form, so a large N hangs; bounding that is left to
-# evaluation inside the quotient ring.
+# exponent literal is below 4.  Without a max_degree the evaluator expands
+# (a + b)^N in full, so a large N runs until ``poly.MAX_PRODUCT_PAIRS``
+# refuses it with SizeError, which is not what this test checks.
 HOSTILE_PIECES = [
     *"+-*^/() 0123456789_",
     "lambda1", "sigma1", "lambda3", "A111", "B3", "nosuch", "x9",
@@ -201,3 +208,53 @@ def test_hostile_text_parses_or_raises_parse_error(catalog, text):
         return
     assert isinstance(parsed, Polynomial)
     assert_canonical(parsed)
+
+
+# Arbitrary text for the scanner: the grammar's operators, ASCII letters and
+# digits, and characters on each side of the scanner's edges: a space, a
+# non-ASCII space (the file separator, which ``str.isspace`` accepts), a
+# non-ASCII digit, a non-ASCII letter and a superscript.
+SCANNER_ALPHABET = "+-*^/()" + "abxyz_AB" + "0123456789" + " \x1c٣é²"
+SCANNER_GENS = GeneratorSet([("x", 1), ("y", 1), ("z", 2)])
+
+
+def message(err):
+    """A ParseError's message without the position it appends."""
+    return str(err).removesuffix(f" (at position {err.position})")
+
+
+def outcome(text):
+    """What parsing ``text`` gives: ("value", polynomial) or (error type, message, position)."""
+    try:
+        return ("value", parse_expression(text, SCANNER_GENS, max_degree=4))
+    except ParseError as err:
+        return (ParseError, message(err), err.position)
+    except AvchowError as err:
+        return (type(err), str(err), None)
+
+
+@settings(max_examples=400, deadline=1000)
+@given(st.text(SCANNER_ALPHABET, max_size=40))
+def test_scanner_matches_character_reference(text):
+    try:
+        reference = scan_expression(text)
+    except ScanError as err:
+        with pytest.raises(ParseError) as info:
+            _scan(text)
+        assert (message(info.value), info.value.position) == (err.message, err.position)
+        assert outcome(text) == (ParseError, err.message, err.position)
+        return
+    kinds, words = _scan(text)
+    assert kinds == [kind for kind, _, _ in reference]
+    assert words == [word for _, word, _ in reference]
+    assert [_position(text, i) for i in range(len(reference))] == [at for _, _, at in reference]
+    # The same tokens one space apart: the same answer, or the same error at
+    # the same token.
+    spaced = " ".join(words[:-1])
+    starts = [at for _, _, at in scan_expression(spaced)]
+    found, again = outcome(text), outcome(spaced)
+    if found[0] is ParseError:
+        token = [at for _, _, at in reference].index(found[2])
+        assert again == (ParseError, found[1], starts[token]), (text, spaced)
+    else:
+        assert again == found, (text, spaced)
