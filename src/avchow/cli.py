@@ -26,6 +26,11 @@ MAP_NAMES = ("x2_tilde", "torelli")
 # Zeros above the socle degree that ``hilbert`` writes at once.
 HILBERT_ZERO_CHUNK = 4096
 
+# The largest ``hilbert --max`` accepted.  Every degree up to it is written,
+# two bytes each above the socle degree, so a 20-digit argument would stream
+# zeros for practically ever; this one writes at most about 20 MB.
+MAX_HILBERT_DEGREE = 10_000_000
+
 
 class UsageError(AvchowError):
     """Bad command line input (unknown ring, malformed value, ...)."""
@@ -182,6 +187,8 @@ def _cmd_hilbert(args, catalog: Catalog) -> int:
     loaded = _resolve_ring(args.ring, catalog)
     ring = loaded.ring
     if args.max is not None:
+        if args.max > MAX_HILBERT_DEGREE:
+            raise UsageError(f"--max {args.max} is above MAX_HILBERT_DEGREE = {MAX_HILBERT_DEGREE}")
         top = args.max
     elif loaded.expected_hilbert is not None:
         top = len(loaded.expected_hilbert) - 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Union
 
 from .errors import DegreeError, GeneratorMismatchError, SizeError, SubstitutionError
 
@@ -146,15 +146,18 @@ class GeneratorSet:
 
     def monomials_of_degree(self, degree: int) -> list[Monomial]:
         """All exponent vectors of the given weighted degree, descending."""
-        return list(self.iter_monomials_of_degree(degree))
+        return [mono for mono in self.iter_tried_of_degree(degree) if mono is not None]
 
-    def iter_monomials_of_degree(self, degree: int) -> Iterator[Monomial]:
-        """Yield the exponent vectors of the given weighted degree, descending.
+    def iter_tried_of_degree(self, degree: int) -> Iterator[Monomial | None]:
+        """Yield the exponent vectors of the given weighted degree, descending, and None for each dead end.
 
         Each exponent but the last runs from its largest value down and the
         last one is solved for, so the vectors come out in lex order, which
         is the monomial order within one degree, and the search does not
-        loop over the last exponent.
+        loop over the last exponent.  When the last exponent has no
+        solution the try yields None, so the items count the work, which
+        the vectors alone do not: with weights 1 and 10^30, degree 10^30
+        has two vectors and 10^30 - 1 dead ends.
         """
         weights = self.weights
         if degree < 0:
@@ -166,12 +169,14 @@ class GeneratorSet:
         last = len(weights) - 1
         prefix = [0] * len(weights)
 
-        def fill(slot: int, remaining: int) -> Iterator[Monomial]:
+        def fill(slot: int, remaining: int) -> Iterator[Monomial | None]:
             weight = weights[slot]
             if slot == last:
                 if remaining % weight == 0:
                     prefix[slot] = remaining // weight
                     yield tuple(prefix)
+                else:
+                    yield None
                 return
             for e in range(remaining // weight, -1, -1):
                 prefix[slot] = e
@@ -244,6 +249,34 @@ def mul_terms(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]) ->
                 else:
                     del product[mono]
     return product
+
+
+def apply_linear(
+    terms: Iterable[tuple[Hashable, Fraction]], images: Mapping[Hashable, Mapping[Monomial, Fraction]]
+) -> dict[Monomial, Fraction]:
+    """Sum of coefficient * ``images[key]`` over the (key, coefficient) pairs, as a new term dict.
+
+    A linear map given by the images of its basis elements: the normal
+    form on an Artinian ring (keys are monomials, images their normal
+    forms) and both pushforwards use it.  A key without an image maps to
+    0, and entries that cancel are deleted.  Coefficients must be nonzero.
+    """
+    result: dict[Monomial, Fraction] = {}
+    for key, coeff in terms:
+        image = images.get(key)
+        if image is None:
+            continue
+        for target, factor in image.items():
+            present = result.get(target)
+            if present is None:
+                result[target] = coeff * factor
+            else:
+                total = present + coeff * factor
+                if total:
+                    result[target] = total
+                else:
+                    del result[target]
+    return result
 
 
 def truncated_product(

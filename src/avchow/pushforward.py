@@ -7,6 +7,14 @@ that shape through the Groebner staircase, and fiber integration reads off
 the s-component.  The Torelli-style maps are pure tables: linear data
 assigning each formal source symbol an image polynomial, extended by
 linearity only, never multiplicatively.
+
+Both are linear maps given per basis element and summed by
+``poly.apply_linear``.  The Torelli table stores the image of each symbol.
+A RelativeRing over an Artinian combined ring pushes each monomial of the
+combined normal-form table the first time it is met, by decomposing it
+and applying the rule, and keeps the base image; a monomial outside the
+table has normal form 0 and pushes to 0, so the kept images never outnumber
+the table's entries.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .errors import DegreeError, GeneratorMismatchError, UnknownSymbolError
-from .poly import GeneratorSet, Polynomial
+from .poly import GeneratorSet, Monomial, Polynomial, apply_linear, format_rational
 from .quotient import DegreeFunctional, QuotientRing
 
 
@@ -85,6 +93,11 @@ class RelativeRing:
                     "combined staircase does not reduce the fiber generators; "
                     "module basis {1, t, s} is not free over this presentation"
                 )
+        self.default_rule = PushforwardRule.fiber_integration(base.gens)
+        # Pushed base images of combined monomials, filled on first use and
+        # kept for one rule at a time (the catalog always passes the same one).
+        self._pushed_rule: PushforwardRule | None = None
+        self._pushed: dict[Monomial, dict[Monomial, Fraction]] = {}
 
     def _fiber_squares(self):
         width = len(self.combined.gens)
@@ -128,10 +141,29 @@ class RelativeRing:
 
         The result is the base normal form; reduction order cannot matter
         because normal forms against a Groebner basis are unique, which the
-        tests exercise with randomized reduction paths.
+        tests exercise with randomized reduction paths.  The map is linear,
+        so on an Artinian combined ring each monomial with an entry in the
+        combined normal-form table is pushed once and its image reused; a
+        monomial without an entry has normal form 0 and pushes to 0.
         """
         if rule is None:
-            rule = PushforwardRule.fiber_integration(self.base.gens)
+            rule = self.default_rule
+        combined = self.combined
+        if combined.socle_degree is None:
+            return self._push_class(p, rule)
+        if p.gens != combined.gens:
+            raise GeneratorMismatchError("element belongs to a different ring")
+        if rule is not self._pushed_rule:
+            self._pushed_rule, self._pushed = rule, {}
+        pushed = self._pushed
+        table = combined._nf_cache
+        for mono in p._terms:
+            if mono not in pushed and mono in table:
+                pushed[mono] = self._push_class(combined.gens.monomial(mono), rule)._terms
+        return Polynomial._raw(self.base.gens, apply_linear(p._terms.items(), pushed))
+
+    def _push_class(self, p: Polynomial, rule: PushforwardRule) -> Polynomial:
+        """The rule applied to the decomposition of p, as a base normal form."""
         parts = self.decompose(p)
         image = (
             parts["1"] * rule.one_image
@@ -152,7 +184,7 @@ class RelativeRing:
         base top degree plus the rule's codimension shift.
         """
         if rule is None:
-            rule = PushforwardRule.fiber_integration(self.base.gens)
+            rule = self.default_rule
         if functional.ring is not self.base and functional.ring.gens != self.base.gens:
             raise GeneratorMismatchError("functional does not live on the base ring")
         if not p.is_zero:
@@ -201,6 +233,7 @@ class TabulatedPushforward:
         self.symbols = symbols
         self.target = target
         self.images = dict(images)
+        self._image_terms = {name: image._terms for name, image in self.images.items()}
         self.stack_degree = stack_degree
 
     def image(self, symbol: str) -> Polynomial:
@@ -214,8 +247,13 @@ class TabulatedPushforward:
             if combo.gens != self.symbols:
                 raise GeneratorMismatchError("combination is not over the symbol set")
             pairs = []
-            for mono, coeff in combo.terms():
+            for mono, coeff in combo._terms.items():
                 if sum(mono) != 1:
+                    if not any(mono):
+                        raise DegreeError(
+                            f"combination must be linear in the symbols; "
+                            f"its constant term {format_rational(coeff)} is not tabulated"
+                        )
                     raise DegreeError(
                         "combination must be linear in the symbols; products are not tabulated"
                     )
@@ -232,8 +270,6 @@ class TabulatedPushforward:
         can check it coefficient by coefficient as well as as a class.
         """
         pairs = self._as_pairs(combo)
-        if not pairs:
-            return self.target.zero()
         degrees = set()
         for _, name in pairs:
             if name not in self.symbols.names:
@@ -241,7 +277,5 @@ class TabulatedPushforward:
             degrees.add(self.symbols.weights[self.symbols.index(name)])
         if len(degrees) > 1:
             raise DegreeError(f"mixed symbol codimensions {sorted(degrees)} in one combination")
-        result = self.target.zero()
-        for coeff, name in pairs:
-            result = result + coeff * self.images[name]
-        return result
+        terms = apply_linear(((name, coeff) for coeff, name in pairs if coeff), self._image_terms)
+        return Polynomial._raw(self.target.gens, terms)

@@ -21,9 +21,12 @@ MAX_SWEEP_MONOMIALS or MAX_STANDARD_MONOMIALS first.
 Every catalog ring is Artinian: only finitely many monomials are standard
 and every graded piece above the socle degree is zero.  On such a ring the
 normal form is a linear map over the table of monomial normal forms the
-sweep filled up to the socle degree; a monomial with no entry (above the
-socle degree, or with normal form 0) maps to 0.  Other rings reduce
-against the basis.
+sweep filled up to the socle degree (``poly.apply_linear``); a monomial
+with no entry (above the socle degree, or with normal form 0) maps to 0.
+The degree functional is read from the same table: at construction it
+gives each monomial whose normal form reaches the top monomial its value,
+and a degree is then the dot product of a class's coefficients with those
+values, with no normal form built.  Other rings reduce against the basis.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .errors import DegreeError, GeneratorMismatchError, InconsistentSystemError, PairingError, SingularSystemError
 from .groebner import GroebnerBasis, buchberger, monomial_lcm
 from .linalg import solve_exact
-from .poly import GeneratorSet, Monomial, Polynomial, expand_chern_identity
+from .poly import GeneratorSet, Monomial, Polynomial, apply_linear, expand_chern_identity
 
 # The degree sweep lists the standard monomials of every degree it passes,
 # so this bounds the work a short presentation such as ``x^100000000`` can
@@ -45,9 +48,10 @@ MAX_STANDARD_MONOMIALS = 10_000
 
 # A ring that is not Artinian lists each degree's standard monomials on
 # demand by examining every monomial of that degree; this bounds the
-# monomials examined over all degrees of one ring, so ``hilbert --max N``
-# on two degree-1 generators stops at degree 446 instead of running for
-# minutes.
+# exponent vectors tried, monomials and dead ends, over all degrees of one
+# ring, so ``hilbert --max N`` on two degree-1 generators stops at degree
+# 446 instead of running for minutes, and a degree with few monomials but
+# many dead ends (weights 1 and 10^30, degree 10^30) is refused at once.
 MAX_MONOMIALS_EXAMINED = 100_000
 
 # The degree sweep that builds a ring looks at the monomials of each degree
@@ -55,6 +59,12 @@ MAX_MONOMIALS_EXAMINED = 100_000
 # whether the ring is Artinian; past this many it hands the presentation
 # to Buchberger's algorithm.  The catalog rings look at most at 204.
 MAX_SWEEP_MONOMIALS = 100_000
+
+# The sweep also passes every degree in between, even one where it looks at
+# no monomial; past this many degrees it hands the presentation to
+# Buchberger's algorithm, so a generator of weight 10^9 with its square a
+# relation is decided at once instead of after hours of empty degrees.
+MAX_SWEEP_DEGREES = 20_000
 
 
 class RingPresentation:
@@ -154,22 +164,10 @@ class QuotientRing:
         if self.socle_degree is None:
             return self.groebner.reduce(p)
         table = self._nf_cache
-        hits = 0
-        terms: dict[Monomial, Fraction] = {}
-        for mono, coeff in p._terms.items():
-            image = table.get(mono)
-            if image is None:
-                continue
-            hits += 1
-            for target, factor in image.items():
-                total = terms.get(target, 0) + coeff * factor
-                if total:
-                    terms[target] = total
-                else:
-                    del terms[target]
+        hits = len(table.keys() & p._terms.keys())
         self.nf_hits += hits
         self.nf_dropped += len(p._terms) - hits
-        return Polynomial._raw(self.gens, terms)
+        return Polynomial._raw(self.gens, apply_linear(p._terms.items(), table))
 
     def classes_equal(self, p: Polynomial, q: Polynomial) -> bool:
         """Exact equality in the quotient: p - q lies in the ideal."""
@@ -195,15 +193,15 @@ class QuotientRing:
             if self.socle_degree is not None:
                 return ()
             budget = MAX_MONOMIALS_EXAMINED - self._examined
-            monomials = list(islice(self.gens.iter_monomials_of_degree(degree), budget + 1))
-            if len(monomials) > budget:
+            tried = list(islice(self.gens.iter_tried_of_degree(degree), budget + 1))
+            if len(tried) > budget:
                 raise DegreeError(
                     f"{self.name} is not Artinian, and listing its degree-{degree} standard "
                     f"monomials would take the monomials examined past "
                     f"MAX_MONOMIALS_EXAMINED = {MAX_MONOMIALS_EXAMINED}"
                 )
-            self._examined += len(monomials)
-            cached = tuple(m for m in monomials if self.groebner.is_standard(m))
+            self._examined += len(tried)
+            cached = tuple(m for m in tried if m is not None and self.groebner.is_standard(m))
             self._standard[degree] = cached
         return cached
 
@@ -266,7 +264,8 @@ def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _S
     (Buchberger's criterion), so the basis is complete, and only the basis
     is returned.  The sweep raises _SweepGaveUp once it has looked at more
     than MAX_SWEEP_MONOMIALS monomials or found more than
-    MAX_STANDARD_MONOMIALS standard ones.
+    MAX_STANDARD_MONOMIALS standard ones, or passed MAX_SWEEP_DEGREES
+    degrees.
     """
     weights = gens.weights
     window = max(weights, default=1)
@@ -352,6 +351,11 @@ def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _S
             if degree >= lcm_top and not _has_pure_powers((lead for lead, _ in elements), len(weights)):
                 break
         degree += 1
+        if degree > MAX_SWEEP_DEGREES:
+            raise _SweepGaveUp(
+                f"{name}: the degree sweep passed MAX_SWEEP_DEGREES = {MAX_SWEEP_DEGREES} degrees "
+                f"before it decided whether the ring is Artinian"
+            )
 
     elements.sort(key=lambda item: gens.sort_key(item[0]), reverse=True)
     basis = GroebnerBasis(gens, [element for _, element in elements], relations, stats)
@@ -475,7 +479,10 @@ class DegreeFunctional:
     """Linear functional on the rank-one top graded piece of a ring.
 
     Normalized by one reference element and its exact value; every other
-    degree-D class gets its value by exact proportionality.
+    degree-D class gets its value by exact proportionality.  On an
+    Artinian ring the value of every monomial with a nonzero normal form
+    is tabulated at construction, so a degree is a dot product of the
+    coefficients with that table; other rings take the normal form first.
     """
 
     def __init__(self, ring: QuotientRing, reference_element: Polynomial, reference_value: Fraction):
@@ -500,6 +507,14 @@ class DegreeFunctional:
         if nf.is_zero:
             raise DegreeError("reference element vanishes in the quotient")
         self._reference_coefficient = nf.coefficient(self._top_monomial)
+        self._values: dict[Monomial, Fraction] | None = None
+        if ring.artinian:
+            top = self._top_monomial
+            self._values = {
+                mono: image[top] / self._reference_coefficient * self.reference_value
+                for mono, image in ring._nf_cache.items()
+                if top in image
+            }
 
     def degree(self, p: Polynomial) -> Fraction:
         """Exact value of the functional on a degree-D class.
@@ -514,11 +529,16 @@ class DegreeFunctional:
         d = p.weighted_degree()
         if d != self.top_degree:
             raise DegreeError(f"expected degree {self.top_degree}, got {d}")
-        nf = self.ring.normal_form(p)
-        if nf.is_zero:
-            return Fraction(0)
-        coefficient = nf.coefficient(self._top_monomial)
-        return coefficient / self._reference_coefficient * self.reference_value
+        values = self._values
+        if values is None:
+            coefficient = self.ring.normal_form(p).coefficient(self._top_monomial)
+            return coefficient / self._reference_coefficient * self.reference_value
+        total = Fraction(0)
+        for mono, coeff in p._terms.items():
+            value = values.get(mono)
+            if value is not None:
+                total += coeff * value
+        return total
 
     __call__ = degree
 

@@ -5,6 +5,12 @@ Groebner machinery and linear algebra: it enumerates monomials by brute
 force and row-reduces the degree-d slice of the relation ideal with its
 own Gaussian elimination.  Agreement with the staircase count is then a
 meaningful check rather than the same computation twice.
+
+The three pushforward and degree references at the end keep the formulas
+the package used before degrees and pushforwards became per-monomial
+tables: each takes a whole normal form (or adds whole polynomials) per
+call, so they share only ``normal_form`` and ``decompose`` with the code
+they check.
 """
 
 from __future__ import annotations
@@ -143,3 +149,26 @@ def scan_expression(text):
         raise ScanError(f"unexpected character {ch!r}", i)
     tokens.append(("END", "", n))
     return tokens
+
+
+def degree_by_normal_form(functional, p):
+    """Degree of p as the top coefficient of its normal form, scaled by the reference."""
+    ring = functional.ring
+    (top,) = ring.standard_monomials(functional.top_degree)
+    reference = ring.normal_form(functional.reference_element).coefficient(top)
+    return ring.normal_form(p).coefficient(top) / reference * functional.reference_value
+
+
+def pushforward_by_decomposition(relative, p, rule):
+    """Fiber integral of p: decompose it over {1, t, s}, apply the rule, take the base normal form."""
+    parts = relative.decompose(p)
+    image = parts["1"] * rule.one_image + parts["t"] * rule.t_image + parts["s"] * rule.s_image
+    return relative.base.normal_form(image)
+
+
+def push_combination_by_polynomials(push, pairs):
+    """Sum of coefficient * image over (coefficient, symbol) pairs, as Polynomials."""
+    result = push.target.zero()
+    for coeff, name in pairs:
+        result = result + coeff * push.images[name]
+    return result

@@ -93,6 +93,15 @@ class TestBasicCommands:
         assert (writer.size, writer.digest.digest()) == (len(expected), hashlib.sha256(expected).digest())
         assert peak < 2_000_000
 
+    def test_hilbert_max_above_cap_is_usage_error(self, capsys):
+        # A 20-digit --max streamed zeros for practically ever (64 MB in 10 s).
+        for top in ("99999999999999999999", str(cli.MAX_HILBERT_DEGREE + 1)):
+            code, out, err = run(capsys, "hilbert", "--ring", "a1_tilde", "--max", top)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "MAX_HILBERT_DEGREE" in err
+        assert cli.MAX_HILBERT_DEGREE > 2_000_000  # the streaming test above stays accepted
+
     def test_pairing_default_bases(self, capsys):
         code, out, _ = run(capsys, "pairing", "--ring", "a1_tilde", "--deg", "0")
         assert code == 0
@@ -157,6 +166,17 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "push", "--map", "torelli", "xi0 + 2*xi1")
         assert code == 0
         assert out.strip() == "18*lambda1*sigma1 - 2*sigma1^2"
+
+    def test_push_torelli_names_a_constant_term(self, capsys):
+        for text, constant in (("1", "1"), ("2 + delta0", "2"), ("delta0 - 1/3", "-1/3")):
+            code, out, err = run(capsys, "push", "--map", "torelli", text)
+            assert code == 2
+            assert out == ""
+            assert f"constant term {constant} is not tabulated" in err
+            assert "products" not in err
+        code, _, err = run(capsys, "push", "--map", "torelli", "delta0*delta1")
+        assert code == 2
+        assert "products are not tabulated" in err
 
 
 class TestFileRings:

@@ -166,6 +166,15 @@ class TestArtinianNormalForm:
         with pytest.raises(DegreeError, match="MAX_MONOMIALS_EXAMINED = 10"):
             ring.standard_monomials(4)
 
+    def test_dead_ends_count_as_examined(self):
+        # Degree 10^30 has the two monomials x^(10^30) and y, and the walk
+        # between them tried every exponent of x without end.
+        heavy = GeneratorSet([("x", 1), ("y", 10**30)])
+        ring = QuotientRing(RingPresentation("heavy", heavy, []))
+        with pytest.raises(DegreeError, match="MAX_MONOMIALS_EXAMINED = 100000"):
+            ring.standard_monomials(10**30)
+        assert ring.hilbert_function(3) == [1, 1, 1, 1]
+
     def test_standard_monomial_walk_is_capped(self, monkeypatch):
         monkeypatch.setattr("avchow.quotient.MAX_STANDARD_MONOMIALS", 5)
         X = GeneratorSet([("x", 1)])
@@ -173,6 +182,19 @@ class TestArtinianNormalForm:
         assert at_cap.hilbert_function(4) == [1, 1, 1, 1, 1]
         with pytest.raises(DegreeError, match="more than MAX_STANDARD_MONOMIALS = 5"):
             QuotientRing(RingPresentation("over-cap", X, [X.gen("x") ** 6]))
+
+    def test_degrees_swept_are_capped(self):
+        # With x of weight 10^9 and x^2 a relation, the sweep passed the
+        # empty degrees below 2*10^9 one at a time, for hours.
+        heavy = GeneratorSet([("x", 10**9), ("y", 1)])
+        with pytest.raises(DegreeError, match="MAX_SWEEP_DEGREES = 20000"):
+            QuotientRing(RingPresentation("heavy-square", heavy, [heavy.gen("x") ** 2, heavy.gen("y")]))
+        # Past the cap, a ring that is not Artinian still gets its basis.
+        axes = QuotientRing(RingPresentation("heavy-axes", heavy, [heavy.gen("x") * heavy.gen("y")]))
+        assert not axes.artinian
+        assert axes.hilbert_function(3) == [1, 1, 1, 1]
+        light = GeneratorSet([("x", 10_000)])
+        assert QuotientRing(RingPresentation("light", light, [light.gen("x") ** 2])).socle_degree == 10_000
 
     def test_zero_ring(self):
         ring = QuotientRing(RingPresentation("zero", XY, [XY.one()]))
