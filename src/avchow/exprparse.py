@@ -23,13 +23,25 @@ positions are computed only when an error is raised, by scanning the text
 again with ``finditer``.
 
 The parser evaluates as it goes, on term dicts (exponent vector to nonzero
-Fraction) rather than on polynomials.  Each term keeps one scalar and one
-exponent vector: literals and their powers multiply the scalar, generators
-and their powers add to the exponents, and a parenthesized expression or
-named class of a single term folds into both.  Only factors with several
-terms are multiplied, once the term ends, with ``poly.truncated_product``;
-powers of them go through ``poly.pow_terms``.  Terms are summed in place
-and the result becomes a ``Polynomial`` once, at the end.
+coefficient) rather than on polynomials.  Each term keeps one scalar and
+one exponent vector: literals and their powers multiply the scalar,
+generators and their powers add to the exponents, and a parenthesized
+expression or named class of a single term folds into both.  Only factors
+with several terms are multiplied, once the term ends, with
+``poly.truncated_product``; powers of them go through ``poly.pow_terms``.
+Scalars are Python ints, unless a literal ``p/q`` or a named class makes
+one a Fraction, and a term is stored with its scalar as it is, so integer
+arithmetic builds no Fraction.  Terms are summed in place, and the result
+becomes a ``Polynomial`` once, at the end, where every coefficient that is
+still an int becomes a Fraction in one pass.
+
+A named class is checked to lie over the parser's generators where it is
+substituted, so a class over other generators raises ParseError at its
+identifier, and only when the text uses it.  The scanner refuses an
+integer token of more than MAX_LITERAL_DIGITS digits with ParseError, so a
+literal or an exponent too long for ``int()`` (which refuses more than
+4,300 digits by default from Python 3.11 and 3.10.7 on) fails alike on
+every Python version.
 
 With ``max_degree`` (an Artinian ring passes its socle degree), products
 and powers drop every monomial above it as they are formed, so
@@ -54,6 +66,7 @@ from .poly import (
     GeneratorSet,
     Monomial,
     Polynomial,
+    Scalar,
     add_terms,
     check_size,
     pow_terms,
@@ -79,17 +92,31 @@ _KIND = {
 # bound keeps hostile input far from the interpreter's recursion limit.
 MAX_NESTING = 100
 
+# Integer literals and exponents are refused past this many digits, the
+# most ``int()`` converts from text by default on Pythons that have the
+# limit (``sys.get_int_max_str_digits``).  Such a literal has about 14,300
+# bits, well inside MAX_COEFFICIENT_BITS.
+MAX_LITERAL_DIGITS = 4_300
+
 
 def _scan(text: str) -> tuple[list[str], list[str]]:
     """The kinds and the texts of the tokens of ``text``, each list ending with END.
 
-    Raises ParseError at the first character that starts no token.
+    Raises ParseError at the first character that starts no token, or at
+    the first integer of more than MAX_LITERAL_DIGITS digits.
     """
     words = _TOKEN.findall(text)
     kinds = [_KIND.get(word[0]) for word in words]
     if None in kinds:
         index = kinds.index(None)
         raise ParseError(f"unexpected character {words[index]!r}", _position(text, index))
+    if len(text) > MAX_LITERAL_DIGITS:
+        for index, (kind, word) in enumerate(zip(kinds, words)):
+            if kind == "INT" and len(word) > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer of {len(word)} digits, more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}",
+                    _position(text, index),
+                )
     kinds.append("END")
     words.append("")
     return kinds, words
@@ -120,6 +147,7 @@ class _Parser:
         self.text = text
         self.kinds, self.words = _scan(text)
         self.pos = 0
+        self.gens = gens
         self.index = gens._index
         self.weights = gens.weights
         self.width = len(gens)
@@ -140,13 +168,13 @@ class _Parser:
         self.pos += 1
         return self.words[self.pos - 1]
 
-    def parse(self) -> dict[Monomial, Fraction]:
+    def parse(self) -> dict[Monomial, Scalar]:
         value = self.expr()
         if self.kinds[self.pos] != "END":
             raise self.error(f"unexpected trailing {self.words[self.pos]!r}")
         return value
 
-    def expr(self) -> dict[Monomial, Fraction]:
+    def expr(self) -> dict[Monomial, Scalar]:
         kind = self.kinds[self.pos]
         if kind in ("+", "-"):
             self.pos += 1
@@ -158,12 +186,12 @@ class _Parser:
             kind = self.kinds[self.pos]
         return value
 
-    def term(self, sign: int) -> dict[Monomial, Fraction]:
+    def term(self, sign: int) -> dict[Monomial, Scalar]:
         """One product: a scalar, an exponent vector and the factors that are sums."""
         kinds = self.kinds
-        scalar: int | Fraction = sign
+        scalar: Scalar = sign
         exponents = [0] * self.width
-        sums: list[dict[Monomial, Fraction]] = []
+        sums: list[dict[Monomial, Scalar]] = []
         while True:
             kind = kinds[self.pos]
             if kind == "INT":
@@ -187,6 +215,8 @@ class _Parser:
                     named = self.symbols.get(name)
                     if named is None:
                         raise self.error(f"unknown identifier {name!r}", self.pos - 1)
+                    if named.gens is not self.gens and named.gens != self.gens:
+                        raise self.error(f"named class {name!r} is over a different generator set", self.pos - 1)
                     # A copy, because the term's value may be this very dict.
                     sums.append(self.power(dict(named._terms)))
             elif kind == "(":
@@ -203,7 +233,7 @@ class _Parser:
             if kinds[self.pos] != "*":
                 break
             self.pos += 1
-        product: dict[Monomial, Fraction] | None = None
+        product: dict[Monomial, Scalar] | None = None
         for factor in sums:
             if len(factor) == 1:
                 ((mono, coeff),) = factor.items()
@@ -218,12 +248,12 @@ class _Parser:
         if not scalar:
             return {}
         if product is None:
-            return {tuple(exponents): Fraction(scalar)}
+            return {tuple(exponents): scalar}
         if scalar == 1 and not any(exponents):
             return product
-        return truncated_product({tuple(exponents): Fraction(scalar)}, product, self.weights, self.max_degree)
+        return truncated_product({tuple(exponents): scalar}, product, self.weights, self.max_degree)
 
-    def power(self, base: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+    def power(self, base: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
         """``base``, raised to the exponent that follows if a '^' follows."""
         if self.kinds[self.pos] != "^":
             return base
@@ -246,7 +276,7 @@ class _Parser:
             self.pos += 1
         return int(self.expect("INT"))
 
-    def rational(self) -> int | Fraction:
+    def rational(self) -> Scalar:
         numerator = int(self.expect("INT"))
         if self.kinds[self.pos] != "/":
             return numerator
@@ -267,12 +297,13 @@ def parse_expression(
 
     ``symbols`` optionally maps extra identifiers (named classes) to
     polynomials over the same generator set; generator names win on
-    collision.  With ``max_degree``, products and powers drop their
-    monomials above it, so the result equals the full expansion up to
+    collision, and a class over another generator set raises ParseError
+    where the text uses it.  With ``max_degree``, products and powers drop
+    their monomials above it, so the result equals the full expansion up to
     monomials of higher degree.
     """
-    resolved: Mapping[str, Polynomial] = symbols or {}
-    for name, value in resolved.items():
-        if value.gens != gens:
-            raise ParseError(f"named class {name!r} is over a different generator set", 0)
-    return Polynomial._raw(gens, _Parser(text, gens, resolved, max_degree).parse())
+    terms = _Parser(text, gens, symbols or {}, max_degree).parse()
+    for mono, coeff in terms.items():
+        if type(coeff) is int:
+            terms[mono] = Fraction(coeff)
+    return Polynomial._raw(gens, terms)

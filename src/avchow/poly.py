@@ -210,8 +210,9 @@ class GeneratorSet:
 
 
 # Term-dict arithmetic.  A term dict maps exponent vectors to nonzero
-# Fractions, as ``Polynomial._terms`` does.  ``Polynomial``'s sums,
-# products and powers and the expression evaluator share these routines.
+# coefficients, Fractions as in ``Polynomial._terms``, or ints, which the
+# expression evaluator keeps until it builds its Polynomial.  ``Polynomial``'s
+# sums, products and powers and the evaluator share these routines.
 
 
 def add_terms(
@@ -323,7 +324,7 @@ def pow_terms(
     product MAX_PRODUCT_PAIRS.
     """
     if exponent == 0:
-        return {(0,) * len(weights): Fraction(1)}
+        return {(0,) * len(weights): 1}
     if len(terms) == 1:
         ((mono, coeff),) = terms.items()
         mono = tuple(e * exponent for e in mono)
@@ -494,6 +495,8 @@ class Polynomial:
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
+        if exponent == 0:
+            return self.gens.one()
         return Polynomial._raw(self.gens, pow_terms(self._terms, exponent, self.gens.weights))
 
     # Structural maps.
@@ -530,25 +533,37 @@ class Polynomial:
     # Rendering.  The output re-parses under the expression grammar.
 
     def __str__(self) -> str:
+        """Terms in canonical order, each coefficient read from its numerator and denominator.
+
+        Raises SizeError when Python refuses to convert a number to text
+        (more than 4,300 digits, by default): a numerator, a denominator or
+        an exponent.
+        """
         if not self._terms:
             return "0"
+        names = self.gens.names
+        weights = self.gens.weights
         chunks: list[str] = []
-        for mono, coeff in self.terms():
-            factors = []
-            for name, e in zip(self.gens.names, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            magnitude = abs(coeff)
-            if factors and magnitude == 1:
+        try:
+            # Monomials are distinct, so the coefficients are never compared.
+            for _, mono, coeff in sorted(
+                ((sum(map(mul, m, weights)), m, c) for m, c in self._terms.items()), reverse=True
+            ):
+                factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e]
+                numerator = coeff.numerator
+                denominator = coeff.denominator
+                magnitude = numerator if numerator > 0 else -numerator
+                if denominator != 1:
+                    factors.insert(0, f"{magnitude}/{denominator}")
+                elif magnitude != 1 or not factors:
+                    factors.insert(0, str(magnitude))
                 body = "*".join(factors)
-            else:
-                body = "*".join([format_rational(magnitude), *factors])
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                if chunks:
+                    chunks.append(f"+ {body}" if numerator > 0 else f"- {body}")
+                else:
+                    chunks.append(body if numerator > 0 else f"-{body}")
+        except ValueError:
+            raise SizeError("a number in the result has more digits than Python converts to text") from None
         return " ".join(chunks)
 
     def __repr__(self) -> str:

@@ -25,14 +25,20 @@ sweep filled up to the socle degree (``poly.apply_linear``); a monomial
 with no entry (above the socle degree, or with normal form 0) maps to 0.
 The degree functional is read from the same table: at construction it
 gives each monomial whose normal form reaches the top monomial its value,
-and a degree is then the dot product of a class's coefficients with those
-values, with no normal form built.  Other rings reduce against the basis.
+stored as an integer numerator over one common denominator for the ring.
+A degree is then the dot product of a class's coefficients with those
+values, summed as one integer fraction and made a Fraction once, with no
+normal form built.  Every monomial in the table has the top degree, so
+the homogeneity check computes the degree only of the monomials missing
+from it.  Other rings reduce against the basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import lcm
+from operator import mul
 from types import SimpleNamespace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -480,9 +486,11 @@ class DegreeFunctional:
 
     Normalized by one reference element and its exact value; every other
     degree-D class gets its value by exact proportionality.  On an
-    Artinian ring the value of every monomial with a nonzero normal form
-    is tabulated at construction, so a degree is a dot product of the
-    coefficients with that table; other rings take the normal form first.
+    Artinian ring the value of every monomial whose normal form reaches
+    the top monomial is tabulated at construction, as an integer over the
+    common denominator ``_denominator``, so a degree is a dot product of
+    the coefficients with that table; other rings take the normal form
+    first.
     """
 
     def __init__(self, ring: QuotientRing, reference_element: Polynomial, reference_value: Fraction):
@@ -507,38 +515,53 @@ class DegreeFunctional:
         if nf.is_zero:
             raise DegreeError("reference element vanishes in the quotient")
         self._reference_coefficient = nf.coefficient(self._top_monomial)
-        self._values: dict[Monomial, Fraction] | None = None
+        self._values: dict[Monomial, int] | None = None
         if ring.artinian:
             top = self._top_monomial
-            self._values = {
+            values = {
                 mono: image[top] / self._reference_coefficient * self.reference_value
                 for mono, image in ring._nf_cache.items()
                 if top in image
+            }
+            self._denominator = lcm(*(value.denominator for value in values.values()))
+            self._values = {
+                mono: value.numerator * (self._denominator // value.denominator) for mono, value in values.items()
             }
 
     def degree(self, p: Polynomial) -> Fraction:
         """Exact value of the functional on a degree-D class.
 
         The zero class gives 0; any nonzero class must be homogeneous of
-        the top degree.
+        the top degree.  On an Artinian ring every monomial in the table
+        has the top degree, so only the others have their degree computed,
+        and the sum is kept as one integer fraction until the end.
         """
         if p.gens != self.ring.gens:
             raise GeneratorMismatchError("element belongs to a different ring")
         if p.is_zero:
             return Fraction(0)
-        d = p.weighted_degree()
-        if d != self.top_degree:
-            raise DegreeError(f"expected degree {self.top_degree}, got {d}")
         values = self._values
         if values is None:
+            d = p.weighted_degree()
+            if d != self.top_degree:
+                raise DegreeError(f"expected degree {self.top_degree}, got {d}")
             coefficient = self.ring.normal_form(p).coefficient(self._top_monomial)
             return coefficient / self._reference_coefficient * self.reference_value
-        total = Fraction(0)
+        weights = self.ring.gens.weights
+        top_degree = self.top_degree
+        numerator, denominator = 0, 1
         for mono, coeff in p._terms.items():
             value = values.get(mono)
-            if value is not None:
-                total += coeff * value
-        return total
+            if value is None:
+                if sum(map(mul, mono, weights)) != top_degree:
+                    raise DegreeError(f"expected degree {top_degree}, got {p.weighted_degree()}")
+                continue
+            if coeff.denominator == denominator:
+                numerator += coeff.numerator * value
+            else:
+                numerator = numerator * coeff.denominator + coeff.numerator * value * denominator
+                denominator *= coeff.denominator
+        return Fraction(numerator, denominator * self._denominator)
 
     __call__ = degree
 

@@ -6,17 +6,22 @@ force and row-reduces the degree-d slice of the relation ideal with its
 own Gaussian elimination.  Agreement with the staircase count is then a
 meaningful check rather than the same computation twice.
 
-The three pushforward and degree references at the end keep the formulas
-the package used before degrees and pushforwards became per-monomial
-tables: each takes a whole normal form (or adds whole polynomials) per
-call, so they share only ``normal_form`` and ``decompose`` with the code
-they check.
+The three pushforward and degree references keep the formulas the
+package used before degrees and pushforwards became per-monomial tables:
+each takes a whole normal form (or adds whole polynomials) per call, so
+they share only ``normal_form`` and ``decompose`` with the code they check.
+
+The renderer at the end is ``Polynomial.__str__`` as it was before it read
+coefficients from their numerators and denominators: it sorts with the
+monomial order's key and formats each magnitude as a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
+
+from avchow import SizeError
 
 
 def monomials_of_weight(weights, total):
@@ -172,3 +177,40 @@ def push_combination_by_polynomials(push, pairs):
     for coeff, name in pairs:
         result = result + coeff * push.images[name]
     return result
+
+
+def render_polynomial(poly):
+    """Text of a polynomial: terms by descending weighted degree, then exponents, signs between them.
+
+    Raises SizeError when Python refuses to convert a coefficient to text.
+    """
+    if not poly._terms:
+        return "0"
+    weights = poly.gens.weights
+
+    def sort_key(item):
+        mono = item[0]
+        return (sum(e * w for e, w in zip(mono, weights)), mono)
+
+    chunks = []
+    for mono, coeff in sorted(poly._terms.items(), key=sort_key, reverse=True):
+        factors = []
+        for name, e in zip(poly.gens.names, mono):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        magnitude = abs(coeff)
+        if factors and magnitude == 1:
+            body = "*".join(factors)
+        else:
+            try:
+                text = str(Fraction(magnitude))
+            except ValueError:
+                raise SizeError("a number in the result has more digits than Python converts to text") from None
+            body = "*".join([text, *factors])
+        if not chunks:
+            chunks.append(body if coeff > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(chunks)

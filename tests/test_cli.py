@@ -376,6 +376,45 @@ class TestLargeExpressions:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv, position",
+        [
+            (("nf", "--ring", "a1_tilde", "lambda1^{}"), 8),
+            (("degree", "--ring", "a1_tilde", "{}/3*lambda1"), 0),
+            (("degree", "--ring", "a1_tilde", "2/{}*lambda1"), 2),
+            (("push", "--map", "torelli", "{}*xi0"), 0),
+        ],
+    )
+    def test_overlong_integer_is_usage_error(self, capsys, argv, position):
+        # int() refuses more than 4,300 digits where Python has the limit;
+        # the scanner refuses the token first, on every version.
+        *head, expr = argv
+        code, out, err = run(capsys, *head, expr.format("7" * 5000))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "MAX_LITERAL_DIGITS" in err
+        assert f"(at position {position})" in err
+
+    def test_unprintable_exponent_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "xy.json"
+        data = {
+            "name": "xy",
+            "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}],
+            "relations": ["x*y"],
+        }
+        path.write_text(json.dumps(data))
+        # Nothing truncates on this ring, so y's exponent has 8,599 digits.
+        exponent = "1" + "0" * 4299
+        code, out, err = run(capsys, "nf", "--ring", str(path), f"(y^{exponent})^{exponent}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "digits" in err
+
+    def test_integer_of_the_most_digits_parses(self, capsys):
+        code, out, _ = run(capsys, "nf", "--ring", "a1_tilde", "1" + "0" * 4299 + " - lambda1^0")
+        assert code == 0
+        assert out.strip() == "9" * 4299
+
     def test_huge_literal_power_is_refused(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "nf", "--ring", "a1_tilde", "7^1000000000000")

@@ -72,6 +72,15 @@ class TestSymbols:
         with pytest.raises((ParseError, UnknownSymbolError)):
             p("tau")
 
+    def test_named_class_over_other_generators_fails_where_used(self):
+        other = GeneratorSet([("lambda1", 1), ("sigma1", 1)])
+        named = {"N0": parse_expression("lambda1", other), "N1": p("sigma1")}
+        assert parse_expression("N1 + lambda1", GENS, named) == p("sigma1 + lambda1")
+        with pytest.raises(ParseError) as info:
+            parse_expression("N1 + 2*N0^2", GENS, named)
+        assert info.value.position == 7
+        assert "named class 'N0' is over a different generator set" in str(info.value)
+
 
 class TestErrors:
     @pytest.mark.parametrize(

@@ -4,10 +4,14 @@ The differential test draws expression trees over a catalog ring's
 generators and named classes, renders them to text, and compares
 ``parse_expression`` with the value of the same tree built from
 ``Polynomial`` arithmetic, with the tree evaluated at a rational point, and
-with the same text parsed with the socle truncation.  The fuzz test feeds
-hostile text and allows only a polynomial or a ``ParseError`` back.  The
-scanner test compares the parser's tokens, and its answers and error
-positions on arbitrary text, with a character-by-character reference.
+with the same text parsed with the socle truncation.  The large-exponent
+test lets the same trees carry exponents up to 10^6, which only the socle
+truncation makes cheap, and compares the truncated parse with the tree
+evaluated in the quotient ring, one normal form per operation.  The fuzz
+test feeds hostile text and allows only a polynomial or a ``ParseError``
+back.  The scanner test compares the parser's tokens, and its answers and
+error positions on arbitrary text, with a character-by-character
+reference.
 """
 
 import re
@@ -17,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avchow import AvchowError, GeneratorSet, ParseError, Polynomial, parse_expression
+from avchow import AvchowError, GeneratorSet, ParseError, Polynomial, SizeError, parse_expression
 from avchow.catalog import RING_NAMES
 from avchow.exprparse import _position, _scan
 
@@ -28,9 +32,10 @@ from oracles import ScanError, scan_expression
 
 LITERALS = st.builds(Fraction, st.integers(0, 12), st.integers(1, 8))
 EXPONENTS = st.integers(0, 4)
+LARGE_EXPONENTS = st.integers(0, 10**6)
 
 
-def trees(gen_names, named_names):
+def trees(gen_names, named_names, exponents=EXPONENTS):
     leaves = [st.tuples(st.just("lit"), LITERALS), st.tuples(st.just("gen"), st.sampled_from(gen_names))]
     if named_names:
         leaves.append(st.tuples(st.just("named"), st.sampled_from(named_names)))
@@ -39,7 +44,7 @@ def trees(gen_names, named_names):
         return st.one_of(
             st.tuples(st.just("neg"), children),
             st.tuples(st.sampled_from(["+", "-", "*"]), children, children),
-            st.tuples(st.just("^"), children, EXPONENTS),
+            st.tuples(st.just("^"), children, exponents),
         )
 
     return st.recursive(st.one_of(leaves), extend, max_leaves=8)
@@ -100,6 +105,28 @@ def build(tree, loaded):
     return left + right if kind == "+" else left - right if kind == "-" else left * right
 
 
+def build_in_quotient(tree, loaded):
+    """The tree's normal form, taken after every operation; powers by repeated squaring."""
+    ring = loaded.ring
+    kind = tree[0]
+    if kind in ("lit", "gen", "named"):
+        return ring.normal_form(build(tree, loaded))
+    if kind == "neg":
+        return -build_in_quotient(tree[1], loaded)
+    if kind == "^":
+        base, exponent = build_in_quotient(tree[1], loaded), tree[2]
+        result = ring.one()
+        while exponent:
+            if exponent & 1:
+                result = ring.normal_form(result * base)
+            exponent >>= 1
+            if exponent:
+                base = ring.normal_form(base * base)
+        return result
+    left, right = build_in_quotient(tree[1], loaded), build_in_quotient(tree[2], loaded)
+    return left + right if kind == "+" else left - right if kind == "-" else ring.normal_form(left * right)
+
+
 def evaluate(tree, point, loaded):
     """The tree's value at a point, in rational numbers only."""
     kind = tree[0]
@@ -150,6 +177,23 @@ def test_parse_equals_polynomial_arithmetic(catalog, ring_name, data):
     assert evaluate_polynomial(parsed, point) == evaluate(tree, point, loaded), text
     ring = loaded.ring
     assert ring.normal_form(loaded.parse_class(text)) == ring.normal_form(parsed), text
+
+
+@pytest.mark.parametrize("ring_name", RING_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_large_exponents_match_quotient_arithmetic(catalog, ring_name, data):
+    loaded = catalog.ring(ring_name)
+    tree = data.draw(trees(loaded.ring.gens.names, sorted(loaded.named), LARGE_EXPONENTS), label="tree")
+    text = render(tree)
+    try:
+        parsed = loaded.parse_class(text)
+    except SizeError as err:
+        # A constant other than 0 and +-1 to a power of 10^6 is refused.
+        assert "MAX_COEFFICIENT_BITS" in str(err), text
+        return
+    assert_canonical(parsed)
+    assert loaded.ring.normal_form(parsed) == build_in_quotient(tree, loaded), text
 
 
 @pytest.mark.parametrize(

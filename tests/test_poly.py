@@ -13,14 +13,17 @@ from avchow import (
     GeneratorMismatchError,
     GeneratorSet,
     Polynomial,
+    SizeError,
     SubstitutionError,
     format_rational,
     parse_expression,
     parse_rational,
 )
+from avchow.catalog import RING_NAMES
 from avchow.poly import expand_chern_identity, lambda_generators
 
 from helpers import random_polynomial
+from oracles import render_polynomial
 
 XY = GeneratorSet([("x", 1), ("y", 2)])
 
@@ -195,6 +198,38 @@ class TestRendering:
         for _ in range(50):
             q = random_polynomial(rng, XY)
             assert parse_expression(str(q), XY) == q
+
+
+# Coefficients a rendering has to get right: signs, unit magnitudes with and
+# without a monomial, integers and proper fractions.
+RENDER_COEFFICIENTS = [Fraction(c) for c in ("1", "-1", "2", "-7", "1/2", "-1/3", "22/7", "-4103/144")]
+
+
+def seeded_polynomials(rng, gens, socle):
+    """Zero, constants, single terms and sums over ``gens``, up to two degrees past ``socle``."""
+    monomials = [m for d in range(socle + 3) for m in gens.monomials_of_degree(d)]
+    found = [gens.zero()] + [gens.constant(c) for c in RENDER_COEFFICIENTS]
+    for _ in range(40):
+        chosen = rng.sample(monomials, min(len(monomials), rng.randint(1, 6)))
+        found.append(Polynomial(gens, {m: rng.choice(RENDER_COEFFICIENTS) for m in chosen}))
+    return found
+
+
+@pytest.mark.parametrize("ring_name", RING_NAMES)
+def test_str_matches_reference_renderer(catalog, ring_name):
+    ring = catalog.ring(ring_name).ring
+    rng = random.Random(f"render {ring_name}")
+    for poly in seeded_polynomials(rng, ring.gens, ring.socle_degree):
+        assert str(poly) == render_polynomial(poly)
+        assert str(ring.normal_form(poly)) == render_polynomial(ring.normal_form(poly))
+
+
+@pytest.mark.parametrize("coeff", [Fraction(10**4300), Fraction(-(10**4300), 3), Fraction(1, 10**4300)])
+def test_unprintable_coefficient_raises_size_error_like_reference(coeff):
+    poly = p("x*y") + XY.gen("x") * coeff
+    for render in (str, render_polynomial):
+        with pytest.raises(SizeError, match="more digits than Python converts"):
+            render(poly)
 
 
 class TestChernIdentity:

@@ -291,6 +291,49 @@ class TestDegreeFunctional:
             functional.solve_class(1, [q("x"), q("y")], [Fraction(1), Fraction(1)])
 
 
+class TestDegreeTable:
+    """The degree read from a catalog ring's integer table, at its edges.
+
+    In a2_tilde (top degree 3) lambda1^3 has a table value, lambda2*sigma1
+    has degree 3 and normal form 0, lambda2 is standard of degree 2 and
+    lambda2^2 lies above the socle.
+    """
+
+    def terms(self, gens, *texts):
+        """The terms of the given monomials, with coefficient 2, in the given order."""
+        return Polynomial._raw(gens, {parse_expression(t, gens).leading_monomial(): Fraction(2) for t in texts})
+
+    def test_top_monomial_with_normal_form_zero_has_degree_zero(self, catalog):
+        loaded = catalog.ring("a2_tilde")
+        functional, gens = loaded.functional, loaded.ring.gens
+        assert loaded.ring.normal_form(loaded.parse("lambda2*sigma1")).is_zero
+        assert functional.degree(self.terms(gens, "lambda2*sigma1")) == 0
+        assert functional.degree(self.terms(gens, "lambda2*sigma1", "lambda1^3")) == 2 * functional.degree(
+            loaded.parse("lambda1^3")
+        )
+
+    @pytest.mark.parametrize(
+        "texts, message",
+        [
+            (("lambda1^3", "lambda2"), "polynomial is not homogeneous: degrees [2, 3]"),
+            (("lambda2", "lambda1^3"), "polynomial is not homogeneous: degrees [2, 3]"),
+            (("lambda2*sigma1", "lambda2"), "polynomial is not homogeneous: degrees [2, 3]"),
+            (("lambda2", "lambda2*sigma1"), "polynomial is not homogeneous: degrees [2, 3]"),
+            (("lambda1^3", "lambda2^2"), "polynomial is not homogeneous: degrees [3, 4]"),
+            (("lambda2^2", "lambda2*sigma1", "lambda1"), "polynomial is not homogeneous: degrees [1, 3, 4]"),
+            (("lambda2",), "expected degree 3, got 2"),
+            (("lambda2", "sigma1^2"), "expected degree 3, got 2"),
+            (("lambda2^2",), "expected degree 3, got 4"),
+            (("1",), "expected degree 3, got 0"),
+        ],
+    )
+    def test_stray_degrees_raise_the_same_message(self, catalog, texts, message):
+        loaded = catalog.ring("a2_tilde")
+        with pytest.raises(DegreeError) as info:
+            loaded.functional.degree(self.terms(loaded.ring.gens, *texts))
+        assert str(info.value) == message
+
+
 class TestPresentationsEquivalent:
     def test_equivalent_pair(self):
         x = GeneratorSet([("x", 1)])
