@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from operator import add, mul
 from typing import Hashable, Iterable, Iterator, Mapping, Union
 
@@ -278,6 +279,12 @@ def apply_linear(
                 else:
                     del result[target]
     return result
+
+
+def integer_terms(terms: Mapping[Hashable, Fraction]) -> tuple[dict[Hashable, int], int]:
+    """The terms times the lcm of their denominators, as ints, and that lcm."""
+    scale = lcm(*[c.denominator for c in terms.values()])
+    return {key: c.numerator * (scale // c.denominator) for key, c in terms.items()}, scale
 
 
 def truncated_product(

@@ -8,22 +8,24 @@ the s-component.  The Torelli-style maps are pure tables: linear data
 assigning each formal source symbol an image polynomial, extended by
 linearity only, never multiplicatively.
 
-Both are linear maps given per basis element and summed by
-``poly.apply_linear``.  The Torelli table stores the image of each symbol.
-A RelativeRing over an Artinian combined ring pushes each monomial of the
-combined normal-form table the first time it is met, by decomposing it
-and applying the rule, and keeps the base image; a monomial outside the
-table has normal form 0 and pushes to 0, so the kept images never outnumber
-the table's entries.
+Both are linear maps given per basis element.  The Torelli table stores
+the image of each symbol as integer numerators over one denominator and
+sums a combination with integer multiply-adds.  A RelativeRing over an
+Artinian combined ring pushes each monomial of the combined normal-form
+table the first time it is met, by decomposing it and applying the rule,
+keeps the base image and sums the images with ``poly.apply_linear``; a
+monomial outside the table has normal form 0 and pushes to 0, so the kept
+images never outnumber the table's entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence, Union
 
 from .errors import DegreeError, GeneratorMismatchError, UnknownSymbolError
-from .poly import GeneratorSet, Monomial, Polynomial, apply_linear, format_rational
+from .poly import GeneratorSet, Monomial, Polynomial, apply_linear, format_rational, integer_terms
 from .quotient import DegreeFunctional, QuotientRing
 
 
@@ -206,6 +208,12 @@ class TabulatedPushforward:
     either zero or homogeneous of the same codimension.  Combinations are
     linear with rational coefficients; products of symbols are rejected
     because multiplicativity is not part of the data.
+
+    Each image is stored as integer numerators over one denominator, the
+    lcm of its coefficients' denominators, and each symbol's exponent
+    vector (one 1, the rest 0) maps to its name and codimension.  A
+    combination is then summed with integer multiply-adds over the lcm of
+    its terms' denominators, and one Fraction is made per output term.
     """
 
     def __init__(
@@ -233,8 +241,12 @@ class TabulatedPushforward:
         self.symbols = symbols
         self.target = target
         self.images = dict(images)
-        self._image_terms = {name: image._terms for name, image in self.images.items()}
         self.stack_degree = stack_degree
+        self._codimension = dict(zip(symbols.names, symbols.weights))
+        self._unit = {
+            symbols.gen(name).leading_monomial(): (name, weight) for name, weight in self._codimension.items()
+        }
+        self._table = {name: integer_terms(image._terms) for name, image in self.images.items()}
 
     def image(self, symbol: str) -> Polynomial:
         try:
@@ -242,13 +254,16 @@ class TabulatedPushforward:
         except KeyError:
             raise UnknownSymbolError(f"unknown symbol {symbol!r}") from None
 
-    def _as_pairs(self, combo: Combination) -> list[tuple[Fraction, str]]:
+    def _as_pairs(self, combo: Combination) -> list[tuple[Fraction, str, int]]:
+        """(coefficient, symbol, codimension) for each term of the combination."""
         if isinstance(combo, Polynomial):
             if combo.gens != self.symbols:
                 raise GeneratorMismatchError("combination is not over the symbol set")
+            unit = self._unit
             pairs = []
             for mono, coeff in combo._terms.items():
-                if sum(mono) != 1:
+                found = unit.get(mono)
+                if found is None:
                     if not any(mono):
                         raise DegreeError(
                             f"combination must be linear in the symbols; "
@@ -257,10 +272,15 @@ class TabulatedPushforward:
                     raise DegreeError(
                         "combination must be linear in the symbols; products are not tabulated"
                     )
-                index = next(i for i, e in enumerate(mono) if e)
-                pairs.append((coeff, self.symbols.names[index]))
+                pairs.append((coeff, *found))
             return pairs
-        return [(Fraction(c), name) for c, name in combo]
+        pairs = []
+        for c, name in combo:
+            codimension = self._codimension.get(name) if isinstance(name, str) else None
+            if codimension is None:
+                raise UnknownSymbolError(f"unknown symbol {name!r}")
+            pairs.append((Fraction(c), name, codimension))
+        return pairs
 
     def push_combination(self, combo: Combination) -> Polynomial:
         """Image of a linear combination of symbols, by linearity.
@@ -270,12 +290,16 @@ class TabulatedPushforward:
         can check it coefficient by coefficient as well as as a class.
         """
         pairs = self._as_pairs(combo)
-        degrees = set()
-        for _, name in pairs:
-            if name not in self.symbols.names:
-                raise UnknownSymbolError(f"unknown symbol {name!r}")
-            degrees.add(self.symbols.weights[self.symbols.index(name)])
+        degrees = {codimension for _, _, codimension in pairs}
         if len(degrees) > 1:
             raise DegreeError(f"mixed symbol codimensions {sorted(degrees)} in one combination")
-        terms = apply_linear(((name, coeff) for coeff, name in pairs if coeff), self._image_terms)
-        return Polynomial._raw(self.target.gens, terms)
+        table = self._table
+        terms = [(coeff, table[name]) for coeff, name, _ in pairs if coeff]
+        scale = lcm(*[coeff.denominator * denominator for coeff, (_, denominator) in terms])
+        numerators: dict[Monomial, int] = {}
+        for coeff, (image, denominator) in terms:
+            factor = coeff.numerator * (scale // (coeff.denominator * denominator))
+            for mono, value in image.items():
+                numerators[mono] = numerators.get(mono, 0) + factor * value
+        result = {mono: Fraction(value, scale) for mono, value in numerators.items() if value}
+        return Polynomial._raw(self.target.gens, result)

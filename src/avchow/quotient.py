@@ -30,22 +30,23 @@ A degree is then the dot product of a class's coefficients with those
 values, summed as one integer fraction and made a Fraction once, with no
 normal form built.  Every monomial in the table has the top degree, so
 the homogeneity check computes the degree only of the monomials missing
-from it.  Other rings reduce against the basis.
+from it.  A pairing is the bilinear form sum a_m * b_n * V[m + n] on the
+same table, with both sides scaled to integer numerators, so no product
+polynomial is formed.  Other rings reduce against the basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import lcm
-from operator import mul
+from operator import add, mul
 from types import SimpleNamespace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DegreeError, GeneratorMismatchError, InconsistentSystemError, PairingError, SingularSystemError
 from .groebner import GroebnerBasis, buchberger, monomial_lcm
 from .linalg import solve_exact
-from .poly import GeneratorSet, Monomial, Polynomial, apply_linear, expand_chern_identity
+from .poly import GeneratorSet, Monomial, Polynomial, apply_linear, expand_chern_identity, integer_terms
 
 # The degree sweep lists the standard monomials of every degree it passes,
 # so this bounds the work a short presentation such as ``x^100000000`` can
@@ -487,10 +488,13 @@ class DegreeFunctional:
     Normalized by one reference element and its exact value; every other
     degree-D class gets its value by exact proportionality.  On an
     Artinian ring the value of every monomial whose normal form reaches
-    the top monomial is tabulated at construction, as an integer over the
-    common denominator ``_denominator``, so a degree is a dot product of
-    the coefficients with that table; other rings take the normal form
-    first.
+    the top monomial is tabulated at construction, as an integer V[m]
+    over the common denominator ``_denominator``, so a degree is a dot
+    product of the coefficients with that table.  Pairings are read from
+    the same table: with a row and a column scaled to integer numerators
+    a_m and b_n over the lcm of their denominators, the degree of their
+    product is sum a_m * b_n * V[m + n] over that lcm, the two scales and
+    the common denominator.  Other rings take the normal form first.
     """
 
     def __init__(self, ring: QuotientRing, reference_element: Polynomial, reference_value: Fraction):
@@ -523,10 +527,7 @@ class DegreeFunctional:
                 for mono, image in ring._nf_cache.items()
                 if top in image
             }
-            self._denominator = lcm(*(value.denominator for value in values.values()))
-            self._values = {
-                mono: value.numerator * (self._denominator // value.denominator) for mono, value in values.items()
-            }
+            self._values, self._denominator = integer_terms(values)
 
     def degree(self, p: Polynomial) -> Fraction:
         """Exact value of the functional on a degree-D class.
@@ -574,7 +575,11 @@ class DegreeFunctional:
         """Matrix of degree(row * col) for homogeneous complementary inputs.
 
         Rows must be homogeneous of the given codimension and columns of
-        the complementary one; zero entries are allowed on either side.
+        the complementary one; zero entries are allowed on either side.  On
+        an Artinian ring no product is formed: each row and column is
+        scaled to integers, each entry is the bilinear form
+        sum a_m * b_n * V[m + n] over the value table, and one Fraction is
+        made per entry.
         """
         complement = self.top_degree - codimension
         for label, elements, expected in (("row", rows, codimension), ("column", cols, complement)):
@@ -582,7 +587,22 @@ class DegreeFunctional:
                 d = element.weighted_degree()
                 if d is not None and d != expected:
                     raise DegreeError(f"{label} {i} has degree {d}, expected {expected}")
-        return [[self.degree(r * c) for c in cols] for r in rows]
+        if self._values is None:
+            return [[self.degree(r * c) for c in cols] for r in rows]
+        self._check_gens(rows)
+        self._check_gens(cols)
+        scaled_cols = [integer_terms(c._terms) for c in cols]
+        matrix = []
+        for r in rows:
+            row_terms, row_scale = integer_terms(r._terms)
+            row_scale *= self._denominator
+            matrix.append(
+                [
+                    Fraction(self._pairing(row_terms, col_terms), row_scale * col_scale)
+                    for col_terms, col_scale in scaled_cols
+                ]
+            )
+        return matrix
 
     def solve_class(
         self,
@@ -596,7 +616,10 @@ class DegreeFunctional:
         the expected degree(x * probe) numbers.  The system is solved
         exactly; rank deficiency means the pairing cannot see the class
         (singular pairing), and contradictory overdetermined data is
-        reported rather than least-squares fitted.
+        reported rather than least-squares fitted.  On an Artinian ring
+        each equation is the pairing row of its probe read from the value
+        table and scaled to integers, which changes neither the solution
+        nor whether there is one.
         """
         if len(probes) != len(values):
             raise ValueError("need exactly one value per probe")
@@ -605,18 +628,43 @@ class DegreeFunctional:
             d = probe.weighted_degree()
             if d is not None and d != complement:
                 raise DegreeError(f"probe {i} has degree {d}, expected {complement}")
-        basis = self.ring.standard_basis_polynomials(codimension)
-        matrix = [[self.degree(e * probe) for e in basis] for probe in probes]
+        basis = self.ring.standard_monomials(codimension)
+        if self._values is None:
+            elements = self.ring.standard_basis_polynomials(codimension)
+            matrix = [[self.degree(e * probe) for e in elements] for probe in probes]
+            rhs = [Fraction(v) for v in values]
+        else:
+            self._check_gens(probes)
+            matrix, scales = [], []
+            for probe in probes:
+                terms, scale = integer_terms(probe._terms)
+                matrix.append([self._pairing({e: 1}, terms) for e in basis])
+                scales.append(scale * self._denominator)
+            rhs = [Fraction(v) * scale for v, scale in zip(values, scales)]
         try:
-            solution = solve_exact(matrix, [Fraction(v) for v in values])
+            solution = solve_exact(matrix, rhs)
         except SingularSystemError as err:
             raise PairingError(f"singular pairing in codimension {codimension}: {err}") from err
         except InconsistentSystemError as err:
             raise PairingError(f"inconsistent pairing data in codimension {codimension}: {err}") from err
-        result = self.ring.zero()
-        for coefficient, element in zip(solution, basis):
-            result = result + coefficient * element
-        return result
+        return Polynomial._raw(self.ring.gens, {m: c for m, c in zip(basis, solution) if c})
+
+    def _pairing(self, left: Mapping[Monomial, int], right: Mapping[Monomial, int]) -> int:
+        """Sum of a * b * V[m + n] over the terms (m, a) of left and (n, b) of right."""
+        values = self._values
+        total = 0
+        for m, a in left.items():
+            for n, b in right.items():
+                value = values.get(tuple(map(add, m, n)))
+                if value is not None:
+                    total += a * b * value
+        return total
+
+    def _check_gens(self, elements: Sequence[Polynomial]) -> None:
+        gens = self.ring.gens
+        for element in elements:
+            if element.gens != gens:
+                raise GeneratorMismatchError("element belongs to a different ring")
 
 
 def presentations_equivalent(

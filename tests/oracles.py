@@ -11,6 +11,15 @@ package used before degrees and pushforwards became per-monomial tables:
 each takes a whole normal form (or adds whole polynomials) per call, so
 they share only ``normal_form`` and ``decompose`` with the code they check.
 
+The exact linear algebra references are the package's elimination on
+Fractions as it was before it moved to integer rows: plain Gaussian
+elimination for the determinant and Gauss-Jordan elimination for the
+solver.  The pairing references form each product polynomial and take its
+degree from the normal form, as ``pairing_matrix`` and ``solve_class`` did
+before they read a bilinear form off the value table.  The Torelli
+reference is the table pushforward as it was before its images became
+integer numerators: Fraction coefficients summed term by term.
+
 The renderer at the end is ``Polynomial.__str__`` as it was before it read
 coefficients from their numerators and denominators: it sorts with the
 monomial order's key and formats each magnitude as a Fraction.
@@ -21,7 +30,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 
-from avchow import SizeError
+from avchow import (
+    DegreeError,
+    GeneratorMismatchError,
+    InconsistentSystemError,
+    Polynomial,
+    SingularSystemError,
+    SizeError,
+    UnknownSymbolError,
+)
 
 
 def monomials_of_weight(weights, total):
@@ -177,6 +194,130 @@ def push_combination_by_polynomials(push, pairs):
     for coeff, name in pairs:
         result = result + coeff * push.images[name]
     return result
+
+
+def det_by_fractions(matrix):
+    """Determinant by Gaussian elimination on Fractions, first nonzero pivot."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = Fraction(1) / rows[col][col]
+        for r in range(col + 1, n):
+            if rows[r][col] != 0:
+                factor = rows[r][col] * inv
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def solve_by_fractions(matrix, rhs):
+    """Unique solution of matrix * x = rhs by Gauss-Jordan elimination on Fractions.
+
+    Raises InconsistentSystemError when there is no solution, else
+    SingularSystemError when there is more than one.
+    """
+    if len(matrix) != len(rhs):
+        raise ValueError("matrix and right-hand side disagree in length")
+    rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    if not rows:
+        raise SingularSystemError("empty system has no unique solution")
+    cols = len(matrix[0])
+    pivots = []
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = Fraction(1) / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    for r in range(rank, len(rows)):
+        if rows[r][cols] != 0:
+            raise InconsistentSystemError("system has no exact solution")
+    if rank < cols:
+        raise SingularSystemError(f"system is rank deficient (rank {rank} of {cols})")
+    solution = [Fraction(0)] * cols
+    for r, col in enumerate(pivots):
+        solution[col] = rows[r][cols]
+    return solution
+
+
+def pairing_by_products(functional, rows, cols):
+    """Matrix of the degrees of the products row * col, each from its normal form."""
+    return [[degree_by_normal_form(functional, r * c) for c in cols] for r in rows]
+
+
+def solve_class_by_products(functional, codimension, probes, values):
+    """The degree-k class with the given pairings: product degrees, Fraction solve, a sum of basis elements.
+
+    Lets the solver's InconsistentSystemError or SingularSystemError through.
+    """
+    ring = functional.ring
+    basis = [ring.gens.monomial(m) for m in ring.standard_monomials(codimension)]
+    matrix = [[degree_by_normal_form(functional, e * probe) for e in basis] for probe in probes]
+    solution = solve_by_fractions(matrix, [Fraction(v) for v in values])
+    result = ring.zero()
+    for coefficient, element in zip(solution, basis):
+        result = result + coefficient * element
+    return result
+
+
+def push_combination_by_table(push, combo):
+    """The table pushforward of a combination, summed on Fraction coefficients.
+
+    ``combo`` is a Polynomial over the symbols or a list of (coefficient,
+    symbol) pairs; the errors are the package's.
+    """
+    symbols = push.symbols
+    if isinstance(combo, Polynomial):
+        if combo.gens != symbols:
+            raise GeneratorMismatchError("combination is not over the symbol set")
+        pairs = []
+        for mono, coeff in combo._terms.items():
+            if sum(mono) != 1:
+                if not any(mono):
+                    raise DegreeError(
+                        f"combination must be linear in the symbols; "
+                        f"its constant term {coeff} is not tabulated"
+                    )
+                raise DegreeError("combination must be linear in the symbols; products are not tabulated")
+            index = next(i for i, e in enumerate(mono) if e)
+            pairs.append((coeff, symbols.names[index]))
+    else:
+        pairs = [(Fraction(c), name) for c, name in combo]
+    degrees = set()
+    for _, name in pairs:
+        if name not in symbols.names:
+            raise UnknownSymbolError(f"unknown symbol {name!r}")
+        degrees.add(symbols.weights[symbols.index(name)])
+    if len(degrees) > 1:
+        raise DegreeError(f"mixed symbol codimensions {sorted(degrees)} in one combination")
+    result = {}
+    for coeff, name in pairs:
+        if not coeff:
+            continue
+        for target, factor in push.images[name]._terms.items():
+            total = result.get(target, 0) + coeff * factor
+            if total:
+                result[target] = total
+            else:
+                result.pop(target, None)
+    return Polynomial(push.target.gens, result)
 
 
 def render_polynomial(poly):
