@@ -31,7 +31,7 @@ from .errors import (
     UnknownSymbolError,
 )
 from .exprparse import parse_expression
-from .groebner import GroebnerBasis, buchberger, ideal_membership
+from .groebner import GroebnerBasis
 from .levels import cusp_count_mu, group_order_gamma, verify_level_identity
 from .poly import GeneratorSet, Polynomial, format_rational, parse_rational
 from .pushforward import PushforwardRule, RelativeRing, TabulatedPushforward
@@ -74,12 +74,10 @@ __all__ = [
     "UnknownScopeError",
     "UnknownSymbolError",
     "VerificationReport",
-    "buchberger",
     "cusp_count_mu",
     "default_catalog",
     "format_rational",
     "group_order_gamma",
-    "ideal_membership",
     "load_ring_spec",
     "parse_expression",
     "parse_rational",

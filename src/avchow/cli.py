@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .catalog import RING_NAMES, Catalog, Cell, default_catalog
 from .errors import AvchowError
-from .poly import Polynomial, format_rational
+from .poly import Polynomial, format_rational, parse_rational
 from .ringspec import DegreesTable, LoadedRing, PairingVectorTable, load_ring_spec
 
 EXIT_OK = 0
@@ -146,8 +146,8 @@ def _parse_values(tokens: list[str]) -> list[Fraction]:
             if not piece:
                 continue
             try:
-                values.append(Fraction(piece))
-            except (ValueError, ZeroDivisionError) as err:
+                values.append(parse_rational(piece))
+            except ValueError as err:
                 raise UsageError(f"bad rational value {piece!r}") from err
     if not values:
         raise UsageError("no pairing values given")
@@ -192,13 +192,11 @@ def _cmd_hilbert(args, catalog: Catalog) -> int:
         top = args.max
     elif loaded.expected_hilbert is not None:
         top = len(loaded.expected_hilbert) - 1
-    elif ring.artinian:
-        top = max(ring.socle_degree, 0)
     else:
-        raise UsageError(f"{loaded.name!r} is not Artinian, so it has no top degree; pass --max")
+        top = max(ring.socle_degree, 0)
     # Pieces above the socle degree are zero: write them in chunks, so a
     # large --max costs no memory.
-    shown = min(top, max(ring.socle_degree, 0)) if ring.artinian else top
+    shown = min(top, max(ring.socle_degree, 0))
     sys.stdout.write(",".join(str(d) for d in ring.hilbert_function(shown)))
     for start in range(shown, top, HILBERT_ZERO_CHUNK):
         sys.stdout.write(",0" * min(HILBERT_ZERO_CHUNK, top - start))

@@ -43,10 +43,10 @@ literal or an exponent too long for ``int()`` (which refuses more than
 4,300 digits by default from Python 3.11 and 3.10.7 on) fails alike on
 every Python version.
 
-With ``max_degree`` (an Artinian ring passes its socle degree), products
+With ``max_degree`` (a ring passes its socle degree), products
 and powers drop every monomial above it as they are formed, so
 ``(x + y)^100000`` costs a few products instead of a full expansion.  Those
-monomials lie in the ideal of such a ring, so its normal form is unchanged.
+monomials lie in the ideal of the ring, so its normal form is unchanged.
 Literal powers and the coefficients of products and powers are bounded by
 ``poly.MAX_COEFFICIENT_BITS``, so ``7^1000000000000`` raises SizeError
 instead of running out of memory, and a single product by

@@ -2,9 +2,10 @@
 
 ``QuotientRing`` builds its basis by a degree-by-degree elimination (see
 ``avchow.quotient``), which also yields its standard monomials and normal
-forms.  This module holds the basis type, reduction, and Buchberger's
-algorithm, which ``QuotientRing`` runs only when that elimination passes
-its caps; tests also use it as a reference.
+forms, and no package code reduces against a basis.  This module holds
+the basis type ``GroebnerBasis``, which records that basis, and two
+algorithms the tests use as an independent reference: reduction and
+Buchberger's algorithm.  The benchmark looks them up here by name.
 
 Classic Buchberger with the two standard pair-elimination criteria
 (coprime leading monomials, and the chain criterion), followed by
@@ -348,8 +349,3 @@ def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
 
     reduced.sort(key=lambda b: gens.sort_key(b.leading_monomial()), reverse=True)
     return GroebnerBasis(gens, reduced, source, stats)
-
-
-def ideal_membership(p: Polynomial, basis: GroebnerBasis) -> bool:
-    """Exact ideal membership: does p reduce to zero against the basis?"""
-    return basis.contains(p)

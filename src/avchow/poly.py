@@ -41,9 +41,13 @@ MAX_COEFFICIENT_BITS = 100_000
 
 # A product of two term dicts forms one term for each pair of their terms
 # before anything cancels or is dropped.  ``truncated_product`` refuses,
-# with SizeError, a product of more pairs than this, so ``(x + y)^3000`` on
-# a ring that is not Artinian fails within a second instead of expanding
-# for minutes.  ``(x + y)^300`` forms at most 129 * 129 pairs.
+# with SizeError, a product of more pairs than this.  Expressions given for
+# a ring drop their monomials above its socle degree as they go, which keeps
+# their products small on the catalog's rings; this cap alone guards what
+# nothing truncates: expressions in a spec file, which are parsed before the
+# ring exists, and the Torelli symbol ring, where ``(xi0 + xi1)^3000``
+# fails within a second instead of expanding for minutes.  ``(x + y)^300``
+# forms at most 129 * 129 pairs.
 MAX_PRODUCT_PAIRS = 100_000
 
 
@@ -144,46 +148,6 @@ class GeneratorSet:
     def sort_key(self, mono: Monomial) -> tuple[int, Monomial]:
         """Key realizing the monomial order: weighted degree, then lex."""
         return (self.weighted_degree(mono), mono)
-
-    def monomials_of_degree(self, degree: int) -> list[Monomial]:
-        """All exponent vectors of the given weighted degree, descending."""
-        return [mono for mono in self.iter_tried_of_degree(degree) if mono is not None]
-
-    def iter_tried_of_degree(self, degree: int) -> Iterator[Monomial | None]:
-        """Yield the exponent vectors of the given weighted degree, descending, and None for each dead end.
-
-        Each exponent but the last runs from its largest value down and the
-        last one is solved for, so the vectors come out in lex order, which
-        is the monomial order within one degree, and the search does not
-        loop over the last exponent.  When the last exponent has no
-        solution the try yields None, so the items count the work, which
-        the vectors alone do not: with weights 1 and 10^30, degree 10^30
-        has two vectors and 10^30 - 1 dead ends.
-        """
-        weights = self.weights
-        if degree < 0:
-            return
-        if not weights:
-            if degree == 0:
-                yield ()
-            return
-        last = len(weights) - 1
-        prefix = [0] * len(weights)
-
-        def fill(slot: int, remaining: int) -> Iterator[Monomial | None]:
-            weight = weights[slot]
-            if slot == last:
-                if remaining % weight == 0:
-                    prefix[slot] = remaining // weight
-                    yield tuple(prefix)
-                else:
-                    yield None
-                return
-            for e in range(remaining // weight, -1, -1):
-                prefix[slot] = e
-                yield from fill(slot + 1, remaining - e * weight)
-
-        yield from fill(0, degree)
 
     # Polynomial constructors.
 

@@ -10,12 +10,12 @@ linearity only, never multiplicatively.
 
 Both are linear maps given per basis element.  The Torelli table stores
 the image of each symbol as integer numerators over one denominator and
-sums a combination with integer multiply-adds.  A RelativeRing over an
-Artinian combined ring pushes each monomial of the combined normal-form
-table the first time it is met, by decomposing it and applying the rule,
-keeps the base image and sums the images with ``poly.apply_linear``; a
-monomial outside the table has normal form 0 and pushes to 0, so the kept
-images never outnumber the table's entries.
+sums a combination with integer multiply-adds.  A RelativeRing pushes
+each monomial of the combined normal-form table the first time it is met,
+by decomposing it and applying the rule, keeps the base image and sums the
+images with ``poly.apply_linear``; a monomial outside the table has normal
+form 0 and pushes to 0, so the kept images never outnumber the table's
+entries.
 """
 
 from __future__ import annotations
@@ -144,15 +144,13 @@ class RelativeRing:
         The result is the base normal form; reduction order cannot matter
         because normal forms against a Groebner basis are unique, which the
         tests exercise with randomized reduction paths.  The map is linear,
-        so on an Artinian combined ring each monomial with an entry in the
-        combined normal-form table is pushed once and its image reused; a
-        monomial without an entry has normal form 0 and pushes to 0.
+        so each monomial with an entry in the combined normal-form table is
+        pushed once and its image reused; a monomial without an entry has
+        normal form 0 and pushes to 0.
         """
         if rule is None:
             rule = self.default_rule
         combined = self.combined
-        if combined.socle_degree is None:
-            return self._push_class(p, rule)
         if p.gens != combined.gens:
             raise GeneratorMismatchError("element belongs to a different ring")
         if rule is not self._pushed_rule:

@@ -13,16 +13,16 @@ them; the choice of multipliers follows Faugere's F4).  The pivots of a
 degree are its nonstandard monomials, each pivot row is that monomial
 minus its normal form, and the rows that no smaller pivot explains form
 the reduced Groebner basis.  The sweep stops once max(w) consecutive
-degrees have no standard monomial (the ring is Artinian), or once it is
-past every S-pair of its basis while some generator has no pure power
-(the ring is not).  Buchberger's algorithm runs only when the sweep passes
-MAX_SWEEP_MONOMIALS or MAX_STANDARD_MONOMIALS first.
+degrees have no standard monomial: the ring is Artinian.  A presentation
+is refused with DegreeError once the sweep is past every S-pair of its
+basis while some generator has no pure power (the ring is not Artinian),
+or once the sweep passes one of its caps.
 
-Every catalog ring is Artinian: only finitely many monomials are standard
-and every graded piece above the socle degree is zero.  On such a ring the
-normal form is a linear map over the table of monomial normal forms the
-sweep filled up to the socle degree (``poly.apply_linear``); a monomial
-with no entry (above the socle degree, or with normal form 0) maps to 0.
+So every ring is Artinian: only finitely many monomials are standard and
+every graded piece above the socle degree is zero.  The normal form is a
+linear map over the table of monomial normal forms the sweep filled up to
+the socle degree (``poly.apply_linear``); a monomial with no entry (above
+the socle degree, or with normal form 0) maps to 0.
 The degree functional is read from the same table: at construction it
 gives each monomial whose normal form reaches the top monomial its value,
 stored as an integer numerator over one common denominator for the ring.
@@ -32,19 +32,18 @@ normal form built.  Every monomial in the table has the top degree, so
 the homogeneity check computes the degree only of the monomials missing
 from it.  A pairing is the bilinear form sum a_m * b_n * V[m + n] on the
 same table, with both sides scaled to integer numerators, so no product
-polynomial is formed.  Other rings reduce against the basis.
+polynomial is formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from operator import add, mul
 from types import SimpleNamespace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DegreeError, GeneratorMismatchError, InconsistentSystemError, PairingError, SingularSystemError
-from .groebner import GroebnerBasis, buchberger, monomial_lcm
+from .groebner import GroebnerBasis, monomial_lcm
 from .linalg import solve_exact
 from .poly import GeneratorSet, Monomial, Polynomial, apply_linear, expand_chern_identity, integer_terms
 
@@ -53,24 +52,16 @@ from .poly import GeneratorSet, Monomial, Polynomial, apply_linear, expand_chern
 # ask for.  The largest catalog ring has 20.
 MAX_STANDARD_MONOMIALS = 10_000
 
-# A ring that is not Artinian lists each degree's standard monomials on
-# demand by examining every monomial of that degree; this bounds the
-# exponent vectors tried, monomials and dead ends, over all degrees of one
-# ring, so ``hilbert --max N`` on two degree-1 generators stops at degree
-# 446 instead of running for minutes, and a degree with few monomials but
-# many dead ends (weights 1 and 10^30, degree 10^30) is refused at once.
-MAX_MONOMIALS_EXAMINED = 100_000
-
 # The degree sweep that builds a ring looks at the monomials of each degree
 # that may be standard or have a nonzero normal form, until it has decided
-# whether the ring is Artinian; past this many it hands the presentation
-# to Buchberger's algorithm.  The catalog rings look at most at 204.
+# whether the ring is Artinian; past this many it refuses the presentation.
+# The catalog rings look at most at 204.
 MAX_SWEEP_MONOMIALS = 100_000
 
 # The sweep also passes every degree in between, even one where it looks at
-# no monomial; past this many degrees it hands the presentation to
-# Buchberger's algorithm, so a generator of weight 10^9 with its square a
-# relation is decided at once instead of after hours of empty degrees.
+# no monomial; past this many degrees it refuses the presentation, so a
+# generator of weight 10^9 with its square a relation is refused at once
+# instead of after hours of empty degrees.
 MAX_SWEEP_DEGREES = 20_000
 
 
@@ -114,8 +105,9 @@ class RingPresentation:
 class QuotientRing:
     """Graded quotient of a polynomial ring by a homogeneous ideal.
 
-    ``socle_degree`` is the top degree of a nonzero graded piece when the
-    ring is Artinian (-1 for the zero ring) and None otherwise.  The
+    The ring must be Artinian: a presentation that is not, or whose sweep
+    passes a cap, raises DegreeError at construction.  ``socle_degree`` is
+    the top degree of a nonzero graded piece (-1 for the zero ring).  The
     counters ``nf_hits`` and ``nf_dropped`` count the monomials
     ``normal_form`` found in its table and those it sent to 0 for having
     no entry there.
@@ -124,22 +116,11 @@ class QuotientRing:
     def __init__(self, presentation: RingPresentation):
         self.presentation = presentation
         self.gens = presentation.gens
-        self._examined = 0
         self.nf_hits = 0
         self.nf_dropped = 0
-        try:
-            self.groebner, self.socle_degree, self._standard, self._nf_cache = _sweep(
-                self.name, self.gens, presentation.relations
-            )
-        except _SweepGaveUp as cap:
-            self.groebner = buchberger(presentation.relations)
-            if _has_pure_powers(self.groebner.leading_monomials, len(self.gens)):
-                raise DegreeError(str(cap)) from None
-            self.socle_degree, self._standard, self._nf_cache = None, {}, {}
-
-    @property
-    def artinian(self) -> bool:
-        return self.socle_degree is not None
+        self.groebner, self.socle_degree, self._standard, self._nf_cache = _sweep(
+            self.name, self.gens, presentation.relations
+        )
 
     @property
     def name(self) -> str:
@@ -162,14 +143,11 @@ class QuotientRing:
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Canonical representative of the class of p.
 
-        On an Artinian ring this sums the tabulated normal forms of the
-        terms' monomials, and a monomial missing from the table maps to 0;
-        on any other ring it reduces p against the basis.
+        This sums the tabulated normal forms of the terms' monomials, and a
+        monomial missing from the table maps to 0.
         """
         if p.gens != self.gens:
             raise GeneratorMismatchError("element belongs to a different ring")
-        if self.socle_degree is None:
-            return self.groebner.reduce(p)
         table = self._nf_cache
         hits = len(table.keys() & p._terms.keys())
         self.nf_hits += hits
@@ -192,25 +170,10 @@ class QuotientRing:
         """Monomial basis of the degree-d piece, descending by the order.
 
         Standard monomials are the ones not divisible by any leading
-        monomial of the reduced Groebner basis.  An Artinian ring has them
-        all listed from construction, and none above the socle degree.
+        monomial of the reduced Groebner basis.  They are all listed from
+        construction, and there are none above the socle degree.
         """
-        cached = self._standard.get(degree)
-        if cached is None:
-            if self.socle_degree is not None:
-                return ()
-            budget = MAX_MONOMIALS_EXAMINED - self._examined
-            tried = list(islice(self.gens.iter_tried_of_degree(degree), budget + 1))
-            if len(tried) > budget:
-                raise DegreeError(
-                    f"{self.name} is not Artinian, and listing its degree-{degree} standard "
-                    f"monomials would take the monomials examined past "
-                    f"MAX_MONOMIALS_EXAMINED = {MAX_MONOMIALS_EXAMINED}"
-                )
-            self._examined += len(tried)
-            cached = tuple(m for m in tried if m is not None and self.groebner.is_standard(m))
-            self._standard[degree] = cached
-        return cached
+        return self._standard.get(degree, ())
 
     def standard_basis_polynomials(self, degree: int) -> list[Polynomial]:
         return [self.gens.monomial(m) for m in self.standard_monomials(degree)]
@@ -223,16 +186,12 @@ class QuotientRing:
 
 
 class _Swept(NamedTuple):
-    """What the degree sweep found; the tables are empty when socle_degree is None."""
+    """What the degree sweep found."""
 
     basis: GroebnerBasis
-    socle_degree: int | None
+    socle_degree: int
     standard: dict[int, tuple[Monomial, ...]]
     normal_forms: dict[Monomial, dict[Monomial, Fraction]]
-
-
-class _SweepGaveUp(Exception):
-    """The sweep passed a cap before it finished; the message names the cap."""
 
 
 def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _Swept:
@@ -268,11 +227,11 @@ def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _S
     of degree 7.  The ring is not Artinian once the sweep has passed the
     degree of every lcm of two basis leading monomials while some generator
     has no pure power among them: every S-polynomial then reduces to 0
-    (Buchberger's criterion), so the basis is complete, and only the basis
-    is returned.  The sweep raises _SweepGaveUp once it has looked at more
-    than MAX_SWEEP_MONOMIALS monomials or found more than
-    MAX_STANDARD_MONOMIALS standard ones, or passed MAX_SWEEP_DEGREES
-    degrees.
+    (Buchberger's criterion), so the basis is complete, and the sweep
+    raises DegreeError naming those generators.  It also raises DegreeError
+    once it has looked at more than MAX_SWEEP_MONOMIALS monomials or found
+    more than MAX_STANDARD_MONOMIALS standard ones, or passed
+    MAX_SWEEP_DEGREES degrees.
     """
     weights = gens.weights
     window = max(weights, default=1)
@@ -299,7 +258,7 @@ def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _S
         looked_at |= products
         looked += len(looked_at)
         if looked > MAX_SWEEP_MONOMIALS:
-            raise _SweepGaveUp(
+            raise DegreeError(
                 f"{name}: the degree sweep looked at more than MAX_SWEEP_MONOMIALS = "
                 f"{MAX_SWEEP_MONOMIALS} monomials before it decided whether the ring is Artinian"
             )
@@ -345,7 +304,7 @@ def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _S
         if here:
             found += len(here)
             if found > MAX_STANDARD_MONOMIALS:
-                raise _SweepGaveUp(
+                raise DegreeError(
                     f"{name} has more than MAX_STANDARD_MONOMIALS = {MAX_STANDARD_MONOMIALS} standard monomials"
                 )
             socle = degree
@@ -355,19 +314,22 @@ def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _S
         if degree >= top_relation:
             if full_run >= window:
                 break
-            if degree >= lcm_top and not _has_pure_powers((lead for lead, _ in elements), len(weights)):
-                break
+            if degree >= lcm_top:
+                lacking = _lacking_pure_powers((lead for lead, _ in elements), gens.names)
+                if lacking:
+                    raise DegreeError(
+                        f"{name} is not Artinian: no power of {', '.join(lacking)} is a leading "
+                        f"monomial of its Groebner basis"
+                    )
         degree += 1
         if degree > MAX_SWEEP_DEGREES:
-            raise _SweepGaveUp(
+            raise DegreeError(
                 f"{name}: the degree sweep passed MAX_SWEEP_DEGREES = {MAX_SWEEP_DEGREES} degrees "
                 f"before it decided whether the ring is Artinian"
             )
 
     elements.sort(key=lambda item: gens.sort_key(item[0]), reverse=True)
     basis = GroebnerBasis(gens, [element for _, element in elements], relations, stats)
-    if full_run < window:
-        return _Swept(basis, None, {}, {})
     normal_forms: dict[Monomial, dict[Monomial, Fraction]] = {}
     for d in range(socle + 1):
         for t, tail in tails_of[d].items():
@@ -381,14 +343,14 @@ def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _S
 _BARE: dict[Monomial, Fraction] = {}
 
 
-def _has_pure_powers(leading: Iterable[Monomial], width: int) -> bool:
-    """Does every generator have a pure power among the leading monomials?"""
+def _lacking_pure_powers(leading: Iterable[Monomial], names: Sequence[str]) -> list[str]:
+    """The names of the generators with no pure power among the leading monomials."""
     pure = set()
     for lm in leading:
         support = [i for i, e in enumerate(lm) if e]
         if len(support) <= 1:
-            pure.update(support or range(width))
-    return len(pure) == width
+            pure.update(support or range(len(names)))
+    return [name for i, name in enumerate(names) if i not in pure]
 
 
 def _candidate_rows(lower, standard_sets, degree, weights):
@@ -486,15 +448,15 @@ class DegreeFunctional:
     """Linear functional on the rank-one top graded piece of a ring.
 
     Normalized by one reference element and its exact value; every other
-    degree-D class gets its value by exact proportionality.  On an
-    Artinian ring the value of every monomial whose normal form reaches
-    the top monomial is tabulated at construction, as an integer V[m]
-    over the common denominator ``_denominator``, so a degree is a dot
-    product of the coefficients with that table.  Pairings are read from
-    the same table: with a row and a column scaled to integer numerators
-    a_m and b_n over the lcm of their denominators, the degree of their
-    product is sum a_m * b_n * V[m + n] over that lcm, the two scales and
-    the common denominator.  Other rings take the normal form first.
+    degree-D class gets its value by exact proportionality.  The value of
+    every monomial whose normal form reaches the top monomial is tabulated
+    at construction, as an integer V[m] over the common denominator
+    ``_denominator``, so a degree is a dot product of the coefficients
+    with that table.  Pairings are read from the same table: with a row
+    and a column scaled to integer numerators a_m and b_n over the lcm of
+    their denominators, the degree of their product is
+    sum a_m * b_n * V[m + n] over that lcm, the two scales and the common
+    denominator.
     """
 
     def __init__(self, ring: QuotientRing, reference_element: Polynomial, reference_value: Fraction):
@@ -504,7 +466,7 @@ class DegreeFunctional:
         degree = reference_element.weighted_degree()
         if degree is None:
             raise DegreeError("reference element must be nonzero")
-        if ring.socle_degree is not None and degree != ring.socle_degree:
+        if degree != ring.socle_degree:
             raise DegreeError(
                 f"reference element has degree {degree}, but {ring.name} has socle degree {ring.socle_degree}"
             )
@@ -518,36 +480,25 @@ class DegreeFunctional:
         nf = ring.normal_form(reference_element)
         if nf.is_zero:
             raise DegreeError("reference element vanishes in the quotient")
-        self._reference_coefficient = nf.coefficient(self._top_monomial)
-        self._values: dict[Monomial, int] | None = None
-        if ring.artinian:
-            top = self._top_monomial
-            values = {
-                mono: image[top] / self._reference_coefficient * self.reference_value
-                for mono, image in ring._nf_cache.items()
-                if top in image
-            }
-            self._values, self._denominator = integer_terms(values)
+        top = self._top_monomial
+        scale = self.reference_value / nf.coefficient(top)
+        self._values, self._denominator = integer_terms(
+            {mono: image[top] * scale for mono, image in ring._nf_cache.items() if top in image}
+        )
 
     def degree(self, p: Polynomial) -> Fraction:
         """Exact value of the functional on a degree-D class.
 
         The zero class gives 0; any nonzero class must be homogeneous of
-        the top degree.  On an Artinian ring every monomial in the table
-        has the top degree, so only the others have their degree computed,
-        and the sum is kept as one integer fraction until the end.
+        the top degree.  Every monomial in the table has the top degree, so
+        only the others have their degree computed, and the sum is kept as
+        one integer fraction until the end.
         """
         if p.gens != self.ring.gens:
             raise GeneratorMismatchError("element belongs to a different ring")
         if p.is_zero:
             return Fraction(0)
         values = self._values
-        if values is None:
-            d = p.weighted_degree()
-            if d != self.top_degree:
-                raise DegreeError(f"expected degree {self.top_degree}, got {d}")
-            coefficient = self.ring.normal_form(p).coefficient(self._top_monomial)
-            return coefficient / self._reference_coefficient * self.reference_value
         weights = self.ring.gens.weights
         top_degree = self.top_degree
         numerator, denominator = 0, 1
@@ -575,11 +526,10 @@ class DegreeFunctional:
         """Matrix of degree(row * col) for homogeneous complementary inputs.
 
         Rows must be homogeneous of the given codimension and columns of
-        the complementary one; zero entries are allowed on either side.  On
-        an Artinian ring no product is formed: each row and column is
-        scaled to integers, each entry is the bilinear form
-        sum a_m * b_n * V[m + n] over the value table, and one Fraction is
-        made per entry.
+        the complementary one; zero entries are allowed on either side.  No
+        product is formed: each row and column is scaled to integers, each
+        entry is the bilinear form sum a_m * b_n * V[m + n] over the value
+        table, and one Fraction is made per entry.
         """
         complement = self.top_degree - codimension
         for label, elements, expected in (("row", rows, codimension), ("column", cols, complement)):
@@ -587,8 +537,6 @@ class DegreeFunctional:
                 d = element.weighted_degree()
                 if d is not None and d != expected:
                     raise DegreeError(f"{label} {i} has degree {d}, expected {expected}")
-        if self._values is None:
-            return [[self.degree(r * c) for c in cols] for r in rows]
         self._check_gens(rows)
         self._check_gens(cols)
         scaled_cols = [integer_terms(c._terms) for c in cols]
@@ -616,10 +564,10 @@ class DegreeFunctional:
         the expected degree(x * probe) numbers.  The system is solved
         exactly; rank deficiency means the pairing cannot see the class
         (singular pairing), and contradictory overdetermined data is
-        reported rather than least-squares fitted.  On an Artinian ring
-        each equation is the pairing row of its probe read from the value
-        table and scaled to integers, which changes neither the solution
-        nor whether there is one.
+        reported rather than least-squares fitted.  Each equation is the
+        pairing row of its probe read from the value table and scaled to
+        integers, which changes neither the solution nor whether there is
+        one.
         """
         if len(probes) != len(values):
             raise ValueError("need exactly one value per probe")
@@ -629,18 +577,13 @@ class DegreeFunctional:
             if d is not None and d != complement:
                 raise DegreeError(f"probe {i} has degree {d}, expected {complement}")
         basis = self.ring.standard_monomials(codimension)
-        if self._values is None:
-            elements = self.ring.standard_basis_polynomials(codimension)
-            matrix = [[self.degree(e * probe) for e in elements] for probe in probes]
-            rhs = [Fraction(v) for v in values]
-        else:
-            self._check_gens(probes)
-            matrix, scales = [], []
-            for probe in probes:
-                terms, scale = integer_terms(probe._terms)
-                matrix.append([self._pairing({e: 1}, terms) for e in basis])
-                scales.append(scale * self._denominator)
-            rhs = [Fraction(v) * scale for v, scale in zip(values, scales)]
+        self._check_gens(probes)
+        matrix, scales = [], []
+        for probe in probes:
+            terms, scale = integer_terms(probe._terms)
+            matrix.append([self._pairing({e: 1}, terms) for e in basis])
+            scales.append(scale * self._denominator)
+        rhs = [Fraction(v) * scale for v, scale in zip(values, scales)]
         try:
             solution = solve_exact(matrix, rhs)
         except SingularSystemError as err:

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 from avchow import GeneratorSet, Polynomial
 
+from oracles import monomials_of_degree
+
 
 def random_coefficient(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -22,7 +24,7 @@ def random_polynomial(
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         degree = rng.randint(0, max_degree)
-        monomials = gens.monomials_of_degree(degree)
+        monomials = monomials_of_degree(gens.weights, degree)
         if not monomials:
             continue
         mono = monomials[rng.randrange(len(monomials))]
@@ -37,7 +39,7 @@ def random_homogeneous(
     max_terms: int = 3,
 ) -> Polynomial:
     """A random homogeneous polynomial of the given weighted degree."""
-    monomials = gens.monomials_of_degree(degree)
+    monomials = monomials_of_degree(gens.weights, degree)
     terms = {}
     if monomials:
         for _ in range(rng.randint(1, max_terms)):

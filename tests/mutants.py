@@ -1,0 +1,344 @@
+"""Hand-made defects in the package, and whether the tests catch each one.
+
+Run by hand from the repository root (it takes a few minutes; it is not
+part of the tier-1 suite):
+
+    python tests/mutants.py             # every mutant
+    python tests/mutants.py NAME ...    # only the named mutants
+    python tests/mutants.py --list      # names and the tests run for each
+
+Each mutant is a file under ``src/avchow``, an exact text that occurs
+there once, the text that replaces it, and the test files that should
+fail.  The script copies ``src``, ``tests`` and ``perfbench`` (whose
+verifier output the tests compare with) into a temporary directory, runs
+the named test files there once unchanged (they must pass), and then
+applies one mutant at a time, runs its test files with pytest and puts the
+file back.  A mutant is killed when pytest reports a failure or an error,
+and survives when its tests pass.  The script prints one line per mutant
+and exits 1 if any survives.  A survivor marks a path no test reaches, or
+an oracle in ``tests/oracles.py`` that shares the defect.
+
+``tests/test_mutants.py`` checks, in the tier-1 suite, that each old text
+still occurs exactly once, so the list cannot rot silently.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/avchow
+    old: str
+    new: str
+    tests: tuple[str, ...]  # relative to tests/
+
+
+MUTANTS = (
+    # The kernel refuses what is not Artinian.
+    Mutant(
+        "not-artinian-accepted",
+        "quotient.py",
+        "                if lacking:\n                    raise DegreeError(",
+        "                if lacking:\n"
+        "                    return _Swept(GroebnerBasis(gens, [], relations, stats), -1, {}, {})\n"
+        "                    raise DegreeError(",
+        ("test_quotient.py", "test_sweep.py"),
+    ),
+    Mutant(
+        "pure-power-test-negated",
+        "quotient.py",
+        "                if lacking:",
+        "                if not lacking:",
+        ("test_quotient.py", "test_sweep.py"),
+    ),
+    Mutant(
+        "sweep-stops-after-one-empty-degree",
+        "quotient.py",
+        "if full_run >= window:",
+        "if full_run >= 1:",
+        ("test_sweep.py",),
+    ),
+    Mutant(
+        "monomial-cap-at-equality",
+        "quotient.py",
+        "if looked > MAX_SWEEP_MONOMIALS:",
+        "if looked >= MAX_SWEEP_MONOMIALS:",
+        ("test_sweep.py",),
+    ),
+    Mutant(
+        "standard-cap-at-equality",
+        "quotient.py",
+        "if found > MAX_STANDARD_MONOMIALS:",
+        "if found >= MAX_STANDARD_MONOMIALS:",
+        ("test_quotient.py",),
+    ),
+    Mutant(
+        "degree-cap-at-equality",
+        "quotient.py",
+        "if degree > MAX_SWEEP_DEGREES:",
+        "if degree >= MAX_SWEEP_DEGREES:",
+        ("test_quotient.py",),
+    ),
+    # Integers on the calculator's hot path: degrees, rendering, parsing.
+    Mutant(
+        "degree-homogeneity-check-dropped",
+        "quotient.py",
+        "                if sum(map(mul, mono, weights)) != top_degree:\n"
+        '                    raise DegreeError(f"expected degree {top_degree}, got {p.weighted_degree()}")\n',
+        "",
+        ("test_quotient.py",),
+    ),
+    Mutant(
+        "degree-coefficient-denominators-ignored",
+        "quotient.py",
+        "if coeff.denominator == denominator:",
+        "if True:",
+        ("test_linear_maps.py",),
+    ),
+    Mutant(
+        "degree-common-denominator-dropped",
+        "quotient.py",
+        "return Fraction(numerator, denominator * self._denominator)",
+        "return Fraction(numerator, denominator)",
+        ("test_linear_maps.py",),
+    ),
+    Mutant(
+        "rendered-sign-wrong",
+        "poly.py",
+        'chunks.append(f"+ {body}" if numerator > 0 else f"- {body}")',
+        'chunks.append(f"+ {body}" if numerator < 0 else f"- {body}")',
+        ("test_poly.py",),
+    ),
+    Mutant(
+        "rendered-unit-coefficient-wrong",
+        "poly.py",
+        "elif magnitude != 1 or not factors:",
+        "elif magnitude != 1:",
+        ("test_poly.py",),
+    ),
+    Mutant(
+        "named-class-generator-check-removed",
+        "exprparse.py",
+        "if named.gens is not self.gens and named.gens != self.gens:",
+        "if False:",
+        ("test_exprparse.py",),
+    ),
+    Mutant(
+        "literal-digit-bound-removed",
+        "exprparse.py",
+        'if kind == "INT" and len(word) > MAX_LITERAL_DIGITS:',
+        "if False:",
+        ("test_exprparse.py", "test_cli.py"),
+    ),
+    Mutant(
+        "final-fraction-pass-removed",
+        "exprparse.py",
+        "        if type(coeff) is int:\n            terms[mono] = Fraction(coeff)",
+        "        pass",
+        ("test_exprparse.py", "test_quotient.py"),
+    ),
+    Mutant(
+        "single-term-power-exponent-wrong",
+        "poly.py",
+        "mono = tuple(e * exponent for e in mono)",
+        "mono = tuple(e * (exponent - 1) for e in mono)",
+        ("test_exprparse.py", "test_poly.py"),
+    ),
+    # Integer linear algebra: pairings, class recovery, determinants, Torelli.
+    Mutant(
+        "bareiss-sign-flip",
+        "linalg.py",
+        "            sign = -sign\n",
+        "",
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "determinant-row-scales-dropped",
+        "linalg.py",
+        "        scale *= row_scale\n",
+        "",
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "integer-row-lcm-dropped",
+        "linalg.py",
+        "scale = lcm(*[x.denominator for x in values])",
+        "scale = max(x.denominator for x in values)",
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "bareiss-pivot-division-dropped",
+        "linalg.py",
+        "[(lead * x - row[0] * y) // previous for x, y in zip(row[1:], head[1:])]",
+        "[lead * x - row[0] * y for x, y in zip(row[1:], head[1:])]",
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "solution-pivot-division-dropped",
+        "linalg.py",
+        "solution[col] = Fraction(rows[r][cols], rows[r][col])",
+        "solution[col] = Fraction(rows[r][cols])",
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "inconsistency-checked-after-rank",
+        "linalg.py",
+        "    for r in range(rank, len(rows)):\n"
+        "        if rows[r][cols]:\n"
+        '            raise InconsistentSystemError("system has no exact solution")\n'
+        "    if rank < cols:\n"
+        '        raise SingularSystemError(f"system is rank deficient (rank {rank} of {cols})")\n',
+        "    if rank < cols:\n"
+        '        raise SingularSystemError(f"system is rank deficient (rank {rank} of {cols})")\n'
+        "    for r in range(rank, len(rows)):\n"
+        "        if rows[r][cols]:\n"
+        '            raise InconsistentSystemError("system has no exact solution")\n',
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "pairing-ring-denominator-dropped",
+        "quotient.py",
+        "            row_scale *= self._denominator\n",
+        "",
+        ("test_linear_maps.py",),
+    ),
+    Mutant(
+        "pairing-column-scale-dropped",
+        "quotient.py",
+        "Fraction(self._pairing(row_terms, col_terms), row_scale * col_scale)",
+        "Fraction(self._pairing(row_terms, col_terms), row_scale)",
+        ("test_linear_maps.py",),
+    ),
+    Mutant(
+        "pairing-row-generator-check-removed",
+        "quotient.py",
+        "        self._check_gens(rows)\n",
+        "",
+        ("test_linear_maps.py",),
+    ),
+    Mutant(
+        "pairing-column-generator-check-removed",
+        "quotient.py",
+        "        self._check_gens(cols)\n",
+        "",
+        ("test_linear_maps.py",),
+    ),
+    Mutant(
+        "solve-class-right-hand-sides-unscaled",
+        "quotient.py",
+        "rhs = [Fraction(v) * scale for v, scale in zip(values, scales)]",
+        "rhs = [Fraction(v) for v in values]",
+        ("test_linear_maps.py",),
+    ),
+    Mutant(
+        "solve-class-zero-terms-kept",
+        "quotient.py",
+        "{m: c for m, c in zip(basis, solution) if c}",
+        "{m: c for m, c in zip(basis, solution)}",
+        ("test_linear_maps.py",),
+    ),
+    Mutant(
+        "solve-class-basis-coefficient-wrong",
+        "quotient.py",
+        "self._pairing({e: 1}, terms)",
+        "self._pairing({e: 2}, terms)",
+        ("test_linear_maps.py",),
+    ),
+    Mutant(
+        "integer-terms-unscaled",
+        "poly.py",
+        "return {key: c.numerator * (scale // c.denominator) for key, c in terms.items()}, scale",
+        "return {key: c.numerator for key, c in terms.items()}, scale",
+        ("test_linear_maps.py",),
+    ),
+    Mutant(
+        "torelli-coefficient-denominator-ignored",
+        "pushforward.py",
+        "factor = coeff.numerator * (scale // (coeff.denominator * denominator))",
+        "factor = coeff.numerator * (scale // denominator)",
+        ("test_linear_maps.py",),
+    ),
+    Mutant(
+        "torelli-zero-output-terms-kept",
+        "pushforward.py",
+        "{mono: Fraction(value, scale) for mono, value in numerators.items() if value}",
+        "{mono: Fraction(value, scale) for mono, value in numerators.items()}",
+        ("test_linear_maps.py",),
+    ),
+    Mutant(
+        "torelli-unit-codimension-wrong",
+        "pushforward.py",
+        "symbols.gen(name).leading_monomial(): (name, weight)",
+        "symbols.gen(name).leading_monomial(): (name, 1)",
+        ("test_linear_maps.py",),
+    ),
+    Mutant(
+        "torelli-hashability-guard-removed",
+        "pushforward.py",
+        "codimension = self._codimension.get(name) if isinstance(name, str) else None",
+        "codimension = self._codimension.get(name)",
+        ("test_linear_maps.py",),
+    ),
+)
+
+
+def _pytest(work: Path, tests: tuple[str, ...]) -> int:
+    """Exit status of pytest on the given test files of the copy in ``work``."""
+    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *(f"tests/{t}" for t in tests)]
+    return subprocess.run(command, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for mutant in MUTANTS:
+            print(f"{mutant.name}: src/avchow/{mutant.file}; {', '.join(mutant.tests)}")
+        return 0
+    known = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in argv if name not in known]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [known[name] for name in argv] if argv else list(MUTANTS)
+    with tempfile.TemporaryDirectory(prefix="avchow-mutants-") as scratch:
+        work = Path(scratch)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        shutil.copytree(ROOT / "src", work / "src", ignore=ignore)
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
+        shutil.copytree(ROOT / "perfbench", work / "perfbench", ignore=ignore)  # the verifier's golden output
+        shutil.copy(ROOT / "pyproject.toml", work / "pyproject.toml")
+        every_test = tuple(sorted({t for mutant in chosen for t in mutant.tests}))
+        if _pytest(work, every_test) != 0:
+            print("the unmutated tests fail; no mutant was run", file=sys.stderr)
+            return 2
+        survivors = []
+        for mutant in chosen:
+            path = work / "src" / "avchow" / mutant.file
+            original = path.read_text(encoding="utf-8")
+            if original.count(mutant.old) != 1:
+                print(f"{mutant.name}: its old text does not occur exactly once", file=sys.stderr)
+                return 2
+            path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+            try:
+                status = _pytest(work, mutant.tests)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            print(f"{'killed' if status else 'SURVIVED'}  {mutant.name}", flush=True)
+            if not status:
+                survivors.append(mutant.name)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed; {len(survivors)} survived")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

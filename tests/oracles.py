@@ -2,7 +2,8 @@
 
 The graded dimension oracle here deliberately avoids the package's
 Groebner machinery and linear algebra: it enumerates monomials by brute
-force and row-reduces the degree-d slice of the relation ideal with its
+force (the tests draw and list their monomials with the same enumerator,
+not the package's) and row-reduces the degree-d slice of the relation ideal with its
 own Gaussian elimination.  Agreement with the staircase count is then a
 meaningful check rather than the same computation twice.
 
@@ -61,6 +62,23 @@ def monomials_of_weight(weights, total):
 
     extend([], total, 0)
     return results
+
+
+def monomials_of_degree(weights, degree):
+    """All exponent tuples of the weighted degree, descending (the monomial order within one degree)."""
+    return monomials_of_weight(weights, degree)[::-1]
+
+
+def without_pure_powers(names, leading):
+    """The names of the generators x_i with no leading monomial dividing a power of x_i.
+
+    A constant leading monomial (the unit ideal) divides every power.
+    """
+    return [
+        name
+        for i, name in enumerate(names)
+        if not any(all(e == 0 for j, e in enumerate(mono) if j != i) for mono in leading)
+    ]
 
 
 def _gauss_rank(rows):

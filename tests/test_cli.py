@@ -20,6 +20,16 @@ TOY_SPEC = {
 }
 
 
+# Two degree-1 generators with x*y a relation: x^n and y^n are standard for
+# every n, so the ring is not Artinian.
+AXES_SPEC = {
+    "name": "axes",
+    "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}],
+    "relations": ["x*y"],
+}
+AXES_REFUSAL = "error: axes is not Artinian: no power of x, y is a leading monomial of its Groebner basis\n"
+
+
 TABLES_GOLDEN = Path(__file__).with_name("tables_golden.txt")
 # The verifier output the benchmark compares against; read, never written.
 VERIFY_GOLDEN = Path(__file__).parents[1] / "perfbench" / "verify_golden.txt"
@@ -143,6 +153,16 @@ class TestBasicCommands:
         assert code == 0
         assert out.strip() == "sigma1"
 
+    @pytest.mark.parametrize("value", ["1e999999999", "0.5", "1/0", "1/2/3", "nan", "5/-8"])
+    def test_solve_class_bad_value_is_usage_error(self, capsys, value):
+        # Values are p or p/q, the grammar of spec files.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "solve-class", "--ring", "a1_tilde", "--deg", "1", "--values", value)
+        # Fraction("1e999999999") computes 10^999999999 in full; a hang
+        # guard, not a timing gate.
+        assert time.perf_counter() - start < 10
+        assert (code, out, err) == (2, "", f"error: bad rational value {value!r}\n")
+
     def test_solve_class_value_count_mismatch(self, capsys):
         code, _, err = run(
             capsys,
@@ -203,41 +223,43 @@ class TestFileRings:
         assert code == 0
         assert out.strip() == "1,0,1,0,1"
 
-    def test_hilbert_of_non_artinian_ring_needs_max(self, capsys, tmp_path):
+    def test_hilbert_of_non_artinian_ring_is_refused(self, capsys, tmp_path):
         path = tmp_path / "axes.json"
-        data = {
-            "name": "axes",
-            "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}],
-            "relations": ["x*y"],
-        }
-        path.write_text(json.dumps(data))
-        code, _, err = run(capsys, "hilbert", "--ring", str(path))
-        assert code == 2
-        assert "--max" in err
-        code, out, _ = run(capsys, "hilbert", "--ring", str(path), "--max", "3")
-        assert code == 0
-        assert out.strip() == "1,2,2,2"
+        path.write_text(json.dumps(AXES_SPEC))
+        for extra in ((), ("--max", "3")):
+            code, out, err = run(capsys, "hilbert", "--ring", str(path), *extra)
+            assert (code, out, err) == (2, "", AXES_REFUSAL)
 
     def test_hilbert_of_non_artinian_ring_is_bounded(self, capsys, tmp_path):
         path = tmp_path / "axes.json"
-        data = {
-            "name": "axes",
-            "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}],
-            "relations": ["x*y"],
-        }
-        path.write_text(json.dumps(data))
-        code, out, _ = run(capsys, "hilbert", "--ring", str(path), "--max", "445")
-        assert code == 0
-        assert out.strip() == ",".join(["1"] + ["2"] * 445)
+        path.write_text(json.dumps(AXES_SPEC))
         start = time.perf_counter()
-        code, out, err = run(capsys, "hilbert", "--ring", str(path), "--max", "800")
+        for top in ("445", "800"):
+            code, out, err = run(capsys, "hilbert", "--ring", str(path), "--max", top)
+            assert (code, out, err) == (2, "", AXES_REFUSAL)
         # Examining all 321,201 monomials of degree <= 800 took 19 s; a hang
         # guard, not a timing gate.
         assert time.perf_counter() - start < 10
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
-        assert "MAX_MONOMIALS_EXAMINED" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("nf", "x"), ("degree", "x^3"), ("hilbert",), ("hilbert", "--max", "5"), ("pairing", "--deg", "1")],
+    )
+    @pytest.mark.parametrize(
+        "relations, message",
+        [
+            (["x*y"], "axes is not Artinian: no power of x, y is a leading monomial of its Groebner basis"),
+            (["y^2", "x*y"], "axes is not Artinian: no power of x is a leading monomial of its Groebner basis"),
+            (["x^200", "y^200"], "axes has more than MAX_STANDARD_MONOMIALS = 10000 standard monomials"),
+        ],
+    )
+    def test_refused_spec_is_usage_error(self, capsys, tmp_path, argv, relations, message):
+        path = tmp_path / "refused.json"
+        data = dict(AXES_SPEC, relations=relations, normalization={"element": "x^3", "value": "1"})
+        path.write_text(json.dumps(data))
+        command, *rest = argv
+        code, out, err = run(capsys, command, "--ring", str(path), *rest)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_normalization_below_socle_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "cubic.json"
@@ -395,21 +417,6 @@ class TestLargeExpressions:
         assert err.startswith("error:") and "MAX_LITERAL_DIGITS" in err
         assert f"(at position {position})" in err
 
-    def test_unprintable_exponent_is_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "xy.json"
-        data = {
-            "name": "xy",
-            "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}],
-            "relations": ["x*y"],
-        }
-        path.write_text(json.dumps(data))
-        # Nothing truncates on this ring, so y's exponent has 8,599 digits.
-        exponent = "1" + "0" * 4299
-        code, out, err = run(capsys, "nf", "--ring", str(path), f"(y^{exponent})^{exponent}")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "digits" in err
-
     def test_integer_of_the_most_digits_parses(self, capsys):
         code, out, _ = run(capsys, "nf", "--ring", "a1_tilde", "1" + "0" * 4299 + " - lambda1^0")
         assert code == 0
@@ -439,23 +446,14 @@ class TestLargeExpressions:
         assert out.strip() == "250000000000/3*sigma1 + 1"
 
     def test_power_on_non_artinian_ring_is_bounded(self, capsys, tmp_path):
-        path = tmp_path / "xy.json"
-        data = {
-            "name": "xy",
-            "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}],
-            "relations": ["x*y"],
-        }
-        path.write_text(json.dumps(data))
-        code, out, _ = run(capsys, "nf", "--ring", str(path), "(x+y)^300")
-        assert code == 0
-        assert out.strip() == "x^300 + y^300"
+        path = tmp_path / "axes.json"
+        path.write_text(json.dumps(AXES_SPEC))
         start = time.perf_counter()
-        code, out, err = run(capsys, "nf", "--ring", str(path), "(x+y)^3000")
+        for power in ("300", "3000"):
+            code, out, err = run(capsys, "nf", "--ring", str(path), f"(x+y)^{power}")
+            assert (code, out, err) == (2, "", AXES_REFUSAL)
         # The full expansion was killed after 15 s; a hang guard, not a timing gate.
         assert time.perf_counter() - start < 10
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "MAX_PRODUCT_PAIRS" in err
 
     def test_torelli_power_of_a_sum_is_bounded(self, capsys):
         start = time.perf_counter()

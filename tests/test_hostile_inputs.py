@@ -122,7 +122,7 @@ COMMANDS = ["nf", "degree", "hilbert", "pairing", "solve-class", "push", "tables
 ARBITRARY = st.text(max_size=10) | st.integers().map(str)
 WORDS = st.sampled_from(
     [*COMMANDS, *RING_NAMES, "--ring", "--max", "--deg", "--rows", "--cols", "--values", "--probes", "--map", "--id",
-     "--scope", "--format", "--help", "torelli", "json", "all", "levels", "table:3g", "4a"]
+     "--scope", "--format", "--help", "torelli", "json", "all", "levels", "table:3g", "4a", "1e999999999"]
 )
 ARGV = st.lists(WORDS | ARBITRARY, max_size=7)
 

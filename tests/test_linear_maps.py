@@ -22,6 +22,7 @@ from avchow import (
 from helpers import random_coefficient, random_homogeneous, random_polynomial
 from oracles import (
     degree_by_normal_form,
+    monomials_of_degree,
     pairing_by_products,
     push_combination_by_polynomials,
     push_combination_by_table,
@@ -56,11 +57,15 @@ def test_degree_matches_normal_form_formula(catalog):
 
 
 def test_degree_on_a_ring_that_is_not_artinian():
+    # x^n is standard for every n, so no ring is built to carry a functional.
     gens = GeneratorSet([("x", 1), ("y", 1)])
     relations = [parse_expression(text, gens) for text in ("y^2", "x*y")]
-    ring = QuotientRing(RingPresentation("line", gens, relations))
-    assert not ring.artinian
-    assert ring.hilbert_function(4) == [1, 2, 1, 1, 1]
+    with pytest.raises(DegreeError) as info:
+        QuotientRing(RingPresentation("line", gens, relations))
+    assert str(info.value) == "line is not Artinian: no power of x is a leading monomial of its Groebner basis"
+    # With x^4 a relation too, the degree is read from the table.
+    ring = QuotientRing(RingPresentation("line", gens, relations + [parse_expression("x^4", gens)]))
+    assert ring.hilbert_function(4) == [1, 2, 1, 1, 0]
     functional = DegreeFunctional(ring, parse_expression("x^3", gens), Fraction(2))
     assert functional.degree(parse_expression("(x + y)^3 - 5*x^2*y", gens)) == 2
     rng = random.Random(7)
@@ -98,12 +103,18 @@ def test_fibre_pushforward_matches_decomposition(catalog):
 
 
 def test_fibre_pushforward_on_a_ring_that_is_not_artinian():
+    # Neither the line nor the free module over it is Artinian: both are
+    # refused.  Over the base truncated at a^7, the same rule pushes the
+    # same classes from the table.
     base_gens = GeneratorSet([("a", 1)])
     combined_gens = GeneratorSet([("t", 1), ("s", 2), ("a", 1)])
-    base = QuotientRing(RingPresentation("line", base_gens, []))
     relations = [parse_expression(text, combined_gens) for text in ("t^2 - a*t", "t*s", "s^2")]
-    combined = QuotientRing(RingPresentation("free", combined_gens, relations))
-    assert not base.artinian and not combined.artinian
+    with pytest.raises(DegreeError, match="^line is not Artinian: no power of a is"):
+        QuotientRing(RingPresentation("line", base_gens, []))
+    with pytest.raises(DegreeError, match="^free is not Artinian: no power of a is"):
+        QuotientRing(RingPresentation("free", combined_gens, relations))
+    base = QuotientRing(RingPresentation("line", base_gens, [parse_expression("a^7", base_gens)]))
+    combined = QuotientRing(RingPresentation("free", combined_gens, relations + [parse_expression("a^7", combined_gens)]))
     relative = RelativeRing(base, combined, ("t", "s"))
     rule = PushforwardRule(base_gens.zero(), base_gens.gen("a"), base_gens.one())
     # a^4*t^2 = a^5*t pushes to a^5 * a, and a^5*s to a^5.
@@ -122,7 +133,7 @@ def test_pushed_monomials_are_kept_and_bounded(catalog):
     gens = combined.gens
     everything = gens.zero()
     for d in range(combined.socle_degree + 3):
-        for mono in gens.monomials_of_degree(d):
+        for mono in monomials_of_degree(gens.weights, d):
             everything = everything + gens.monomial(mono)
     relative.pushforward(gens.gen("t") ** 2)
     assert len(relative._pushed) == 1

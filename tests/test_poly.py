@@ -23,7 +23,7 @@ from avchow.catalog import RING_NAMES
 from avchow.poly import expand_chern_identity, lambda_generators
 
 from helpers import random_polynomial
-from oracles import render_polynomial
+from oracles import monomials_of_degree, render_polynomial
 
 XY = GeneratorSet([("x", 1), ("y", 2)])
 
@@ -74,11 +74,14 @@ class TestGeneratorSet:
         with pytest.raises(ValueError):
             GeneratorSet([("x", 0)])
 
+    # The tests draw and list monomials with the enumerator in oracles.py,
+    # not with the package; these two check it.
+
     def test_monomials_of_degree(self):
         # weight(x) = 1, weight(y) = 2: degree 4 is x^4, x^2 y, y^2
-        monos = XY.monomials_of_degree(4)
+        monos = monomials_of_degree(XY.weights, 4)
         assert sorted(monos) == [(0, 2), (2, 1), (4, 0)]
-        assert XY.monomials_of_degree(0) == [(0, 0)]
+        assert monomials_of_degree(XY.weights, 0) == [(0, 0)]
 
     def test_monomials_of_degree_match_brute_force(self):
         for weights in [(1,), (2,), (1, 1), (2, 1), (3, 2, 1), (2, 2, 3), (1, 2, 1, 3)]:
@@ -87,7 +90,7 @@ class TestGeneratorSet:
                 every = itertools.product(range(11), repeat=len(weights))
                 expected = [m for m in every if gens.weighted_degree(m) == degree]
                 expected.sort(key=gens.sort_key, reverse=True)
-                assert gens.monomials_of_degree(degree) == expected, (weights, degree)
+                assert monomials_of_degree(weights, degree) == expected, (weights, degree)
 
     def test_weighted_degree_of_monomial(self):
         assert XY.weighted_degree((3, 2)) == 7
@@ -207,7 +210,7 @@ RENDER_COEFFICIENTS = [Fraction(c) for c in ("1", "-1", "2", "-7", "1/2", "-1/3"
 
 def seeded_polynomials(rng, gens, socle):
     """Zero, constants, single terms and sums over ``gens``, up to two degrees past ``socle``."""
-    monomials = [m for d in range(socle + 3) for m in gens.monomials_of_degree(d)]
+    monomials = [m for d in range(socle + 3) for m in monomials_of_degree(gens.weights, d)]
     found = [gens.zero()] + [gens.constant(c) for c in RENDER_COEFFICIENTS]
     for _ in range(40):
         chosen = rng.sample(monomials, min(len(monomials), rng.randint(1, 6)))
@@ -230,6 +233,16 @@ def test_unprintable_coefficient_raises_size_error_like_reference(coeff):
     for render in (str, render_polynomial):
         with pytest.raises(SizeError, match="more digits than Python converts"):
             render(poly)
+
+
+def test_unprintable_exponent_raises_size_error():
+    # (y^e)^e with e = 10^4299 has an exponent of 8,599 digits, past the
+    # 4,300 that Python converts to text.
+    exponent = "1" + "0" * 4299
+    poly = parse_expression(f"x + (y^{exponent})^{exponent}", XY)
+    assert poly.terms()[0][0] == (0, 10**8598)
+    with pytest.raises(SizeError, match="more digits than Python converts"):
+        str(poly)
 
 
 class TestChernIdentity:

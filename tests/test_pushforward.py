@@ -51,12 +51,14 @@ def b(text):
 
 class TestRelativeRing:
     def test_module_basis_must_be_free(self):
+        # t^2 is standard, so {1, t, s} is no module basis.
+        texts = ("a^3", "t^3", "t*s", "s^2")
         sparse = QuotientRing(
             RingPresentation(
-                "sparse", COMBINED_GENS, [parse_expression("a^3", COMBINED_GENS)]
+                "sparse", COMBINED_GENS, [parse_expression(t, COMBINED_GENS) for t in texts]
             )
         )
-        with pytest.raises(DegreeError):
+        with pytest.raises(DegreeError, match="module basis"):
             RelativeRing(base_ring(), sparse, ("t", "s"))
 
     def test_decompose(self):

@@ -16,9 +16,10 @@ from avchow import (
     parse_expression,
     presentations_equivalent,
 )
+from avchow.groebner import buchberger
 
 from helpers import random_homogeneous, random_polynomial
-from oracles import hilbert_series_oracle
+from oracles import hilbert_series_oracle, monomials_of_degree, without_pure_powers
 
 XY = GeneratorSet([("x", 1), ("y", 1)])
 
@@ -78,7 +79,6 @@ class TestQuotientRing:
 
     def test_artinian_socle_degree(self):
         ring = make_ring()
-        assert ring.artinian is True
         assert ring.socle_degree == 2
         assert ring.standard_monomials(10**9) == ()
         assert ring.hilbert_function(400) == [1, 2, 1] + [0] * 398
@@ -103,7 +103,7 @@ class TestArtinianNormalForm:
         for name in names:
             loaded = catalog.ring(name)
             ring = loaded.ring
-            assert ring.artinian, name
+            assert ring.socle_degree >= 0, name
             if loaded.expected_hilbert is not None:
                 dims = loaded.expected_hilbert
                 assert ring.socle_degree == max(d for d, n in enumerate(dims) if n), name
@@ -116,7 +116,7 @@ class TestArtinianNormalForm:
     def test_cache_bounded_by_monomials_up_to_socle(self, catalog):
         ring = QuotientRing(catalog.ring("a3_tilde").ring.presentation)
         gens = ring.gens
-        below = [m for d in range(ring.socle_degree + 1) for m in gens.monomials_of_degree(d)]
+        below = [m for d in range(ring.socle_degree + 1) for m in monomials_of_degree(gens.weights, d)]
         # The table is filled when the ring is built: every monomial up to
         # the socle degree whose normal form is not 0, and nothing else.
         nonzero = set()
@@ -145,54 +145,60 @@ class TestArtinianNormalForm:
         assert (ring.nf_hits, ring.nf_dropped) == (4, 4)
         assert len(ring._nf_cache) == 5
 
-    def test_non_artinian_ring_keeps_reduction(self):
-        ring = QuotientRing(RingPresentation("axes", XY, [q("x*y")]))
-        assert ring.artinian is False
-        assert ring.socle_degree is None
-        assert ring.standard_monomials(5) == ((5, 0), (0, 5))
-        assert ring.hilbert_function(3) == [1, 2, 2, 2]
-        rng = random.Random(3)
-        for _ in range(40):
-            p = random_polynomial(rng, XY, max_degree=6, max_terms=4)
-            assert ring.normal_form(p) == ring.groebner.reduce(p)
-        assert (ring.nf_hits, ring.nf_dropped) == (0, 0)
+    def test_non_artinian_ring_is_refused(self):
+        # x^n and y^n are standard for every n: the ring is not Artinian.
+        with pytest.raises(DegreeError) as info:
+            QuotientRing(RingPresentation("axes", XY, [q("x*y")]))
+        assert str(info.value) == "axes is not Artinian: no power of x, y is a leading monomial of its Groebner basis"
+        # Only the generators without a pure power are named.
+        with pytest.raises(DegreeError) as info:
+            QuotientRing(RingPresentation("line", XY, [q("y^2"), q("x*y")]))
+        assert str(info.value) == "line is not Artinian: no power of x is a leading monomial of its Groebner basis"
 
     def test_non_artinian_monomials_examined_are_capped(self, monkeypatch):
-        monkeypatch.setattr("avchow.quotient.MAX_MONOMIALS_EXAMINED", 10)
-        ring = QuotientRing(RingPresentation("axes", XY, [q("x*y")]))
-        # Degrees 0..3 have 1 + 2 + 3 + 4 = 10 monomials; asking again is free.
-        assert ring.hilbert_function(3) == [1, 2, 2, 2]
-        assert ring.standard_monomials(2) == ((2, 0), (0, 2))
-        with pytest.raises(DegreeError, match="MAX_MONOMIALS_EXAMINED = 10"):
-            ring.standard_monomials(4)
+        monkeypatch.setattr("avchow.quotient.MAX_SWEEP_MONOMIALS", 10)
+        # Deciding needs the degrees up to the relation's, 5: 21 monomials.
+        with pytest.raises(DegreeError) as info:
+            QuotientRing(RingPresentation("line", XY, [q("x^5 - x^4*y")]))
+        assert str(info.value) == (
+            "line: the degree sweep looked at more than MAX_SWEEP_MONOMIALS = 10 monomials "
+            "before it decided whether the ring is Artinian"
+        )
 
     def test_dead_ends_count_as_examined(self):
-        # Degree 10^30 has the two monomials x^(10^30) and y, and the walk
-        # between them tried every exponent of x without end.
+        # Degree 10^30 has the two monomials x^(10^30) and y, and a walk
+        # over its exponent vectors met 10^30 dead ends.  No such walk is
+        # left: both rings are refused when built, the first because it is
+        # not Artinian, the second before its sweep reaches degree 10^30.
         heavy = GeneratorSet([("x", 1), ("y", 10**30)])
-        ring = QuotientRing(RingPresentation("heavy", heavy, []))
-        with pytest.raises(DegreeError, match="MAX_MONOMIALS_EXAMINED = 100000"):
-            ring.standard_monomials(10**30)
-        assert ring.hilbert_function(3) == [1, 1, 1, 1]
+        with pytest.raises(DegreeError, match="^heavy is not Artinian: no power of x, y is"):
+            QuotientRing(RingPresentation("heavy", heavy, []))
+        with pytest.raises(DegreeError, match="^heavy-killed: the degree sweep passed MAX_SWEEP_DEGREES"):
+            QuotientRing(RingPresentation("heavy-killed", heavy, [heavy.gen("x") ** 2, heavy.gen("y")]))
 
     def test_standard_monomial_walk_is_capped(self, monkeypatch):
         monkeypatch.setattr("avchow.quotient.MAX_STANDARD_MONOMIALS", 5)
         X = GeneratorSet([("x", 1)])
         at_cap = QuotientRing(RingPresentation("at-cap", X, [X.gen("x") ** 5]))
         assert at_cap.hilbert_function(4) == [1, 1, 1, 1, 1]
-        with pytest.raises(DegreeError, match="more than MAX_STANDARD_MONOMIALS = 5"):
+        with pytest.raises(DegreeError) as info:
             QuotientRing(RingPresentation("over-cap", X, [X.gen("x") ** 6]))
+        assert str(info.value) == "over-cap has more than MAX_STANDARD_MONOMIALS = 5 standard monomials"
 
     def test_degrees_swept_are_capped(self):
         # With x of weight 10^9 and x^2 a relation, the sweep passed the
         # empty degrees below 2*10^9 one at a time, for hours.
         heavy = GeneratorSet([("x", 10**9), ("y", 1)])
-        with pytest.raises(DegreeError, match="MAX_SWEEP_DEGREES = 20000"):
+        with pytest.raises(DegreeError) as info:
             QuotientRing(RingPresentation("heavy-square", heavy, [heavy.gen("x") ** 2, heavy.gen("y")]))
-        # Past the cap, a ring that is not Artinian still gets its basis.
-        axes = QuotientRing(RingPresentation("heavy-axes", heavy, [heavy.gen("x") * heavy.gen("y")]))
-        assert not axes.artinian
-        assert axes.hilbert_function(3) == [1, 1, 1, 1]
+        assert str(info.value) == (
+            "heavy-square: the degree sweep passed MAX_SWEEP_DEGREES = 20000 degrees "
+            "before it decided whether the ring is Artinian"
+        )
+        # A ring that is not Artinian, with its relation this high, is refused
+        # by a cap too: here y^k is standard for every k.
+        with pytest.raises(DegreeError, match="^heavy-axes has more than MAX_STANDARD_MONOMIALS = 10000 standard"):
+            QuotientRing(RingPresentation("heavy-axes", heavy, [heavy.gen("x") * heavy.gen("y")]))
         light = GeneratorSet([("x", 10_000)])
         assert QuotientRing(RingPresentation("light", light, [light.gen("x") ** 2])).socle_degree == 10_000
 
@@ -205,8 +211,14 @@ class TestArtinianNormalForm:
 
 class TestHilbertAgainstOracle:
     def test_random_homogeneous_ideals(self):
+        # A ring is either built, with the oracle's Hilbert function, or
+        # refused as not Artinian, naming exactly the generators that have
+        # no pure power among Buchberger's leading monomials.  With a pure
+        # power of each generator added, the ring is built.
         gens = GeneratorSet([("a", 1), ("b", 1), ("c", 2)])
+        powers = [parse_expression(t, gens) for t in ("a^3", "b^3", "c^2")]
         rng = random.Random(5)
+        refused = 0
         for trial in range(10):
             relations = []
             for _ in range(rng.randint(1, 3)):
@@ -215,12 +227,28 @@ class TestHilbertAgainstOracle:
                     relations.append(r)
             if not relations:
                 continue
-            ring = QuotientRing(RingPresentation(f"rand{trial}", gens, relations))
-            staircase = ring.hilbert_function(5)
-            oracle = hilbert_series_oracle(
-                gens.weights, [list(r.terms()) for r in relations], 5
-            )
-            assert staircase == oracle
+            lacking = without_pure_powers(gens.names, buchberger(relations).leading_monomials)
+            try:
+                ring = QuotientRing(RingPresentation(f"rand{trial}", gens, relations))
+            except DegreeError as err:
+                assert lacking, str(err)
+                assert str(err) == (
+                    f"rand{trial} is not Artinian: no power of {', '.join(lacking)} is a leading monomial "
+                    f"of its Groebner basis"
+                )
+                refused += 1
+            else:
+                assert not lacking
+                staircase = ring.hilbert_function(5)
+                oracle = hilbert_series_oracle(
+                    gens.weights, [list(r.terms()) for r in relations], 5
+                )
+                assert staircase == oracle
+            bounded = relations + powers
+            ring = QuotientRing(RingPresentation(f"bounded{trial}", gens, bounded))
+            oracle = hilbert_series_oracle(gens.weights, [list(r.terms()) for r in bounded], 8)
+            assert ring.hilbert_function(8) == oracle
+        assert refused
 
 
 class TestDegreeFunctional:
@@ -283,12 +311,16 @@ class TestDegreeFunctional:
             functional.solve_class(1, probes, [Fraction(1), Fraction(2), Fraction(0)])
 
     def test_solve_class_singular_pairing(self):
-        # in Q[x,y]/(x^2, x*y) the class y pairs to zero with everything
-        relations = [q("x^2"), q("x*y")]
+        # in Q[x,y]/(x^2, x*y, y^3) the class x pairs to zero with everything
+        relations = [q("x^2"), q("x*y"), q("y^3")]
         ring = QuotientRing(RingPresentation("degenerate", XY, relations))
         functional = DegreeFunctional(ring, q("y^2"), Fraction(1))
+        assert functional.pairing_matrix(1, [q("x"), q("y")], [q("x"), q("y")]) == [[0, 0], [0, 1]]
         with pytest.raises(PairingError):
             functional.solve_class(1, [q("x"), q("y")], [Fraction(1), Fraction(1)])
+        # Consistent data leaves the coefficient of x free.
+        with pytest.raises(PairingError, match="singular pairing in codimension 1"):
+            functional.solve_class(1, [q("x"), q("y")], [Fraction(0), Fraction(1)])
 
 
 class TestDegreeTable:

@@ -7,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avchow import DegreeError, GeneratorSet, Polynomial, QuotientRing, RingPresentation, parse_expression
+from avchow import groebner
 from avchow.catalog import RING_NAMES, Catalog
 from avchow.groebner import buchberger, reduce
+
+from oracles import monomials_of_degree, without_pure_powers
 
 COEFFICIENTS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
 def homogeneous(draw, gens, degree, lead=None):
     """A random homogeneous polynomial of the degree, led by ``lead`` when given."""
-    monomials = gens.monomials_of_degree(degree)
+    monomials = monomials_of_degree(gens.weights, degree)
     if lead is not None:
         monomials = [m for m in monomials if m < lead]
     chosen = draw(st.lists(st.sampled_from(monomials), max_size=3, unique=True)) if monomials else []
@@ -49,11 +52,10 @@ def artinian_presentations(draw):
 def test_sweep_matches_buchberger(presentation):
     ring = QuotientRing(presentation)
     reference = buchberger(presentation.relations)
-    assert ring.artinian
     assert list(ring.groebner) == list(reference)
     gens = ring.gens
     for degree in range(ring.socle_degree + 1):
-        for mono in gens.monomials_of_degree(degree):
+        for mono in monomials_of_degree(gens.weights, degree):
             monomial = gens.monomial(mono)
             assert ring.normal_form(monomial) == reduce(monomial, list(reference)), mono
 
@@ -70,16 +72,26 @@ def presentations(draw):
 @settings(max_examples=60, deadline=None)
 @given(presentations())
 def test_sweep_finishes_any_ideal(presentation):
-    # A ring that is not Artinian stops once the sweep is past every S-pair.
+    # Either the ring is built with Buchberger's basis, or it is refused as
+    # not Artinian, naming the generators whose powers Buchberger's leading
+    # monomials miss.  A ring that is not Artinian is refused once the sweep
+    # is past every S-pair.
+    gens = presentation.gens
+    leading = buchberger(presentation.relations).leading_monomials if presentation.relations else ()
+    lacking = without_pure_powers(gens.names, leading)
+    if lacking:
+        with pytest.raises(DegreeError) as info:
+            QuotientRing(presentation)
+        assert str(info.value) == (
+            f"drawn is not Artinian: no power of {', '.join(lacking)} is a leading monomial of its Groebner basis"
+        )
+        return
     ring = QuotientRing(presentation)
-    if presentation.relations:
-        reference = buchberger(presentation.relations)
-        assert list(ring.groebner) == list(reference)
-        for degree in range(6):
-            expected = tuple(m for m in ring.gens.monomials_of_degree(degree) if reference.is_standard(m))
-            assert ring.standard_monomials(degree) == expected
-    else:
-        assert list(ring.groebner) == []
+    reference = buchberger(presentation.relations)
+    assert list(ring.groebner) == list(reference)
+    for degree in range(ring.socle_degree + max(gens.weights) + 1):
+        expected = tuple(m for m in monomials_of_degree(gens.weights, degree) if reference.is_standard(m))
+        assert ring.standard_monomials(degree) == expected
 
 
 def test_first_full_degree_is_not_enough():
@@ -116,36 +128,49 @@ def test_sweep_counts():
 def test_catalog_loads_without_buchberger(monkeypatch):
     calls = []
 
-    def counting(relations):
-        calls.append(relations)
-        return buchberger(relations)
+    def counting(name):
+        original = getattr(groebner, name)
 
-    monkeypatch.setattr("avchow.quotient.buchberger", counting)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, name, wrapper)
+
+    for name in ("buchberger", "reduce"):
+        counting(name)
     catalog = Catalog()
     for name in RING_NAMES:
-        assert catalog.ring(name).ring.artinian
+        assert catalog.ring(name).ring.socle_degree >= 0
     catalog.fibered_surface()
     catalog.torelli()
     assert calls == []
 
 
-def test_non_artinian_ring_stops_past_its_s_pairs(monkeypatch):
-    monkeypatch.setattr("avchow.quotient.buchberger", None)
+def test_non_artinian_ring_stops_past_its_s_pairs():
+    # Past degree 2, the degree of the one lcm, the basis {x*y} is complete
+    # and neither x nor y has a pure power in it.
     XY = GeneratorSet([("x", 1), ("y", 1)])
-    ring = QuotientRing(RingPresentation("axes", XY, [parse_expression("x*y", XY)]))
-    assert not ring.artinian
-    assert [str(b) for b in ring.groebner] == ["x*y"]
-    assert ring.groebner.stats.degrees_swept == 3
+    with pytest.raises(DegreeError) as info:
+        QuotientRing(RingPresentation("axes", XY, [parse_expression("x*y", XY)]))
+    assert str(info.value) == "axes is not Artinian: no power of x, y is a leading monomial of its Groebner basis"
 
 
-def test_sweep_cap_falls_back_to_buchberger(monkeypatch):
+def test_sweep_cap_refuses_the_presentation(monkeypatch):
     monkeypatch.setattr("avchow.quotient.MAX_SWEEP_MONOMIALS", 20)
     XY = GeneratorSet([("x", 1), ("y", 1)])
     # Not Artinian, and its relation lies in degree 5: degrees 0..5 have 21 monomials.
-    ring = QuotientRing(RingPresentation("line", XY, [parse_expression("x^5 - x^4*y", XY)]))
-    assert not ring.artinian
-    assert list(ring.groebner) == list(buchberger(ring.presentation.relations))
-    assert ring.hilbert_function(6) == [1, 2, 3, 4, 5, 5, 5]
-    # Artinian, but 25 standard monomials take more than 20 monomials to see.
-    with pytest.raises(DegreeError, match="MAX_SWEEP_MONOMIALS = 20"):
-        QuotientRing(RingPresentation("box", XY, [parse_expression(t, XY) for t in ("x^5", "y^5")]))
+    with pytest.raises(DegreeError) as info:
+        QuotientRing(RingPresentation("line", XY, [parse_expression("x^5 - x^4*y", XY)]))
+    assert str(info.value) == (
+        "line: the degree sweep looked at more than MAX_SWEEP_MONOMIALS = 20 monomials "
+        "before it decided whether the ring is Artinian"
+    )
+    # Artinian, and its sweep looks at 35 monomials: a cap of 35 builds it,
+    # and a cap of 34 refuses it.
+    box = RingPresentation("box", XY, [parse_expression(t, XY) for t in ("x^5", "y^5")])
+    monkeypatch.setattr("avchow.quotient.MAX_SWEEP_MONOMIALS", 35)
+    assert QuotientRing(box).hilbert_function(9) == [1, 2, 3, 4, 5, 4, 3, 2, 1, 0]
+    monkeypatch.setattr("avchow.quotient.MAX_SWEEP_MONOMIALS", 34)
+    with pytest.raises(DegreeError, match="^box: the degree sweep looked at more than MAX_SWEEP_MONOMIALS = 34 "):
+        QuotientRing(box)

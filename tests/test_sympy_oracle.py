@@ -15,6 +15,8 @@ import pytest
 from avchow import Polynomial
 from avchow.catalog import RING_NAMES
 
+from oracles import monomials_of_degree
+
 sympy = pytest.importorskip("sympy")
 
 
@@ -42,7 +44,7 @@ def test_catalog_ring_against_sympy(catalog, name):
     leading = [poly.monoms(order="grevlex")[0] for poly in oracle.polys]
     top = ring.socle_degree + max(gens.weights) + 1
     counted = [
-        sum(1 for m in gens.monomials_of_degree(d) if not any(all(a <= b for a, b in zip(lm, m)) for lm in leading))
+        sum(1 for m in monomials_of_degree(gens.weights, d) if not any(all(a <= b for a, b in zip(lm, m)) for lm in leading))
         for d in range(top + 1)
     ]
     assert counted == ring.hilbert_function(top)
