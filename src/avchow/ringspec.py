@@ -1,12 +1,23 @@
-"""Ring spec files: JSON in, validated rings out, canonical JSON back.
+"""Ring spec files: JSON in, validated rings out.
 
-A spec file declares weighted generators, homogeneous relations (plus an
-optional Chern identity genus whose relations are appended automatically),
-an optional degree normalization, named classes, and expected data: the
-Hilbert function, degree values, identities, and tables.  Rationals are
-always strings like "-4103/144", never floats.  Validation is aggregated:
-a bad file reports every problem it contains, each tagged with a JSON
-pointer, in one RingSpecError.
+A spec file (UTF-8 JSON) declares weighted generators, homogeneous
+relations (plus an optional Chern identity genus whose relations are
+appended automatically), an optional degree normalization, named classes,
+and expected data: the Hilbert function, degree values, identities,
+tables and pairing vectors.  Rationals are always strings like
+"-4103/144", never floats; flags are JSON booleans.
+
+Every field is read by one reader per JSON shape (``_Collector.text``,
+``integer``, ``flag``, ``items``, ``objects``, ``rational``, ``expr`` and
+their list forms), which reports a bad value as a problem at its JSON
+pointer.  Validation is aggregated: a bad file reports every problem it
+contains in one RingSpecError.  Problems come in the order the fields
+are read: name, description, source and generators (a bad generator ends
+the checks there), Chern genus, relations and named classes; then, once
+the ring is built, normalization, identities, expected data, tables and
+pairing vectors.  The items of a list come in order, and within an item
+a bad field that the rest depends on (an id, a kind, a list's shape)
+ends the item's checks.
 """
 
 from __future__ import annotations
@@ -15,14 +26,14 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from .errors import AvchowError, ParseError, RingSpecError
 from .exprparse import parse_expression
 from .poly import GeneratorSet, Polynomial, parse_rational
 from .quotient import DegreeFunctional, QuotientRing, RingPresentation
 
-_IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_is_identifier = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch
 
 TABLE_KINDS = ("pairing", "degrees", "pairing_vector", "relative_pairing")
 
@@ -128,10 +139,20 @@ class LoadedRing(NamedTuple):
 
 
 class _Collector:
-    """Accumulates (json_pointer, message) problems for one file."""
+    """Accumulates (json_pointer, message) problems for one file, and reads fields.
+
+    Each reader takes a JSON value and its pointer.  It returns what it
+    read, or adds one problem at that pointer and returns None; the list
+    readers report each bad item at the item's pointer.  The loaders build
+    their records from whatever the readers return: a record holding such
+    a None is never seen, because every problem is raised before a ring is
+    returned.  ``expr`` parses over ``gens`` and the classes named so far.
+    """
 
     def __init__(self) -> None:
         self.problems: list[tuple[str, str]] = []
+        self.gens: GeneratorSet | None = None
+        self.named: dict[str, Polynomial] = {}
 
     def add(self, pointer: str, message: str) -> None:
         self.problems.append((pointer, message))
@@ -140,277 +161,239 @@ class _Collector:
         if self.problems:
             raise RingSpecError(self.problems)
 
+    def check(self, ok: Any, pointer: str, message: str) -> bool:
+        if not ok:
+            self.add(pointer, message)
+        return bool(ok)
+
+    def integer(self, value: Any, pointer: str, ok: Callable[[int], bool], message: str) -> int | None:
+        """An int (not a bool) for which ``ok`` holds; ``message`` is formatted with the value."""
+        if isinstance(value, int) and not isinstance(value, bool) and ok(value):
+            return value
+        self.add(pointer, message.format(value))
+        return None
+
+    def flag(self, value: Any, pointer: str) -> bool | None:
+        if isinstance(value, bool):
+            return value
+        self.add(pointer, "expected true or false")
+        return None
+
+    def text(self, value: Any, pointer: str, message: str = "", empty: bool = False) -> str | None:
+        """A string, non-empty unless ``empty``."""
+        if isinstance(value, str) and (empty or value):
+            return value
+        self.add(pointer, message or f"expected a string, got {type(value).__name__}")
+        return None
+
+    def items(self, value: Any, pointer: str, message: str = "expected a list", nonempty: bool = False) -> list | None:
+        if isinstance(value, list) and (value or not nonempty):
+            return value
+        self.add(pointer, message)
+        return None
+
+    def objects(
+        self,
+        value: Any,
+        pointer: str,
+        message: str = "expected a list",
+        nonempty: bool = False,
+        item_message: str = "expected an object",
+    ) -> Iterator[tuple[str, Mapping[str, Any]]]:
+        """Yield (pointer, item) for each object of a list, reporting the items that are not.
+
+        Lazy, so the problems of one item come before those of the next.
+        """
+        for i, item in enumerate(self.items(value, pointer, message, nonempty) or ()):
+            item_pointer = f"{pointer}/{i}"
+            if self.check(isinstance(item, Mapping), item_pointer, item_message):
+                yield item_pointer, item
+
+    def rational(self, value: Any, pointer: str) -> Fraction | None:
+        if self.check(isinstance(value, str), pointer, "rational values must be strings like \"-11/12\""):
+            try:
+                return parse_rational(value)
+            except ValueError as err:
+                self.add(pointer, str(err))
+        return None
+
+    def rationals(self, value: Any, count: int, pointer: str, message: str) -> tuple | None:
+        """A list of ``count`` rationals; a bad one is reported and left as None."""
+        if not isinstance(value, list) or len(value) != count:
+            self.add(pointer, message)
+            return None
+        return tuple([self.rational(cell, f"{pointer}/{i}") for i, cell in enumerate(value)])
+
+    def expr(self, value: Any, pointer: str) -> Polynomial | None:
+        """A homogeneous expression."""
+        if self.check(isinstance(value, str), pointer, "expressions must be strings"):
+            try:
+                poly = parse_expression(value, self.gens, self.named)
+            except ParseError as err:
+                self.add(pointer, str(err))
+                return None
+            if self.check(poly.is_homogeneous, pointer, f"expression {value!r} is not homogeneous"):
+                return poly
+        return None
+
+    def exprs(self, values: list, pointer: str) -> tuple:
+        """Every expression of a list; a bad one is reported and left as None."""
+        return tuple([self.expr(text, f"{pointer}/{i}") for i, text in enumerate(values)])
+
 
 def _read_source(source: str | Path | Mapping[str, Any]) -> dict:
     if isinstance(source, Mapping):
         return dict(source)
     path = Path(source)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise RingSpecError([("", f"cannot read {path}: {err}")]) from err
+    except UnicodeDecodeError as err:
+        raise RingSpecError([("", f"not UTF-8 text: {err}")]) from err
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # ValueError includes JSONDecodeError
         raise RingSpecError([("", f"invalid JSON: {err}")]) from err
     if not isinstance(data, dict):
         raise RingSpecError([("", "top level must be a JSON object")])
     return data
 
 
-def _get_str(data: Mapping[str, Any], key: str, problems: _Collector, default: str = "") -> str:
-    value = data.get(key, default)
-    if not isinstance(value, str):
-        problems.add(f"/{key}", f"expected a string, got {type(value).__name__}")
-        return default
-    return value
+def _source(item: Mapping[str, Any], pointer: str, problems: _Collector) -> str | None:
+    """The optional citation of the file or of one of its items."""
+    return problems.text(item.get("source", ""), f"{pointer}/source", empty=True)
 
 
-def _parse_value(text: Any, pointer: str, problems: _Collector) -> Fraction | None:
-    if not isinstance(text, str):
-        problems.add(pointer, "rational values must be strings like \"-11/12\"")
-        return None
-    try:
-        return parse_rational(text)
-    except ValueError as err:
-        problems.add(pointer, str(err))
-        return None
-
-
-def _parse_expr(
-    text: Any,
-    gens: GeneratorSet,
-    named: Mapping[str, Polynomial],
-    pointer: str,
-    problems: _Collector,
-    require_homogeneous: bool = True,
-) -> Polynomial | None:
-    if not isinstance(text, str):
-        problems.add(pointer, "expressions must be strings")
-        return None
-    try:
-        poly = parse_expression(text, gens, named)
-    except ParseError as err:
-        problems.add(pointer, str(err))
-        return None
-    if require_homogeneous and not poly.is_homogeneous:
-        problems.add(pointer, f"expression {text!r} is not homogeneous")
-        return None
-    return poly
-
-
-def _load_generators(data: Mapping[str, Any], problems: _Collector) -> GeneratorSet | None:
-    listed = data.get("generators")
-    if not isinstance(listed, list) or not listed:
-        problems.add("/generators", "expected a non-empty list of {name, degree} objects")
-        return None
-    pairs: list[tuple[str, int]] = []
-    seen: set[str] = set()
-    ok = True
-    for i, item in enumerate(listed):
-        if not isinstance(item, Mapping):
-            problems.add(f"/generators/{i}", "expected an object with name and degree")
-            ok = False
-            continue
+def _load_generators(listed: Any, problems: _Collector) -> GeneratorSet | None:
+    """The generators, or None when any of them is bad."""
+    before = len(problems.problems)
+    pairs: dict[str, int | None] = {}
+    for pointer, item in problems.objects(
+        listed,
+        "/generators",
+        "expected a non-empty list of {name, degree} objects",
+        nonempty=True,
+        item_message="expected an object with name and degree",
+    ):
         name = item.get("name")
-        degree = item.get("degree")
-        if not isinstance(name, str) or not _IDENTIFIER.match(name):
-            problems.add(f"/generators/{i}/name", f"invalid generator name {name!r}")
-            ok = False
-            continue
-        if name in seen:
-            problems.add(f"/generators/{i}/name", f"duplicate generator {name!r}")
-            ok = False
-            continue
-        seen.add(name)
-        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-            problems.add(f"/generators/{i}/degree", f"degree must be a positive integer, got {degree!r}")
-            ok = False
-            continue
-        pairs.append((name, degree))
-    if not ok:
+        if problems.check(
+            isinstance(name, str) and _is_identifier(name), f"{pointer}/name", f"invalid generator name {name!r}"
+        ) and problems.check(name not in pairs, f"{pointer}/name", f"duplicate generator {name!r}"):
+            pairs[name] = problems.integer(
+                item.get("degree"), f"{pointer}/degree", lambda n: n >= 1, "degree must be a positive integer, got {!r}"
+            )
+    if len(problems.problems) > before:
         return None
-    return GeneratorSet(pairs)
+    return GeneratorSet(pairs.items())
 
 
-def _load_tables(
-    data: Mapping[str, Any],
-    gens: GeneratorSet,
-    named: Mapping[str, Polynomial],
-    problems: _Collector,
-) -> list[Any]:
+def _chern_genus(value: Any, gens: GeneratorSet, problems: _Collector) -> int | None:
+    """The genus whose Chern identity is appended, once its lambda generators are checked."""
+    if value is None:
+        return None
+    pointer = "/chern_identity_genus"
+    genus = problems.integer(value, pointer, lambda n: n >= 1, "must be a positive integer, got {!r}")
+    for i in range(1, (genus or 0) + 1):
+        lam = f"lambda{i}"
+        if not problems.check(lam in gens.names, pointer, f"generator {lam} missing for genus {genus}"):
+            return None
+        if not problems.check(gens.weights[gens.index(lam)] == i, pointer, f"generator {lam} must have degree {i}"):
+            return None
+    return genus
+
+
+def _load_degree_entries(listed: Any, pointer: str, problems: _Collector) -> tuple[DegreeEntry, ...]:
+    entries = []
+    for entry_pointer, entry in problems.objects(listed, pointer, "expected a non-empty list", nonempty=True):
+        checkable = problems.flag(entry.get("checkable", "expr" in entry), f"{entry_pointer}/checkable")
+        value = problems.rational(entry.get("value"), f"{entry_pointer}/value")
+        alt_value = problems.rational(entry["alt_value"], f"{entry_pointer}/alt_value") if "alt_value" in entry else None
+        element = problems.expr(entry["expr"], f"{entry_pointer}/expr") if "expr" in entry else None
+        label = entry.get("label")
+        if label is None:
+            label = entry.get("expr")
+        if problems.text(label, entry_pointer, "entry needs an expr or a label") is not None:
+            problems.check(not checkable or element is not None, entry_pointer, "checkable entry needs a parsable expr")
+        entries.append(DegreeEntry(label, element, value, alt_value, checkable))
+    return tuple(entries)
+
+
+def _load_grid(
+    item: Mapping[str, Any], pointer: str, table_id: str, problems: _Collector
+) -> PairingTable | RelativePairingTable | None:
+    """A pairing or relative pairing table: row and column expressions and their values."""
+    row_labels = problems.items(item.get("rows"), f"{pointer}/rows", "expected a non-empty list of expressions", nonempty=True)
+    if row_labels is None:
+        return None
+    col_labels = problems.items(item.get("cols"), f"{pointer}/cols", "expected a non-empty list of expressions", nonempty=True)
+    if col_labels is None:
+        return None
+    before = len(problems.problems)
+    rows = problems.exprs(row_labels, f"{pointer}/rows")
+    cols = problems.exprs(col_labels, f"{pointer}/cols")
+    values = item.get("values")
+    if not problems.check(
+        isinstance(values, list) and len(values) == len(rows), f"{pointer}/values", f"expected {len(rows)} rows of values"
+    ):
+        return None
+    matrix = tuple(
+        [problems.rationals(row, len(cols), f"{pointer}/values/{r}", f"expected {len(cols)} entries") for r, row in enumerate(values)]
+    )
+    if len(problems.problems) > before:  # a bad row, column or value
+        return None
+    if item.get("kind") == "relative_pairing":
+        return RelativePairingTable(
+            table_id, tuple(row_labels), rows, tuple(col_labels), cols, matrix, _source(item, pointer, problems)
+        )
+    codim = problems.integer(
+        item.get("codim"), f"{pointer}/codim", lambda n: n >= 0, "pairing table needs a non-negative integer codim"
+    )
+    det_nonzero = problems.flag(item.get("det_nonzero", False), f"{pointer}/det_nonzero")
+    source = _source(item, pointer, problems)
+    return PairingTable(table_id, codim, tuple(row_labels), rows, tuple(col_labels), cols, matrix, det_nonzero, source)
+
+
+def _load_pairing_vector(item: Mapping[str, Any], pointer: str, problems: _Collector) -> PairingVectorTable | None:
+    table_id = problems.text(item.get("id"), f"{pointer}/id", "needs a non-empty id")
+    class_name = item.get("class")
+    if table_id is None or not problems.check(
+        isinstance(class_name, str), f"{pointer}/class", "needs the name of the paired class"
+    ):
+        return None
+    class_poly = problems.expr(class_name, f"{pointer}/class")
+    basis_labels = problems.items(
+        item.get("basis"), f"{pointer}/basis", "expected a non-empty list of expressions", nonempty=True
+    )
+    if basis_labels is None:
+        return None
+    basis = problems.exprs(basis_labels, f"{pointer}/basis")
+    values = problems.rationals(item.get("values"), len(basis), f"{pointer}/values", f"expected {len(basis)} values")
+    if values is None:
+        return None
+    divide_by = problems.integer(
+        item.get("divide_by", 1), f"{pointer}/divide_by", lambda n: n != 0, "divide_by must be a nonzero integer"
+    )
+    solve = problems.flag(item.get("solve", False), f"{pointer}/solve")
+    source = _source(item, pointer, problems)
+    return PairingVectorTable(table_id, class_name, class_poly, tuple(basis_labels), basis, values, divide_by, solve, source)
+
+
+def _load_tables(listed: Any, problems: _Collector) -> list[Any]:
     tables: list[Any] = []
-    listed = data.get("tables", [])
-    if not isinstance(listed, list):
-        problems.add("/tables", "expected a list")
-        return tables
-    for i, item in enumerate(listed):
-        pointer = f"/tables/{i}"
-        if not isinstance(item, Mapping):
-            problems.add(pointer, "expected an object")
-            continue
-        table_id = item.get("id")
+    for pointer, item in problems.objects(listed, "/tables"):
+        table_id = problems.text(item.get("id"), f"{pointer}/id", "table id must be a non-empty string")
         kind = item.get("kind")
-        source = item.get("source", "")
-        if not isinstance(table_id, str) or not table_id:
-            problems.add(f"{pointer}/id", "table id must be a non-empty string")
-            continue
-        if kind not in TABLE_KINDS:
-            problems.add(f"{pointer}/kind", f"unknown table kind {kind!r}")
+        if table_id is None or not problems.check(kind in TABLE_KINDS, f"{pointer}/kind", f"unknown table kind {kind!r}"):
             continue
         if kind == "degrees":
-            entries: list[DegreeEntry] = []
-            listed_entries = item.get("entries", [])
-            if not isinstance(listed_entries, list) or not listed_entries:
-                problems.add(f"{pointer}/entries", "expected a non-empty list")
-                continue
-            for j, entry in enumerate(listed_entries):
-                entry_pointer = f"{pointer}/entries/{j}"
-                if not isinstance(entry, Mapping):
-                    problems.add(entry_pointer, "expected an object")
-                    continue
-                checkable = bool(entry.get("checkable", "expr" in entry))
-                value = _parse_value(entry.get("value"), f"{entry_pointer}/value", problems)
-                alt_value = None
-                if "alt_value" in entry:
-                    alt_value = _parse_value(entry["alt_value"], f"{entry_pointer}/alt_value", problems)
-                element = None
-                label = entry.get("label")
-                if "expr" in entry:
-                    element = _parse_expr(entry["expr"], gens, named, f"{entry_pointer}/expr", problems)
-                    if label is None:
-                        label = entry["expr"]
-                if not isinstance(label, str) or not label:
-                    problems.add(entry_pointer, "entry needs an expr or a label")
-                    continue
-                if checkable and element is None:
-                    problems.add(entry_pointer, "checkable entry needs a parsable expr")
-                    continue
-                if value is None:
-                    continue
-                entries.append(DegreeEntry(label, element, value, alt_value, checkable))
-            tables.append(DegreesTable(table_id, tuple(entries), source))
-        elif kind in ("pairing", "relative_pairing"):
-            row_labels = item.get("rows")
-            col_labels = item.get("cols")
-            values = item.get("values")
-            if not isinstance(row_labels, list) or not row_labels:
-                problems.add(f"{pointer}/rows", "expected a non-empty list of expressions")
-                continue
-            if not isinstance(col_labels, list) or not col_labels:
-                problems.add(f"{pointer}/cols", "expected a non-empty list of expressions")
-                continue
-            rows = [
-                _parse_expr(text, gens, named, f"{pointer}/rows/{j}", problems)
-                for j, text in enumerate(row_labels)
-            ]
-            cols = [
-                _parse_expr(text, gens, named, f"{pointer}/cols/{j}", problems)
-                for j, text in enumerate(col_labels)
-            ]
-            if not isinstance(values, list) or len(values) != len(rows):
-                problems.add(f"{pointer}/values", f"expected {len(rows)} rows of values")
-                continue
-            matrix: list[tuple[Fraction, ...]] = []
-            dims_ok = True
-            for r, row in enumerate(values):
-                if not isinstance(row, list) or len(row) != len(cols):
-                    problems.add(f"{pointer}/values/{r}", f"expected {len(cols)} entries")
-                    dims_ok = False
-                    continue
-                parsed_row = [
-                    _parse_value(cell, f"{pointer}/values/{r}/{c}", problems)
-                    for c, cell in enumerate(row)
-                ]
-                if any(v is None for v in parsed_row):
-                    dims_ok = False
-                    continue
-                matrix.append(tuple(parsed_row))
-            if not dims_ok or any(p is None for p in rows) or any(p is None for p in cols):
-                continue
-            if kind == "pairing":
-                codim = item.get("codim")
-                if not isinstance(codim, int) or isinstance(codim, bool) or codim < 0:
-                    problems.add(f"{pointer}/codim", "pairing table needs a non-negative integer codim")
-                    continue
-                tables.append(
-                    PairingTable(
-                        table_id,
-                        codim,
-                        tuple(row_labels),
-                        tuple(rows),
-                        tuple(col_labels),
-                        tuple(cols),
-                        tuple(matrix),
-                        bool(item.get("det_nonzero", False)),
-                        source,
-                    )
-                )
-            else:
-                tables.append(
-                    RelativePairingTable(
-                        table_id,
-                        tuple(row_labels),
-                        tuple(rows),
-                        tuple(col_labels),
-                        tuple(cols),
-                        tuple(matrix),
-                        source,
-                    )
-                )
-        else:  # pairing_vector
-            vector = _load_pairing_vector(item, pointer, gens, named, problems)
-            if vector is not None:
-                tables.append(vector)
+            entries = _load_degree_entries(item.get("entries", []), f"{pointer}/entries", problems)
+            tables.append(DegreesTable(table_id, entries, _source(item, pointer, problems)))
+        elif kind == "pairing_vector":
+            tables.append(_load_pairing_vector(item, pointer, problems))
+        else:
+            tables.append(_load_grid(item, pointer, table_id, problems))
     return tables
-
-
-def _load_pairing_vector(
-    item: Mapping[str, Any],
-    pointer: str,
-    gens: GeneratorSet,
-    named: Mapping[str, Polynomial],
-    problems: _Collector,
-) -> PairingVectorTable | None:
-    table_id = item.get("id")
-    class_name = item.get("class")
-    if not isinstance(table_id, str) or not table_id:
-        problems.add(f"{pointer}/id", "needs a non-empty id")
-        return None
-    if not isinstance(class_name, str):
-        problems.add(f"{pointer}/class", "needs the name of the paired class")
-        return None
-    class_poly = _parse_expr(class_name, gens, named, f"{pointer}/class", problems)
-    basis_labels = item.get("basis")
-    values = item.get("values")
-    if not isinstance(basis_labels, list) or not basis_labels:
-        problems.add(f"{pointer}/basis", "expected a non-empty list of expressions")
-        return None
-    basis = [
-        _parse_expr(text, gens, named, f"{pointer}/basis/{j}", problems)
-        for j, text in enumerate(basis_labels)
-    ]
-    if not isinstance(values, list) or len(values) != len(basis):
-        problems.add(f"{pointer}/values", f"expected {len(basis)} values")
-        return None
-    parsed = [_parse_value(v, f"{pointer}/values/{j}", problems) for j, v in enumerate(values)]
-    divide_by = item.get("divide_by", 1)
-    if not isinstance(divide_by, int) or isinstance(divide_by, bool) or divide_by == 0:
-        problems.add(f"{pointer}/divide_by", "divide_by must be a nonzero integer")
-        return None
-    if class_poly is None or any(b is None for b in basis) or any(v is None for v in parsed):
-        return None
-    return PairingVectorTable(
-        table_id,
-        class_name,
-        class_poly,
-        tuple(basis_labels),
-        tuple(basis),
-        tuple(parsed),
-        divide_by,
-        bool(item.get("solve", False)),
-        item.get("source", ""),
-    )
 
 
 def load_ring_spec(source: str | Path | Mapping[str, Any]) -> LoadedRing:
@@ -418,60 +401,32 @@ def load_ring_spec(source: str | Path | Mapping[str, Any]) -> LoadedRing:
     data = _read_source(source)
     problems = _Collector()
 
-    name = _get_str(data, "name", problems)
-    if not name:
-        problems.add("/name", "ring needs a non-empty name")
-    description = _get_str(data, "description", problems)
-    file_source = _get_str(data, "source", problems)
+    name = problems.text(data.get("name", ""), "/name", empty=True)
+    problems.check(name, "/name", "ring needs a non-empty name")
+    description = problems.text(data.get("description", ""), "/description", empty=True)
+    file_source = _source(data, "", problems)
 
-    gens = _load_generators(data, problems)
+    gens = problems.gens = _load_generators(data.get("generators"), problems)
     if gens is None:
-        problems.raise_if_any()
-        raise AssertionError("unreachable")
+        raise RingSpecError(problems.problems)
+    chern_genus = _chern_genus(data.get("chern_identity_genus"), gens, problems)
 
-    chern_genus = data.get("chern_identity_genus")
-    if chern_genus is not None:
-        if not isinstance(chern_genus, int) or isinstance(chern_genus, bool) or chern_genus < 1:
-            problems.add("/chern_identity_genus", f"must be a positive integer, got {chern_genus!r}")
-            chern_genus = None
-        else:
-            for i in range(1, chern_genus + 1):
-                lam = f"lambda{i}"
-                if lam not in gens.names:
-                    problems.add("/chern_identity_genus", f"generator {lam} missing for genus {chern_genus}")
-                    chern_genus = None
-                    break
-                elif gens.weights[gens.index(lam)] != i:
-                    problems.add("/chern_identity_genus", f"generator {lam} must have degree {i}")
-                    chern_genus = None
-                    break
+    # Read before any class is named: relations may use generators only.
+    relations = problems.items(data.get("relations", []), "/relations", "expected a list of expression strings")
+    listed_relations = problems.exprs(relations or [], "/relations")
 
-    listed_relations: list[Polynomial] = []
-    relations_raw = data.get("relations", [])
-    if not isinstance(relations_raw, list):
-        problems.add("/relations", "expected a list of expression strings")
-        relations_raw = []
-    for i, text in enumerate(relations_raw):
-        poly = _parse_expr(text, gens, {}, f"/relations/{i}", problems)
-        if poly is not None:
-            listed_relations.append(poly)
-
-    named: dict[str, Polynomial] = {}
+    named = problems.named
     named_raw = data.get("named_classes", {})
-    if not isinstance(named_raw, Mapping):
-        problems.add("/named_classes", "expected an object of name -> expression")
+    if not problems.check(isinstance(named_raw, Mapping), "/named_classes", "expected an object of name -> expression"):
         named_raw = {}
     for class_name, text in named_raw.items():
         pointer = f"/named_classes/{class_name}"
-        if not _IDENTIFIER.match(class_name):
-            problems.add(pointer, f"invalid class name {class_name!r}")
-            continue
-        if class_name in gens.names:
-            problems.add(pointer, f"named class {class_name!r} shadows a generator")
-            continue
-        poly = _parse_expr(text, gens, named, pointer, problems)
-        if poly is not None:
-            named[class_name] = poly
+        if problems.check(
+            isinstance(class_name, str) and _is_identifier(class_name), pointer, f"invalid class name {class_name!r}"
+        ) and problems.check(class_name not in gens.names, pointer, f"named class {class_name!r} shadows a generator"):
+            poly = problems.expr(text, pointer)
+            if poly is not None:
+                named[class_name] = poly
 
     problems.raise_if_any()
 
@@ -479,85 +434,51 @@ def load_ring_spec(source: str | Path | Mapping[str, Any]) -> LoadedRing:
 
     functional = None
     normalization = data.get("normalization")
-    if normalization is not None:
-        if not isinstance(normalization, Mapping):
-            problems.add("/normalization", "expected an object with element and value")
-        else:
-            element = _parse_expr(normalization.get("element"), gens, named, "/normalization/element", problems)
-            value = _parse_value(normalization.get("value"), "/normalization/value", problems)
-            if element is not None and value is not None:
-                try:
-                    functional = DegreeFunctional(ring, element, value)
-                except AvchowError as err:
-                    problems.add("/normalization", str(err))
+    if normalization is not None and problems.check(
+        isinstance(normalization, Mapping), "/normalization", "expected an object with element and value"
+    ):
+        element = problems.expr(normalization.get("element"), "/normalization/element")
+        value = problems.rational(normalization.get("value"), "/normalization/value")
+        if element is not None and value is not None:
+            try:
+                functional = DegreeFunctional(ring, element, value)
+            except AvchowError as err:
+                problems.add("/normalization", str(err))
 
     identities: list[Identity] = []
-    identities_raw = data.get("identities", [])
-    if not isinstance(identities_raw, list):
-        problems.add("/identities", "expected a list")
-        identities_raw = []
-    for i, item in enumerate(identities_raw):
-        pointer = f"/identities/{i}"
-        if not isinstance(item, Mapping):
-            problems.add(pointer, "expected an object")
-            continue
-        identity_id = item.get("id")
-        if not isinstance(identity_id, str) or not identity_id:
-            problems.add(f"{pointer}/id", "identity needs a non-empty id")
-            continue
+    for pointer, item in problems.objects(data.get("identities", []), "/identities"):
+        identity_id = problems.text(item.get("id"), f"{pointer}/id", "identity needs a non-empty id")
         mode = item.get("mode", "class")
-        if mode not in ("class", "polynomial"):
-            problems.add(f"{pointer}/mode", f"unknown mode {mode!r}")
-            continue
-        lhs = _parse_expr(item.get("lhs"), gens, named, f"{pointer}/lhs", problems)
-        rhs = _parse_expr(item.get("rhs"), gens, named, f"{pointer}/rhs", problems)
-        if lhs is None or rhs is None:
-            continue
-        identities.append(Identity(identity_id, lhs, rhs, mode, item.get("source", "")))
-
-    expected_hilbert: list[int] | None = None
-    degrees: list[DegreeExpectation] = []
-    expected_raw = data.get("expected", {})
-    if not isinstance(expected_raw, Mapping):
-        problems.add("/expected", "expected an object")
-        expected_raw = {}
-    if "hilbert" in expected_raw:
-        hilbert = expected_raw["hilbert"]
-        if not isinstance(hilbert, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in hilbert
+        if identity_id is None or not problems.check(
+            mode in ("class", "polynomial"), f"{pointer}/mode", f"unknown mode {mode!r}"
         ):
-            problems.add("/expected/hilbert", "expected a list of non-negative integers")
-        else:
-            expected_hilbert = list(hilbert)
-    degrees_raw = expected_raw.get("degrees", [])
-    if not isinstance(degrees_raw, list):
-        problems.add("/expected/degrees", "expected a list")
-        degrees_raw = []
-    for i, item in enumerate(degrees_raw):
-        pointer = f"/expected/degrees/{i}"
-        if not isinstance(item, Mapping):
-            problems.add(pointer, "expected an object")
             continue
-        element = _parse_expr(item.get("expr"), gens, named, f"{pointer}/expr", problems)
-        value = _parse_value(item.get("value"), f"{pointer}/value", problems)
-        if element is None or value is None:
-            continue
-        degrees.append(DegreeExpectation(item.get("expr"), element, value, item.get("source", "")))
+        lhs = problems.expr(item.get("lhs"), f"{pointer}/lhs")
+        rhs = problems.expr(item.get("rhs"), f"{pointer}/rhs")
+        identities.append(Identity(identity_id, lhs, rhs, mode, _source(item, pointer, problems)))
 
-    tables = _load_tables(data, gens, named, problems)
-    pairing_vectors: list[PairingVectorTable] = []
-    vectors_raw = data.get("pairing_vectors", [])
-    if not isinstance(vectors_raw, list):
-        problems.add("/pairing_vectors", "expected a list")
-        vectors_raw = []
-    for i, item in enumerate(vectors_raw):
-        pointer = f"/pairing_vectors/{i}"
-        if not isinstance(item, Mapping):
-            problems.add(pointer, "expected an object")
-            continue
-        vector = _load_pairing_vector(item, pointer, gens, named, problems)
-        if vector is not None:
-            pairing_vectors.append(vector)
+    expected = data.get("expected", {})
+    if not problems.check(isinstance(expected, Mapping), "/expected", "expected an object"):
+        expected = {}
+    expected_hilbert = expected.get("hilbert")
+    if "hilbert" in expected and not problems.check(
+        isinstance(expected_hilbert, list)
+        and all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in expected_hilbert),
+        "/expected/hilbert",
+        "expected a list of non-negative integers",
+    ):
+        expected_hilbert = None
+    degrees: list[DegreeExpectation] = []
+    for pointer, item in problems.objects(expected.get("degrees", []), "/expected/degrees"):
+        element = problems.expr(item.get("expr"), f"{pointer}/expr")
+        value = problems.rational(item.get("value"), f"{pointer}/value")
+        degrees.append(DegreeExpectation(item.get("expr"), element, value, _source(item, pointer, problems)))
+
+    tables = _load_tables(data.get("tables", []), problems)
+    pairing_vectors = [
+        _load_pairing_vector(item, pointer, problems)
+        for pointer, item in problems.objects(data.get("pairing_vectors", []), "/pairing_vectors")
+    ]
 
     problems.raise_if_any()
 
@@ -568,8 +489,8 @@ def load_ring_spec(source: str | Path | Mapping[str, Any]) -> LoadedRing:
         ring=ring,
         functional=functional,
         named=named,
-        listed_relations=tuple(listed_relations),
-        expected_hilbert=expected_hilbert,
+        listed_relations=listed_relations,
+        expected_hilbert=None if expected_hilbert is None else list(expected_hilbert),
         degrees=degrees,
         identities=identities,
         tables=tables,

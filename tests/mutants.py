@@ -44,6 +44,54 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    # Ring spec files: one reader per JSON shape.
+    Mutant(
+        "spec-integer-accepts-bool",
+        "ringspec.py",
+        "if isinstance(value, int) and not isinstance(value, bool) and ok(value):",
+        "if isinstance(value, int) and ok(value):",
+        ("test_ringspec.py",),
+    ),
+    Mutant(
+        "spec-objects-eager",
+        "ringspec.py",
+        "        for i, item in enumerate(self.items(value, pointer, message, nonempty) or ()):\n"
+        '            item_pointer = f"{pointer}/{i}"\n'
+        "            if self.check(isinstance(item, Mapping), item_pointer, item_message):\n"
+        "                yield item_pointer, item\n",
+        "        listed = enumerate(self.items(value, pointer, message, nonempty) or ())\n"
+        '        return iter([(f"{pointer}/{i}", item) for i, item in listed\n'
+        '                     if self.check(isinstance(item, Mapping), f"{pointer}/{i}", item_message)])\n',
+        ("test_ringspec_corpus.py",),
+    ),
+    Mutant(
+        "spec-empty-rows-accepted",
+        "ringspec.py",
+        'item.get("rows"), f"{pointer}/rows", "expected a non-empty list of expressions", nonempty=True)',
+        'item.get("rows"), f"{pointer}/rows", "expected a non-empty list of expressions", nonempty=False)',
+        ("test_ringspec_corpus.py",),
+    ),
+    Mutant(
+        "spec-homogeneity-check-dropped",
+        "ringspec.py",
+        'if self.check(poly.is_homogeneous, pointer, f"expression {value!r} is not homogeneous"):',
+        "if True:",
+        ("test_ringspec.py",),
+    ),
+    Mutant(
+        "spec-identifier-prefix-match",
+        "ringspec.py",
+        'r"[A-Za-z_][A-Za-z0-9_]*").fullmatch',
+        'r"[A-Za-z_][A-Za-z0-9_]*").match',
+        ("test_ringspec.py",),
+    ),
+    Mutant(
+        "spec-flag-accepts-strings",
+        "ringspec.py",
+        "if isinstance(value, bool):",
+        "if isinstance(value, (bool, str)):",
+        ("test_ringspec.py",),
+    ),
     # The kernel refuses what is not Artinian.
     Mutant(
         "not-artinian-accepted",

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from avchow import RingSpecError, load_ring_spec
+from avchow import RingSpecError, cli, load_ring_spec
 
 MINIMAL = {
     "name": "toy",
@@ -150,15 +150,51 @@ class TestValidation:
             "values": ["1"],
             "divide_by": True,
         }
-        for bad, pointer in (
-            (spec(tables=[pairing]), "/tables/0/codim"),
-            (spec(tables=[vector]), "/tables/0/divide_by"),
-            (spec(chern_identity_genus=True), "/chern_identity_genus"),
+        degrees = {"id": "d", "kind": "degrees", "entries": [{"expr": "x", "value": "1", "checkable": "no"}]}
+        identity = {"id": "i", "lhs": "x", "rhs": "x", "source": 5}
+        for bad, pointer, expected in (
+            (spec(tables=[pairing]), "/tables/0/codim", "integer"),
+            (spec(tables=[vector]), "/tables/0/divide_by", "integer"),
+            (spec(chern_identity_genus=True), "/chern_identity_genus", "integer"),
+            # and flags are not strings, nor citations numbers
+            (spec(tables=[dict(pairing, codim=1, det_nonzero="false")]), "/tables/0/det_nonzero", "true or false"),
+            (spec(tables=[dict(vector, divide_by=1, solve="no")]), "/tables/0/solve", "true or false"),
+            (spec(tables=[degrees]), "/tables/0/entries/0/checkable", "true or false"),
+            (spec(identities=[identity]), "/identities/0/source", "expected a string, got int"),
         ):
             with pytest.raises(RingSpecError) as info:
                 load_ring_spec(bad)
             messages = [m for q, m in info.value.problems if q == pointer]
-            assert messages and "integer" in messages[0], pointer
+            assert messages and expected in messages[0], pointer
+        loaded = load_ring_spec(spec(tables=[dict(pairing, codim=1, det_nonzero=False), dict(vector, divide_by=1, solve=True)]))
+        assert [loaded.tables[0].det_nonzero, loaded.tables[1].solve] == [False, True]
+
+    def test_names_may_not_end_in_a_newline(self):
+        bad = spec()
+        bad["generators"][0]["name"] = "x\n"
+        with pytest.raises(RingSpecError) as info:
+            load_ring_spec(bad)
+        assert info.value.problems == [("/generators/0/name", "invalid generator name 'x\\n'")]
+        with pytest.raises(RingSpecError) as info:
+            load_ring_spec(spec(named_classes={"A\n": "x"}))
+        assert info.value.problems == [("/named_classes/A\n", "invalid class name 'A\\n'")]
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 200_000, b"\xff", b'{"name": ' + b"1" * 5000 + b"}"],
+        ids=["nested-too-deeply", "not-utf8", "integer-too-long"],
+    )
+    def test_unreadable_file_is_one_problem(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(RingSpecError) as info:
+            load_ring_spec(path)
+        assert [pointer for pointer, _ in info.value.problems] == [""]
+        assert cli.main(["hilbert", "--ring", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if line.startswith("error:")] == ["error: invalid ring spec:"]
+        assert "Traceback" not in captured.err
 
     def test_normalization_must_sit_in_socle_degree(self):
         cubic = {"name": "cubic", "generators": [{"name": "x", "degree": 1}], "relations": ["x^3"]}
