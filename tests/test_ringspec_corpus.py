@@ -329,5 +329,6 @@ def test_outcome_is_pinned(case):
 
 
 if __name__ == "__main__":
-    CORPUS.write_text(json.dumps(build_corpus(), indent=1) + "\n", encoding="utf-8")
+    lines = ",\n".join(json.dumps(case) for case in build_corpus())  # one case a line, so diffs name the case
+    CORPUS.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
     sys.exit(0)
