@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from avchow import GeneratorSet, ParseError, SizeError, UnknownSymbolError, parse_expression
-from avchow.exprparse import MAX_NESTING
+from avchow.exprparse import MAX_LITERAL_DIGITS, MAX_NESTING
 
 from helpers import random_polynomial
 
@@ -122,6 +122,74 @@ class TestErrors:
         assert info.value.position == MAX_NESTING
         assert p("((lambda1 + (sigma1)) * ((2)))^2") == p("2*lambda1 + 2*sigma1") ** 2
         assert p("(" * MAX_NESTING + "sigma2" + ")" * MAX_NESTING) == p("sigma2")
+
+
+# Every ParseError message and the position it is raised at, recorded from
+# the evaluator on a toy ring with a named class over its own generators (N)
+# and one over other generators (M).
+TABLE_GENS = GeneratorSet([("x", 1), ("y", 1), ("z", 2)])
+TABLE_NAMED = {
+    "N": parse_expression("x + y", TABLE_GENS),
+    "M": parse_expression("x", GeneratorSet([("x", 1), ("y", 1)])),
+}
+LONG = "1" * (MAX_LITERAL_DIGITS + 1)
+TOO_LONG = f"integer of {MAX_LITERAL_DIGITS + 1} digits, more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}"
+ERROR_TABLE = [
+    ("x^-1", "negative exponent", 2),
+    ("x^(-1)", "negative exponent", 3),
+    ("x ^ (+-1)", "expected 'INT', found '-'", 6),
+    ("3/0", "zero denominator", 2),
+    ("2*1/00*x", "zero denominator", 4),
+    ("x^(2", "expected ')', found 'end of input'", 4),
+    ("(x + y", "expected ')', found 'end of input'", 6),
+    ("(x)^(2 y", "expected ')', found 'y'", 7),
+    ("1/2/3", "unexpected trailing '/'", 3),
+    ("x)", "unexpected trailing ')'", 1),
+    ("x y", "unexpected trailing 'y'", 2),
+    ("3 4", "unexpected trailing '4'", 2),
+    ("x^2^3", "unexpected trailing '^'", 3),
+    ("+-x", "expected a value, found '-'", 1),
+    ("- -x", "expected a value, found '-'", 2),
+    ("", "expected a value, found 'end of input'", 0),
+    ("x +", "expected a value, found 'end of input'", 3),
+    ("* y", "expected a value, found '*'", 0),
+    ("()", "expected a value, found ')'", 1),
+    ("x * ", "expected a value, found 'end of input'", 4),
+    ("\t\n", "expected a value, found 'end of input'", 2),
+    ("é", "unexpected character 'é'", 0),
+    ("x + é", "unexpected character 'é'", 4),
+    ("1..2", "unexpected character '.'", 1),
+    ("x^²", "unexpected character '²'", 2),
+    ("٣*x", "unexpected character '٣'", 0),
+    ("x^", "expected 'INT', found 'end of input'", 2),
+    ("x ^ y", "expected 'INT', found 'y'", 4),
+    ("1/", "expected 'INT', found 'end of input'", 2),
+    ("1/x", "expected 'INT', found 'x'", 2),
+    ("1/-2", "expected 'INT', found '-'", 2),
+    ("x^()", "expected 'INT', found ')'", 3),
+    ("x^(x)", "expected 'INT', found 'x'", 3),
+    ("x^+", "expected 'INT', found 'end of input'", 3),
+    ("tau", "unknown identifier 'tau'", 0),
+    ("2*tau^2", "unknown identifier 'tau'", 2),
+    ("N + 2*M^2", "named class 'M' is over a different generator set", 6),
+    ("M", "named class 'M' is over a different generator set", 0),
+    ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), f"parentheses nested deeper than {MAX_NESTING}", MAX_NESTING),
+    ("(" * MAX_NESTING + "(x", f"parentheses nested deeper than {MAX_NESTING}", MAX_NESTING),
+    (LONG, TOO_LONG, 0),
+    ("2*" + LONG, TOO_LONG, 2),
+    ("x^" + LONG, TOO_LONG, 2),
+    ("x*1/" + LONG, TOO_LONG, 4),
+    ("tau + " + LONG, TOO_LONG, 6),
+    ("x" + LONG, f"unknown identifier {'x' + LONG!r}", 0),
+    (LONG + "é", "unexpected character 'é'", MAX_LITERAL_DIGITS + 1),
+]
+
+
+@pytest.mark.parametrize(("text", "expected", "position"), ERROR_TABLE, ids=[text[:24] for text, _, _ in ERROR_TABLE])
+def test_error_message_and_position(text, expected, position):
+    with pytest.raises(ParseError) as info:
+        parse_expression(text, TABLE_GENS, TABLE_NAMED)
+    assert (str(info.value), info.value.position) == (f"{expected} (at position {position})", position)
 
 
 class TestRoundTrip:
