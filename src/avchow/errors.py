@@ -59,6 +59,11 @@ class RingSpecError(AvchowError):
     """
 
     def __init__(self, problems: list[tuple[str, str]]):
-        lines = [f"{pointer}: {message}" for pointer, message in problems]
+        # A pointer holds object keys as they are; its unprintable characters
+        # are shown escaped, so each problem stays on one line.
+        lines = [
+            f"{''.join(c if c.isprintable() else repr(c)[1:-1] for c in pointer)}: {message}"
+            for pointer, message in problems
+        ]
         super().__init__("invalid ring spec:\n  " + "\n  ".join(lines))
         self.problems = list(problems)

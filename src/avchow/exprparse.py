@@ -16,13 +16,15 @@ named classes whose polynomials are substituted in place.  Parentheses
 nest at most MAX_NESTING deep.  All errors carry a character position.
 
 The text is scanned once, by one compiled regular expression whose
-``findall`` returns the token texts; a table keyed by a token's first
-character gives its kind, and a character missing from the table is an
-error.  The parser reads the kinds and texts as two flat lists.  Character
-positions are computed only when an error is raised, by scanning the text
-again with ``finditer``.
+``findall`` returns the token texts, and searched once by another for the
+first character outside the grammar, which is an error.  The end of input
+is an empty token.  Character positions are computed only when an error
+is raised, by scanning the text again with ``finditer``.
 
-The parser evaluates as it goes, on term dicts (exponent vector to nonzero
+The evaluator is one function, ``_expr``, that reads the token list at a
+position it passes along with the value it returns; it keeps its state in
+local variables, calls itself only at '(', and reads exponents with one
+helper, ``_exponent``.  It works on term dicts (exponent vector to nonzero
 coefficient) rather than on polynomials.  Each term keeps one scalar and
 one exponent vector: literals and their powers multiply the scalar,
 generators and their powers add to the exponents, and a parenthesized
@@ -35,7 +37,7 @@ arithmetic builds no Fraction.  Terms are summed in place, and the result
 becomes a ``Polynomial`` once, at the end, where every coefficient that is
 still an int becomes a Fraction in one pass.
 
-A named class is checked to lie over the parser's generators where it is
+A named class is checked to lie over ``gens`` where it is
 substituted, so a class over other generators raises ParseError at its
 identifier, and only when the text uses it.  The scanner refuses an
 integer token of more than MAX_LITERAL_DIGITS digits with ParseError, so a
@@ -80,16 +82,12 @@ from .poly import (
 # ``str.isspace`` accepts.
 _TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S)")
 
-# A token's kind by its first character; a character missing here is not
-# in the grammar.
-_KIND = {
-    **dict.fromkeys("0123456789", "INT"),
-    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz", "IDENT"),
-    **{op: op for op in "+-*^/()"},
-}
+# A character outside the grammar.  Each one is a token of its own, since
+# integers and identifiers are ASCII only.
+_OUTSIDE = re.compile(r"[^\sA-Za-z0-9_+\-*^/()]")
 
-# Each open parenthesis costs a few frames of the recursive descent; the
-# bound keeps hostile input far from the interpreter's recursion limit.
+# Each open parenthesis costs a frame of the recursive descent; the bound
+# keeps hostile input far from the interpreter's recursion limit.
 MAX_NESTING = 100
 
 # Integer literals and exponents are refused past this many digits, the
@@ -98,193 +96,157 @@ MAX_NESTING = 100
 # bits, well inside MAX_COEFFICIENT_BITS.
 MAX_LITERAL_DIGITS = 4_300
 
+_Terms = dict[Monomial, Scalar]
 
-def _scan(text: str) -> tuple[list[str], list[str]]:
-    """The kinds and the texts of the tokens of ``text``, each list ending with END.
+
+def _scan(text: str) -> list[str]:
+    """The texts of the tokens of ``text``, ending with "" for the end of input.
 
     Raises ParseError at the first character that starts no token, or at
     the first integer of more than MAX_LITERAL_DIGITS digits.
     """
+    outside = _OUTSIDE.search(text)
+    if outside:
+        raise ParseError(f"unexpected character {outside.group()!r}", outside.start())
     words = _TOKEN.findall(text)
-    kinds = [_KIND.get(word[0]) for word in words]
-    if None in kinds:
-        index = kinds.index(None)
-        raise ParseError(f"unexpected character {words[index]!r}", _position(text, index))
     if len(text) > MAX_LITERAL_DIGITS:
-        for index, (kind, word) in enumerate(zip(kinds, words)):
-            if kind == "INT" and len(word) > MAX_LITERAL_DIGITS:
+        for index, word in enumerate(words):
+            if len(word) > MAX_LITERAL_DIGITS and word[0].isdigit():
                 raise ParseError(
                     f"integer of {len(word)} digits, more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}",
                     _position(text, index),
                 )
-    kinds.append("END")
     words.append("")
-    return kinds, words
+    return words
 
 
 def _position(text: str, index: int) -> int:
-    """Character position of token ``index`` of ``text``; END sits at ``len(text)``."""
+    """Character position of token ``index`` of ``text``; the end sits at ``len(text)``."""
     for i, match in enumerate(_TOKEN.finditer(text)):
         if i == index:
             return match.start(1)
     return len(text)
 
 
-class _Parser:
-    """Evaluates while it parses; every value it returns is a new term dict.
+def _expr(context: tuple, pos: int, depth: int) -> tuple[_Terms, int]:
+    """The value of the expression at token ``pos``, a new term dict, and the token after it.
 
-    Tokens are two parallel lists, ``kinds`` and ``words``, read at
-    ``pos``; a token's character position is found only for an error.
+    ``context`` is the text, its tokens, the generators, the named classes
+    and the degree bound; ``depth`` counts the parentheses open around the
+    expression.
     """
-
-    def __init__(
-        self,
-        text: str,
-        gens: GeneratorSet,
-        symbols: Mapping[str, Polynomial],
-        max_degree: int | None,
-    ):
-        self.text = text
-        self.kinds, self.words = _scan(text)
-        self.pos = 0
-        self.gens = gens
-        self.index = gens._index
-        self.weights = gens.weights
-        self.width = len(gens)
-        self.symbols = symbols
-        self.max_degree = max_degree
-        self.depth = 0
-
-    def error(self, message: str, at: int | None = None) -> ParseError:
-        """A ParseError at token ``at``, the current token by default."""
-        return ParseError(message, _position(self.text, self.pos if at is None else at))
-
-    def shown(self) -> str:
-        return self.words[self.pos] or "end of input"
-
-    def expect(self, kind: str) -> str:
-        if self.kinds[self.pos] != kind:
-            raise self.error(f"expected {kind!r}, found {self.shown()!r}")
-        self.pos += 1
-        return self.words[self.pos - 1]
-
-    def parse(self) -> dict[Monomial, Scalar]:
-        value = self.expr()
-        if self.kinds[self.pos] != "END":
-            raise self.error(f"unexpected trailing {self.words[self.pos]!r}")
-        return value
-
-    def expr(self) -> dict[Monomial, Scalar]:
-        kind = self.kinds[self.pos]
-        if kind in ("+", "-"):
-            self.pos += 1
-        value = self.term(-1 if kind == "-" else 1)
-        kind = self.kinds[self.pos]
-        while kind in ("+", "-"):
-            self.pos += 1
-            add_terms(value, self.term(-1 if kind == "-" else 1))
-            kind = self.kinds[self.pos]
-        return value
-
-    def term(self, sign: int) -> dict[Monomial, Scalar]:
-        """One product: a scalar, an exponent vector and the factors that are sums."""
-        kinds = self.kinds
-        scalar: Scalar = sign
-        exponents = [0] * self.width
-        sums: list[dict[Monomial, Scalar]] = []
+    text, words, gens, symbols, max_degree = context
+    index = gens._index
+    weights = gens.weights
+    value: _Terms | None = None
+    word = words[pos]
+    if word == "+" or word == "-":
+        pos += 1
+    while True:
+        # One term: a scalar, an exponent vector and the factors that are sums.
+        scalar: Scalar = -1 if word == "-" else 1
+        exponents = [0] * len(weights)
+        sums: list[_Terms] = []
         while True:
-            kind = kinds[self.pos]
-            if kind == "INT":
-                value = self.rational()
-                if kinds[self.pos] == "^":
-                    self.pos += 1
-                    scalar = check_size(scalar * rational_power(value, self.exponent()))
+            word = words[pos]
+            pos += 1
+            if word.isdigit():
+                factor: Scalar = int(word)
+                if words[pos] == "/":
+                    word = words[pos + 1]
+                    if not word.isdigit():
+                        raise ParseError(f"expected 'INT', found {word or 'end of input'!r}", _position(text, pos + 1))
+                    denominator = int(word)
+                    if not denominator:
+                        raise ParseError("zero denominator", _position(text, pos + 1))
+                    factor = Fraction(factor, denominator)
+                    pos += 2
+                if words[pos] == "^":
+                    exponent, pos = _exponent(context, pos + 1)
+                    scalar = check_size(scalar * rational_power(factor, exponent))
                 else:
-                    scalar *= value
-            elif kind == "IDENT":
-                name = self.words[self.pos]
-                self.pos += 1
-                slot = self.index.get(name)
-                if slot is not None:
-                    if kinds[self.pos] == "^":
-                        self.pos += 1
-                        exponents[slot] += self.exponent()
-                    else:
-                        exponents[slot] += 1
+                    scalar *= factor
+            elif word in index and word.isidentifier():
+                if words[pos] == "^":
+                    exponent, pos = _exponent(context, pos + 1)
+                    exponents[index[word]] += exponent
                 else:
-                    named = self.symbols.get(name)
-                    if named is None:
-                        raise self.error(f"unknown identifier {name!r}", self.pos - 1)
-                    if named.gens is not self.gens and named.gens != self.gens:
-                        raise self.error(f"named class {name!r} is over a different generator set", self.pos - 1)
-                    # A copy, because the term's value may be this very dict.
-                    sums.append(self.power(dict(named._terms)))
-            elif kind == "(":
-                if self.depth == MAX_NESTING:
-                    raise self.error(f"parentheses nested deeper than {MAX_NESTING}")
-                self.pos += 1
-                self.depth += 1
-                inner = self.expr()
-                self.depth -= 1
-                self.expect(")")
-                sums.append(self.power(inner))
+                    exponents[index[word]] += 1
             else:
-                raise self.error(f"expected a value, found {self.shown()!r}")
-            if kinds[self.pos] != "*":
+                if word == "(":
+                    if depth == MAX_NESTING:
+                        raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", _position(text, pos - 1))
+                    inner, pos = _expr(context, pos, depth + 1)
+                    if words[pos] != ")":
+                        raise ParseError(f"expected ')', found {words[pos] or 'end of input'!r}", _position(text, pos))
+                    pos += 1
+                elif word.isidentifier():
+                    named = symbols.get(word)
+                    if named is None:
+                        raise ParseError(f"unknown identifier {word!r}", _position(text, pos - 1))
+                    if named.gens is not gens and named.gens != gens:
+                        message = f"named class {word!r} is over a different generator set"
+                        raise ParseError(message, _position(text, pos - 1))
+                    # A copy, because the term's value may be this very dict.
+                    inner = dict(named._terms)
+                else:
+                    raise ParseError(f"expected a value, found {word or 'end of input'!r}", _position(text, pos - 1))
+                if words[pos] == "^":
+                    exponent, pos = _exponent(context, pos + 1)
+                    inner = pow_terms(inner, exponent, weights, max_degree)
+                sums.append(inner)
+            if words[pos] != "*":
                 break
-            self.pos += 1
-        product: dict[Monomial, Scalar] | None = None
-        for factor in sums:
-            if len(factor) == 1:
-                ((mono, coeff),) = factor.items()
+            pos += 1
+        product: _Terms | None = None
+        for factor_terms in sums:
+            if len(factor_terms) == 1:
+                ((mono, coeff),) = factor_terms.items()
                 scalar = check_size(scalar * coeff)
                 exponents = list(map(add, exponents, mono))
-            elif not factor:
+            elif not factor_terms:
                 scalar = 0
             elif product is None:
-                product = factor
+                product = factor_terms
             else:
-                product = truncated_product(product, factor, self.weights, self.max_degree)
+                product = truncated_product(product, factor_terms, weights, max_degree)
         if not scalar:
-            return {}
-        if product is None:
-            return {tuple(exponents): scalar}
-        if scalar == 1 and not any(exponents):
-            return product
-        return truncated_product({tuple(exponents): scalar}, product, self.weights, self.max_degree)
+            term: _Terms = {}
+        elif product is None:
+            term = {tuple(exponents): scalar}
+        elif scalar == 1 and not any(exponents):
+            term = product
+        else:
+            term = truncated_product({tuple(exponents): scalar}, product, weights, max_degree)
+        if value is None:
+            value = term
+        else:
+            add_terms(value, term)
+        word = words[pos]
+        if word != "+" and word != "-":
+            return value, pos
+        pos += 1
 
-    def power(self, base: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
-        """``base``, raised to the exponent that follows if a '^' follows."""
-        if self.kinds[self.pos] != "^":
-            return base
-        self.pos += 1
-        return pow_terms(base, self.exponent(), self.weights, self.max_degree)
 
-    def exponent(self) -> int:
-        if self.kinds[self.pos] == "(":
-            self.pos += 1
-            inner = self.signed_int()
-            self.expect(")")
-            return inner
-        return self.signed_int()
-
-    def signed_int(self) -> int:
-        kind = self.kinds[self.pos]
-        if kind == "-":
-            raise self.error("negative exponent")
-        if kind == "+":
-            self.pos += 1
-        return int(self.expect("INT"))
-
-    def rational(self) -> Scalar:
-        numerator = int(self.expect("INT"))
-        if self.kinds[self.pos] != "/":
-            return numerator
-        self.pos += 1
-        denominator = int(self.expect("INT"))
-        if denominator == 0:
-            raise self.error("zero denominator", self.pos - 1)
-        return Fraction(numerator, denominator)
+def _exponent(context: tuple, pos: int) -> tuple[int, int]:
+    """The exponent at token ``pos``, just after a '^', and the token after it."""
+    text, words = context[:2]
+    opened = words[pos] == "("
+    pos += opened
+    word = words[pos]
+    if word == "-":
+        raise ParseError("negative exponent", _position(text, pos))
+    if word == "+":
+        pos += 1
+        word = words[pos]
+    if not word.isdigit():
+        raise ParseError(f"expected 'INT', found {word or 'end of input'!r}", _position(text, pos))
+    pos += 1
+    if opened:
+        if words[pos] != ")":
+            raise ParseError(f"expected ')', found {words[pos] or 'end of input'!r}", _position(text, pos))
+        pos += 1
+    return int(word), pos
 
 
 def parse_expression(
@@ -302,7 +264,10 @@ def parse_expression(
     their monomials above it, so the result equals the full expansion up to
     monomials of higher degree.
     """
-    terms = _Parser(text, gens, symbols or {}, max_degree).parse()
+    words = _scan(text)
+    terms, pos = _expr((text, words, gens, symbols or {}, max_degree), 0, 0)
+    if words[pos]:
+        raise ParseError(f"unexpected trailing {words[pos]!r}", _position(text, pos))
     for mono, coeff in terms.items():
         if type(coeff) is int:
             terms[mono] = Fraction(coeff)

@@ -420,7 +420,8 @@ def load_ring_spec(source: str | Path | Mapping[str, Any]) -> LoadedRing:
     if not problems.check(isinstance(named_raw, Mapping), "/named_classes", "expected an object of name -> expression"):
         named_raw = {}
     for class_name, text in named_raw.items():
-        pointer = f"/named_classes/{class_name}"
+        # A key is escaped as RFC 6901 asks: '~' as '~0', then '/' as '~1'.
+        pointer = "/named_classes/" + str(class_name).replace("~", "~0").replace("/", "~1")
         if problems.check(
             isinstance(class_name, str) and _is_identifier(class_name), pointer, f"invalid class name {class_name!r}"
         ) and problems.check(class_name not in gens.names, pointer, f"named class {class_name!r} shadows a generator"):

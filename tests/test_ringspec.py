@@ -179,6 +179,20 @@ class TestValidation:
             load_ring_spec(spec(named_classes={"A\n": "x"}))
         assert info.value.problems == [("/named_classes/A\n", "invalid class name 'A\\n'")]
 
+    def test_class_name_pointers_are_escaped(self):
+        with pytest.raises(RingSpecError) as info:
+            load_ring_spec(spec(named_classes={"a/b": "x", "c~d": "x", "e\nf\u2028": "x"}))
+        assert [pointer for pointer, _ in info.value.problems] == [
+            "/named_classes/a~1b",
+            "/named_classes/c~0d",
+            "/named_classes/e\nf\u2028",
+        ]
+        assert str(info.value).splitlines()[1:] == [
+            "  /named_classes/a~1b: invalid class name 'a/b'",
+            "  /named_classes/c~0d: invalid class name 'c~d'",
+            "  /named_classes/e\\nf\\u2028: invalid class name 'e\\nf\\u2028'",
+        ]
+
     @pytest.mark.parametrize(
         "content",
         [b"[" * 200_000, b"\xff", b'{"name": ' + b"1" * 5000 + b"}"],

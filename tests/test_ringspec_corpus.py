@@ -105,6 +105,8 @@ HAND_CASES = [
     ("named-not-object", [("/named_classes", ["A"])]),
     ("named-invalid-name", [("/named_classes", {"1A": "x", "A": "2*x"})]),
     ("named-newline", [("/named_classes", {"A": "2*x", "B\n": "x"})]),
+    ("named-slash", [("/named_classes", {"A": "2*x", "a/b": "x"})]),
+    ("named-tilde", [("/named_classes", {"A": "2*x", "c~d": "x"})]),
     ("named-shadows", [("/named_classes", {"x": "y", "A": "2*x"})]),
     ("named-bad-expr", [("/named_classes/A", "q")]),
     ("named-inhomogeneous", [("/named_classes/A", "x + y")]),
