@@ -151,7 +151,7 @@ def _expr(context: tuple, pos: int, depth: int) -> tuple[_Terms, int]:
             word = words[pos]
             pos += 1
             if word.isdigit():
-                factor: Scalar = int(word)
+                literal: Scalar = int(word)
                 if words[pos] == "/":
                     word = words[pos + 1]
                     if not word.isdigit():
@@ -159,14 +159,14 @@ def _expr(context: tuple, pos: int, depth: int) -> tuple[_Terms, int]:
                     denominator = int(word)
                     if not denominator:
                         raise ParseError("zero denominator", _position(text, pos + 1))
-                    factor = Fraction(factor, denominator)
+                    literal = Fraction(literal, denominator)
                     pos += 2
                 if words[pos] == "^":
                     exponent, pos = _exponent(context, pos + 1)
-                    scalar = check_size(scalar * rational_power(factor, exponent))
+                    scalar = check_size(scalar * rational_power(literal, exponent))
                 else:
-                    scalar *= factor
-            elif word in index and word.isidentifier():
+                    scalar *= literal
+            elif word in index and word.isidentifier():  # a generator's name need not be an identifier
                 if words[pos] == "^":
                     exponent, pos = _exponent(context, pos + 1)
                     exponents[index[word]] += exponent
@@ -199,17 +199,17 @@ def _expr(context: tuple, pos: int, depth: int) -> tuple[_Terms, int]:
                 break
             pos += 1
         product: _Terms | None = None
-        for factor_terms in sums:
-            if len(factor_terms) == 1:
-                ((mono, coeff),) = factor_terms.items()
+        for factor in sums:
+            if len(factor) == 1:
+                ((mono, coeff),) = factor.items()
                 scalar = check_size(scalar * coeff)
                 exponents = list(map(add, exponents, mono))
-            elif not factor_terms:
+            elif not factor:
                 scalar = 0
             elif product is None:
-                product = factor_terms
+                product = factor
             else:
-                product = truncated_product(product, factor_terms, weights, max_degree)
+                product = truncated_product(product, factor, weights, max_degree)
         if not scalar:
             term: _Terms = {}
         elif product is None:
