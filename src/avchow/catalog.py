@@ -563,7 +563,7 @@ def _basis_monomials(labels: list[str], gens: GeneratorSet) -> list[tuple]:
 def _half_image_coefficient(
     push: TabulatedPushforward, symbol: str, monomial: tuple
 ) -> Fraction:
-    return dict((push.image(symbol) / 2).terms()).get(monomial, Fraction(0))
+    return dict((push.image(symbol) / push.stack_degree).terms()).get(monomial, Fraction(0))
 
 
 # ----------------------------------------------------------------------
@@ -633,7 +633,7 @@ def _check_pushforward(
 def _check_half_image_support(
     push: TabulatedPushforward, symbol: str, allowed: frozenset
 ):
-    half = push.image(symbol) / 2
+    half = push.image(symbol) / push.stack_degree
     extra = [m for m, _ in half.terms() if m not in allowed]
     if not extra:
         return "support within the basis columns", "no stray monomials", PASS

@@ -237,7 +237,7 @@ MUTANTS = (
         "mono = tuple(e * (exponent - 1) for e in mono)",
         ("test_exprparse.py", "test_poly.py"),
     ),
-    # Integer linear algebra: pairings, class recovery, determinants, Torelli.
+    # Integer linear algebra: pairings, class recovery, determinants.
     Mutant(
         "bareiss-sign-flip",
         "linalg.py",
@@ -344,33 +344,70 @@ MUTANTS = (
         "return {key: c.numerator for key, c in terms.items()}, scale",
         ("test_linear_maps.py",),
     ),
+    # Both pushforwards: validation, then one apply_linear over a table of images.
     Mutant(
-        "torelli-coefficient-denominator-ignored",
-        "pushforward.py",
-        "factor = coeff.numerator * (scale // (coeff.denominator * denominator))",
-        "factor = coeff.numerator * (scale // denominator)",
+        "apply-linear-keeps-cancelled-zeros",
+        "poly.py",
+        "                if total:\n                    result[target] = total\n"
+        "                else:\n                    del result[target]\n",
+        "                result[target] = total\n",
         ("test_linear_maps.py",),
     ),
     Mutant(
-        "torelli-zero-output-terms-kept",
+        "fibre-slots-swapped",
         "pushforward.py",
-        "{mono: Fraction(value, scale) for mono, value in numerators.items() if value}",
-        "{mono: Fraction(value, scale) for mono, value in numerators.items()}",
+        "(1, 0): rule.t_image, (0, 1): rule.s_image}",
+        "(1, 0): rule.s_image, (0, 1): rule.t_image}",
+        ("test_pushforward.py", "test_linear_maps.py"),
+    ),
+    Mutant(
+        "fibre-images-not-reduced",
+        "pushforward.py",
+        "images[mono] = base.normal_form(factor * fiber)._terms",
+        "images[mono] = (factor * fiber)._terms",
         ("test_linear_maps.py",),
+    ),
+    Mutant(
+        "fibre-square-skipped-by-basis-check",
+        "pushforward.py",
+        "for exponents in ((2, 0), (1, 1), (0, 2)):",
+        "for exponents in ((2, 0), (1, 1)):",
+        ("test_pushforward.py",),
+    ),
+    Mutant(
+        "fibre-rule-cache-not-reset",
+        "pushforward.py",
+        "if rule is not self._pushed_rule:",
+        "if self._pushed_rule is None:",
+        ("test_linear_maps.py",),
+    ),
+    Mutant(
+        "torelli-linearity-check-dropped",
+        "pushforward.py",
+        "            if mono not in images:\n",
+        "            if False:\n",
+        ("test_pushforward.py", "test_linear_maps.py"),
     ),
     Mutant(
         "torelli-unit-codimension-wrong",
         "pushforward.py",
-        "symbols.gen(name).leading_monomial(): (name, weight)",
-        "symbols.gen(name).leading_monomial(): (name, 1)",
-        ("test_linear_maps.py",),
+        "degrees.add(weights[mono.index(1)])",
+        "degrees.add(sum(mono))",
+        ("test_pushforward.py", "test_linear_maps.py"),
     ),
     Mutant(
-        "torelli-hashability-guard-removed",
+        "torelli-mixed-codimension-check-dropped",
         "pushforward.py",
-        "codimension = self._codimension.get(name) if isinstance(name, str) else None",
-        "codimension = self._codimension.get(name)",
-        ("test_linear_maps.py",),
+        "if len(degrees) > 1:",
+        "if False:",
+        ("test_pushforward.py", "test_linear_maps.py"),
+    ),
+    Mutant(
+        "torelli-stack-degree-literal",
+        "catalog.py",
+        "(push.image(symbol) / push.stack_degree).terms()",
+        "(push.image(symbol) / 2).terms()",
+        ("test_catalog.py",),
     ),
 )
 

@@ -127,13 +127,13 @@ def test_universal_surface_tables_and_pushforward(catalog):
         for i, row in enumerate(table.rows):
             for j, col in enumerate(table.cols):
                 assert (
-                    surface.relative.relative_degree(row * col, surface.base.functional)
+                    surface.relative.relative_degree(row * col, surface.base.functional, surface.rule)
                     == table.values[i][j]
                 )
-    pushed = surface.relative.pushforward(parse_expression("t^3", surface.relative.combined.gens))
+    pushed = surface.relative.pushforward(parse_expression("t^3", surface.relative.combined.gens), surface.rule)
     base = surface.base
     assert base.ring.classes_equal(pushed, base.parse("1/4*sigma1"))
-    sixth = surface.relative.pushforward(parse_expression("1/6*t^3", surface.relative.combined.gens))
+    sixth = surface.relative.pushforward(parse_expression("1/6*t^3", surface.relative.combined.gens), surface.rule)
     assert base.ring.classes_equal(sixth, base.parse("1/24*sigma1"))
 
 
@@ -198,7 +198,7 @@ def test_algebraic_property_suites(catalog):
         p = helpers.random_polynomial(rng, combined.gens, max_degree=4, max_terms=3)
         shift = helpers.random_polynomial(rng, combined.gens, max_degree=2, max_terms=2)
         moved = p + shift * relations[rng.randrange(len(relations))]
-        assert relative.pushforward(moved) == relative.pushforward(p)
+        assert relative.pushforward(moved, surface.rule) == relative.pushforward(p, surface.rule)
         randomized = combined.groebner.reduce(p, rng=random.Random(rng.random()))
         assert randomized == combined.normal_form(p)
 

@@ -97,6 +97,12 @@ class TestTorelli:
     def test_stack_degree(self, catalog):
         assert catalog.torelli().push.stack_degree == 2
 
+    def test_table_4a_divides_by_the_stack_degree(self):
+        fresh = Catalog()
+        fresh.torelli().push.stack_degree = 1
+        cells = fresh.table_4a_cells()
+        assert cells and all(cell.recompute() == 2 * cell.expected for cell in cells)
+
 
 class TestSurface:
     def test_wired_to_genus_two_base(self, catalog):

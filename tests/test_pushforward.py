@@ -19,6 +19,7 @@ from avchow import (
 )
 
 from helpers import random_polynomial
+from oracles import decompose
 
 BASE_GENS = GeneratorSet([("a", 1)])
 COMBINED_GENS = GeneratorSet([("t", 1), ("s", 2), ("a", 1)])
@@ -41,6 +42,11 @@ def surface():
     return RelativeRing(base_ring(), combined_ring(), ("t", "s"))
 
 
+def fiber_integration():
+    """The catalog's rule: 1 -> 0, t -> 0, s -> 1, codimension shift 2."""
+    return PushforwardRule(BASE_GENS.zero(), BASE_GENS.zero(), BASE_GENS.one())
+
+
 def c(text):
     return parse_expression(text, COMBINED_GENS)
 
@@ -51,35 +57,42 @@ def b(text):
 
 class TestRelativeRing:
     def test_module_basis_must_be_free(self):
-        # t^2 is standard, so {1, t, s} is no module basis.
-        texts = ("a^3", "t^3", "t*s", "s^2")
-        sparse = QuotientRing(
-            RingPresentation(
-                "sparse", COMBINED_GENS, [parse_expression(t, COMBINED_GENS) for t in texts]
+        # In each presentation one fiber square is standard, so {1, t, s} is no module basis.
+        for square, texts in (
+            ("t^2", ("a^3", "t^3", "t*s", "s^2")),
+            ("t*s", ("a^3", "t^2 - a*t", "s^2")),
+            ("s^2", ("a^3", "t^2 - a*t", "t*s", "s^3")),
+        ):
+            sparse = QuotientRing(
+                RingPresentation(
+                    "sparse", COMBINED_GENS, [parse_expression(t, COMBINED_GENS) for t in texts]
+                )
             )
-        )
-        with pytest.raises(DegreeError, match="module basis"):
-            RelativeRing(base_ring(), sparse, ("t", "s"))
+            mono = c(square).leading_monomial()
+            assert mono in sparse.standard_monomials(COMBINED_GENS.weighted_degree(mono))
+            with pytest.raises(DegreeError, match="module basis"):
+                RelativeRing(base_ring(), sparse, ("t", "s"))
 
     def test_decompose(self):
         rel = surface()
-        parts = rel.decompose(c("t^2 + 5*a*t + s*a - 7"))
+        parts = decompose(rel, c("t^2 + 5*a*t + s*a - 7"))
         assert parts["1"] == b("-7")
         assert parts["t"] == b("6*a")
         assert parts["s"] == b("a")
 
     def test_decompose_lives_in_base_generators(self):
         rel = surface()
-        parts = rel.decompose(c("s*t^2"))
+        parts = decompose(rel, c("s*t^2"))
         for piece in parts.values():
             assert piece.gens == BASE_GENS
 
     def test_fiber_integration_rule(self):
         rel = surface()
-        assert rel.pushforward(c("s*a")) == b("a")
-        assert rel.pushforward(c("a^2 + t*a")).is_zero
+        rule = fiber_integration()
+        assert rel.pushforward(c("s*a"), rule) == b("a")
+        assert rel.pushforward(c("a^2 + t*a"), rule).is_zero
         # t^2 rewrites to a*t, which still dies under t -> 0
-        assert rel.pushforward(c("t^2")).is_zero
+        assert rel.pushforward(c("t^2"), rule).is_zero
 
     def test_custom_rule(self):
         rel = surface()
@@ -93,13 +106,14 @@ class TestRelativeRing:
 
     def test_pushforward_is_linear(self):
         rel = surface()
+        rule = fiber_integration()
         rng = random.Random(3)
         for _ in range(20):
             p = random_polynomial(rng, COMBINED_GENS, max_degree=4)
             q = random_polynomial(rng, COMBINED_GENS, max_degree=4)
-            sum_image = rel.pushforward(p + q)
+            sum_image = rel.pushforward(p + q, rule)
             assert sum_image == rel.base.normal_form(
-                rel.pushforward(p) + rel.pushforward(q)
+                rel.pushforward(p, rule) + rel.pushforward(q, rule)
             )
 
     def test_pushforward_well_defined_on_classes(self):
@@ -111,20 +125,21 @@ class TestRelativeRing:
             moved = p
             for r in relations:
                 moved = moved + random_polynomial(rng, COMBINED_GENS, max_degree=2) * r
-            assert rel.pushforward(moved) == rel.pushforward(p)
+            assert rel.pushforward(moved, fiber_integration()) == rel.pushforward(p, fiber_integration())
 
     def test_relative_degree(self):
         rel = surface()
         functional = DegreeFunctional(rel.base, b("a^2"), Fraction(1))
         # base top degree 2 plus shift 2: combined degree 4 integrates
-        assert rel.relative_degree(c("s*a^2"), functional) == 1
-        assert rel.relative_degree(c("t^2*a^2"), functional) == 0
+        rule = fiber_integration()
+        assert rel.relative_degree(c("s*a^2"), functional, rule) == 1
+        assert rel.relative_degree(c("t^2*a^2"), functional, rule) == 0
 
     def test_relative_degree_rejects_wrong_degree(self):
         rel = surface()
         functional = DegreeFunctional(rel.base, b("a^2"), Fraction(1))
         with pytest.raises(DegreeError):
-            rel.relative_degree(c("s*a"), functional)
+            rel.relative_degree(c("s*a"), functional, fiber_integration())
 
     def test_relative_degree_rejects_foreign_functional(self):
         rel = surface()
@@ -136,7 +151,7 @@ class TestRelativeRing:
             other, parse_expression("z^2", other_gens), Fraction(1)
         )
         with pytest.raises(Exception):
-            rel.relative_degree(c("s*a^2"), functional)
+            rel.relative_degree(c("s*a^2"), functional, fiber_integration())
 
 
 class TestTabulatedPushforward:
@@ -176,9 +191,9 @@ class TestTabulatedPushforward:
         combo = parse_expression("3*d0 - 2*d1", self.symbols)
         assert self.push.push_combination(combo) == self.t("6*x")
 
-    def test_push_combination_pair_input(self):
-        pairs = [(Fraction(1, 2), "d0"), (Fraction(4), "d1")]
-        assert self.push.push_combination(pairs) == self.t("x")
+    def test_push_combination_fractional_coefficients(self):
+        combo = parse_expression("1/2*d0 + 4*d1", self.symbols)
+        assert self.push.push_combination(combo) == self.t("x")
 
     def test_products_of_symbols_rejected(self):
         with pytest.raises(DegreeError):
