@@ -5,9 +5,15 @@ data files, plus two auxiliary data sets: a tabulated pushforward of
 boundary classes into the genus-3 ring, and a pair of presentation
 equivalences.  From these it builds one flat list of named checks; each
 check recomputes a stored value from the presentations alone and
-compares.  Every table kind has one function that lists its cells (stored
-value plus a recompute); the checks and the ``tables`` command both read
-them.  ``run_verification`` filters the checks by scope and runs them.
+compares.  Every stored value that is compared with ``==`` (a table entry,
+a Hilbert function, a degree, an identity, a recovered class, a
+pushforward, a level count) is a ``Cell``: its key, citation, stored value
+and recompute, turned into a check by one function, ``_cell_checks``.
+Every table kind has one function that lists its cells; the checks and the
+``tables`` command both read them.  The few checks whose verdict is not
+``==`` (determinants, the support of a tabulated image, equivalences, a
+non-integral count, the level identity) keep their own evaluations.
+``run_verification`` filters the checks by scope and runs them.
 """
 
 from __future__ import annotations
@@ -82,8 +88,11 @@ class FiberedSurface(NamedTuple):
 
 
 class Cell(NamedTuple):
-    """One tabulated number: where it sits, its stored value, its recompute.
+    """One stored value: where it sits, the value, and its recompute.
 
+    The value is a number (a table entry, a degree, a count), a list (a
+    Hilbert function) or a class (an identity side, a recovered class, a
+    pushforward), and the check is ``recompute() == expected``.
     ``recompute`` is None for a value that is recorded but cannot be
     expressed in the ring generators.  ``note`` follows the stored value
     wherever it is shown.
@@ -91,8 +100,8 @@ class Cell(NamedTuple):
 
     key: str
     citation: str
-    expected: Fraction
-    recompute: Callable[[], Fraction] | None
+    expected: object
+    recompute: Callable[[], object] | None
     note: str = ""
 
     @property
@@ -263,65 +272,33 @@ class Catalog:
     # check builders
 
     def _ring_checks(self, loaded: LoadedRing) -> list[Check]:
-        checks: list[Check] = []
-        name = loaded.name
-        ring = loaded.ring
-        functional = loaded.functional
-
+        name, ring, functional = loaded.name, loaded.ring, loaded.functional
+        cells = []
         if loaded.expected_hilbert is not None:
             expected = list(loaded.expected_hilbert)
-            checks.append(
-                Check(
-                    id=f"{name}:hilbert",
-                    group=name,
-                    citation=f"{loaded.source}, dimension count",
-                    evaluate=partial(
-                        _compare,
-                        expected,
-                        partial(ring.hilbert_function, len(expected) - 1),
-                    ),
-                )
-            )
-
+            hilbert = partial(ring.hilbert_function, len(expected) - 1)
+            cells.append(Cell("hilbert", f"{loaded.source}, dimension count", expected, hilbert))
         if functional is not None:
-            checks.append(
-                Check(
-                    id=f"{name}:normalization",
-                    group=name,
-                    citation=f"{loaded.source}, degree normalization",
-                    evaluate=partial(
-                        _compare,
-                        functional.reference_value,
-                        partial(functional.degree, functional.reference_element),
-                    ),
-                )
-            )
-
+            reference = partial(functional.degree, functional.reference_element)
+            citation = f"{loaded.source}, degree normalization"
+            cells.append(Cell("normalization", citation, functional.reference_value, reference))
         for ident in loaded.identities:
-            checks.append(
-                Check(
-                    id=f"{name}:identity:{ident.id}",
-                    group=name,
-                    citation=ident.source,
-                    evaluate=partial(
-                        _check_identity, ring, ident.lhs, ident.rhs, ident.mode
-                    ),
-                )
-            )
-
-        for expectation in loaded.degrees:
-            checks.append(
-                Check(
-                    id=f"{name}:degree:{expectation.expr_text}",
-                    group=name,
-                    citation=expectation.source,
-                    evaluate=partial(
-                        _compare,
-                        expectation.value,
-                        partial(_degree, functional, expectation.element),
-                    ),
-                )
-            )
+            expected = _class_of(ring, ident.mode, ident.rhs)
+            lhs = partial(_class_of, ring, ident.mode, ident.lhs)
+            cells.append(Cell(f"identity:{ident.id}", ident.source, expected, lhs))
+        for entry in loaded.degrees:
+            degree = partial(_degree, functional, entry.element)
+            cells.append(Cell(f"degree:{entry.expr_text}", entry.source, entry.value, degree))
+        vectors = loaded.pairing_vectors + [
+            table for table in loaded.tables if isinstance(table, PairingVectorTable)
+        ]
+        for vector in vectors:
+            if vector.solve:
+                citation = f"{vector.source}, recovered from its pairings"
+                expected = ring.normal_form(vector.class_poly)
+                solved = partial(_solved_class, ring, functional, vector)
+                cells.append(Cell(f"solve:{vector.class_name}", citation, expected, solved))
+        checks = _cell_checks(cells, name, name)
 
         for vector in loaded.pairing_vectors:
             cells = _vector_cells(vector, functional)
@@ -340,40 +317,18 @@ class Catalog:
                         evaluate=partial(_check_determinant, functional, table),
                     )
                 )
-
-        vectors = loaded.pairing_vectors + [
-            table for table in loaded.tables if isinstance(table, PairingVectorTable)
-        ]
-        for vector in vectors:
-            if vector.solve:
-                checks.append(
-                    Check(
-                        id=f"{name}:solve:{vector.class_name}",
-                        group=name,
-                        citation=f"{vector.source}, recovered from its pairings",
-                        evaluate=partial(_check_solve_class, ring, functional, vector),
-                    )
-                )
         return checks
 
     def _surface_checks(self) -> list[Check]:
+        """Each stored pushforward, in base normal form, against the fibre integration."""
         surface = self.fibered_surface()
-        combined = surface.combined
-        base = surface.base
-        checks: list[Check] = []
+        combined, base = surface.combined, surface.base
+        cells = []
         for case in combined.raw["fibration"].get("pushforwards", []):
-            expr = case["expr"]
-            element = combined.parse(expr)
-            expected = parse_expression(case["expected"], base.ring.gens, base.named)
-            checks.append(
-                Check(
-                    id=f"{combined.name}:push:{expr}",
-                    group=combined.name,
-                    citation=case["source"],
-                    evaluate=partial(_check_pushforward, surface, element, expected),
-                )
-            )
-        return checks
+            expected = base.ring.normal_form(base.parse(case["expected"]))
+            pushed = partial(surface.relative.pushforward, combined.parse(case["expr"]), surface.rule)
+            cells.append(Cell(f"push:{case['expr']}", case["source"], expected, pushed))
+        return _cell_checks(cells, combined.name, combined.name)
 
     def _torelli_checks(self) -> list[Check]:
         """Table 4a, then one check of push(combo) + plus against expected per identity."""
@@ -398,23 +353,14 @@ class Catalog:
                 )
             )
 
+        cells = []
         for ident in data.raw["identities"]:
             pushed = push.push_combination(data.parse_combination(ident["combo"]))
-            checks.append(
-                Check(
-                    id=f"torelli:{ident['id']}",
-                    group="torelli",
-                    citation=ident["source"],
-                    evaluate=partial(
-                        _check_identity,
-                        target,
-                        pushed + target_loaded.parse(ident.get("plus", "0")),
-                        target_loaded.parse(ident["expected"]),
-                        ident["mode"],
-                    ),
-                )
-            )
-        return checks
+            lhs = pushed + target_loaded.parse(ident.get("plus", "0"))
+            expected = _class_of(target, ident["mode"], target_loaded.parse(ident["expected"]))
+            recompute = partial(_class_of, target, ident["mode"], lhs)
+            cells.append(Cell(ident["id"], ident["source"], expected, recompute))
+        return checks + _cell_checks(cells, "torelli", "torelli")
 
     def _equivalence_checks(self) -> list[Check]:
         checks = []
@@ -442,40 +388,23 @@ class Catalog:
         return checks
 
     def _level_checks(self) -> list[Check]:
-        checks = []
-        for genus, level, expected in ((1, 3, 24), (2, 3, 51840), (3, 1, 1)):
-            checks.append(
-                Check(
-                    id=f"levels:gamma:g{genus}:l{level}",
-                    group="levels",
-                    citation="level structure counts, group order",
-                    evaluate=partial(
-                        _compare, expected, partial(group_order_gamma, genus, level)
-                    ),
-                )
+        orders = "level structure counts, group order"
+        cusps = "level structure counts, boundary components"
+        cells = [
+            Cell(f"gamma:g{genus}:l{level}", orders, expected, partial(group_order_gamma, genus, level))
+            for genus, level, expected in ((1, 3, 24), (2, 3, 51840), (3, 1, 1))
+        ] + [
+            Cell(f"mu:g{genus}:l{level}:{kind}", cusps, Fraction(n), partial(cusp_count_mu, genus, level, kind))
+            for genus, level, kind, n in (
+                (1, 3, "single-factor", 4), (1, 3, "as-printed", 4), (2, 3, "single-factor", 40)
             )
-        for genus, level, convention, expected in (
-            (1, 3, "single-factor", Fraction(4)),
-            (1, 3, "as-printed", Fraction(4)),
-            (2, 3, "single-factor", Fraction(40)),
-        ):
-            checks.append(
-                Check(
-                    id=f"levels:mu:g{genus}:l{level}:{convention}",
-                    group="levels",
-                    citation="level structure counts, boundary components",
-                    evaluate=partial(
-                        _compare,
-                        expected,
-                        partial(cusp_count_mu, genus, level, convention),
-                    ),
-                )
-            )
+        ]
+        checks = _cell_checks(cells, "levels", "levels")
         checks.append(
             Check(
                 id="levels:mu:g2:l3:as-printed",
                 group="levels",
-                citation="level structure counts, boundary components",
+                citation=cusps,
                 evaluate=partial(_check_mu_non_integer, 2, 3),
             )
         )
@@ -492,7 +421,7 @@ class Catalog:
 
 
 # ----------------------------------------------------------------------
-# table cells
+# cells and their recomputes
 
 
 def _degree(functional: DegreeFunctional | None, element: Polynomial) -> Fraction:
@@ -566,11 +495,26 @@ def _half_image_coefficient(
     return dict((push.image(symbol) / push.stack_degree).terms()).get(monomial, Fraction(0))
 
 
+def _class_of(ring: QuotientRing, mode: str, p: Polynomial) -> Polynomial:
+    """An identity side as compared: the literal polynomial, or its normal form in ``class`` mode."""
+    return p if mode == "polynomial" else ring.normal_form(p)
+
+
+def _solved_class(
+    ring: QuotientRing, functional: DegreeFunctional, vector: PairingVectorTable
+) -> Polynomial:
+    """The class recovered from its stored pairings against the basis, in normal form."""
+    values = [value / vector.divide_by for value in vector.values]
+    solved = functional.solve_class(vector.class_poly.weighted_degree(), list(vector.basis), values)
+    return ring.normal_form(solved)
+
+
 # ----------------------------------------------------------------------
 # check evaluations
 #
 # Each returns the triple (expected, computed, status); the builders above
-# bind their arguments with ``partial``.
+# bind their arguments with ``partial``.  Every Cell is judged by
+# ``_compare``; the rest are the checks whose verdict is not ``==``.
 
 
 def _cell_checks(
@@ -582,25 +526,18 @@ def _cell_checks(
             group=group,
             parent=parent,
             citation=cell.citation,
-            evaluate=partial(_compare, cell.expected, cell.recompute, cell.shown),
+            evaluate=partial(_compare, cell),
         )
         for cell in cells
     ]
 
 
-def _compare(expected, recompute: Callable | None, shown: str | None = None):
+def _compare(cell: Cell):
     """Recompute a stored value and compare it with ``==``."""
-    shown = str(expected) if shown is None else shown
-    if recompute is None:
-        return shown, "recorded only; not expressible in the ring generators", SKIPPED
-    computed = recompute()
-    return shown, str(computed), PASS if computed == expected else FAIL
-
-
-def _check_identity(ring: QuotientRing, lhs: Polynomial, rhs: Polynomial, mode: str):
-    if mode != "polynomial":
-        lhs, rhs = ring.normal_form(lhs), ring.normal_form(rhs)
-    return str(rhs), str(lhs), PASS if lhs == rhs else FAIL
+    if cell.recompute is None:
+        return cell.shown, "recorded only; not expressible in the ring generators", SKIPPED
+    computed = cell.recompute()
+    return cell.shown, str(computed), PASS if computed == cell.expected else FAIL
 
 
 def _check_determinant(functional: DegreeFunctional, table: PairingTable):
@@ -608,26 +545,6 @@ def _check_determinant(functional: DegreeFunctional, table: PairingTable):
     if table.det_nonzero:
         return "nonzero determinant", str(det), PASS if det != 0 else FAIL
     return "determinant recorded", str(det), PASS
-
-
-def _check_solve_class(
-    ring: QuotientRing, functional: DegreeFunctional, vector: PairingVectorTable
-):
-    codim = vector.class_poly.weighted_degree()
-    values = [value / vector.divide_by for value in vector.values]
-    solved = functional.solve_class(codim, list(vector.basis), values)
-    expected = ring.normal_form(vector.class_poly)
-    computed = ring.normal_form(solved)
-    return str(expected), str(computed), PASS if computed == expected else FAIL
-
-
-def _check_pushforward(
-    surface: FiberedSurface, element: Polynomial, expected: Polynomial
-):
-    base = surface.base.ring
-    computed = surface.relative.pushforward(element, surface.rule)
-    status = PASS if base.classes_equal(computed, expected) else FAIL
-    return str(base.normal_form(expected)), str(computed), status
 
 
 def _check_half_image_support(

@@ -33,7 +33,10 @@ class PushforwardRule:
 
     The zero-section geometry of the catalog sends 1 and t to zero and s
     to 1 with a codimension shift of 2; other rules are expressible but
-    the shift must match the grading of the images.
+    the shift must match the grading of the images: a nonzero image of a
+    module generator of weight w is homogeneous of degree w - shift.  A
+    RelativeRing checks this when it first pushes with the rule, since the
+    weights of t and s are those of its combined ring.
     """
 
     __slots__ = ("one_image", "t_image", "s_image", "shift")
@@ -104,6 +107,19 @@ class RelativeRing:
         """Base normal form of b * rule(f) for each standard combined monomial b * f, f in {1, t, s}."""
         slots = {(0, 0): rule.one_image, (1, 0): rule.t_image, (0, 1): rule.s_image}
         base, combined = self.base, self.combined
+        weights = combined.gens.weights
+        t_name, s_name = self.fiber_names
+        for name, weight, image in (
+            ("1", 0, rule.one_image),
+            (t_name, weights[self._t_index], rule.t_image),
+            (s_name, weights[self._s_index], rule.s_image),
+        ):
+            degree = image.weighted_degree()
+            if degree is not None and degree != weight - rule.shift:
+                raise DegreeError(
+                    f"rule image of {name} has degree {degree}, expected {weight - rule.shift} "
+                    f"(weight {weight} minus shift {rule.shift})"
+                )
         images = {}
         for degree in range(combined.socle_degree + 1):
             for mono in combined.standard_monomials(degree):

@@ -403,6 +403,35 @@ MUTANTS = (
         ("test_pushforward.py", "test_linear_maps.py"),
     ),
     Mutant(
+        "fibre-rule-grading-check-dropped",
+        "pushforward.py",
+        "if degree is not None and degree != weight - rule.shift:",
+        "if False:",
+        ("test_pushforward.py",),
+    ),
+    # The verifier: every stored value compared with == is a Cell.
+    Mutant(
+        "identity-mode-ignored",
+        "catalog.py",
+        'return p if mode == "polynomial" else ring.normal_form(p)',
+        "return ring.normal_form(p)",
+        ("test_catalog.py",),
+    ),
+    Mutant(
+        "solve-expected-not-normal-formed",
+        "catalog.py",
+        "expected = ring.normal_form(vector.class_poly)",
+        "expected = vector.class_poly",
+        ("test_catalog.py",),
+    ),
+    Mutant(
+        "push-expected-not-normal-formed",
+        "catalog.py",
+        'expected = base.ring.normal_form(base.parse(case["expected"]))',
+        'expected = base.parse(case["expected"])',
+        ("test_catalog.py",),
+    ),
+    Mutant(
         "torelli-stack-degree-literal",
         "catalog.py",
         "(push.image(symbol) / push.stack_degree).terms()",

@@ -1,11 +1,12 @@
 """The built-in catalog: rings, scopes, and the full check suite."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from avchow import RING_NAMES, Catalog, UnknownScopeError
-from avchow.catalog import GROUP_NAMES
+from avchow.catalog import GROUP_NAMES, Cell, _cell_checks, _class_of, _compare, _degree
 
 from oracles import hilbert_series_oracle
 
@@ -197,3 +198,46 @@ class TestRunVerification:
     def test_citations_present(self, catalog):
         report = catalog.run_verification("all")
         assert all(r.citation for r in report.results)
+
+
+class TestCells:
+    """Every stored value compared with ``==`` is a Cell, judged by one function."""
+
+    # The checks whose verdict is not ``==`` keep their own evaluations.
+    NOT_EQUALITY = (":det:", ":support", "equivalences:", "levels:identity:", "levels:mu:g2:l3:as-printed")
+
+    def test_every_equality_check_is_a_cell(self, catalog):
+        own = [check.id for check in catalog.checks() if check.evaluate.func is not _compare]
+        assert own and all(any(mark in cid for mark in self.NOT_EQUALITY) for cid in own)
+        cells = {check.id for check in catalog.checks()} - set(own)
+        for cid in ("a3_tilde:hilbert", "a3_tilde:normalization", "a3_tilde:identity:beta3-quarter",
+                    "a3_tilde:solve:B3", "x2_tilde:push:t^3", "torelli:identity:qi-is-A111",
+                    "levels:gamma:g2:l3", "levels:mu:g1:l3:as-printed"):
+            assert cid in cells
+
+    def test_identity_sides_follow_the_mode(self, catalog):
+        loaded = catalog.ring("a3_tilde")
+        lhs, rhs = loaded.parse("lambda1^4"), loaded.parse("8*lambda1*lambda3")
+        assert _class_of(loaded.ring, "class", lhs) == _class_of(loaded.ring, "class", rhs)
+        assert _class_of(loaded.ring, "polynomial", lhs) is lhs
+        assert _class_of(loaded.ring, "polynomial", lhs) != _class_of(loaded.ring, "polynomial", rhs)
+
+    def test_a_recompute_that_raises_is_a_failure_row(self, catalog):
+        element = catalog.ring("a3_taut").parse("lambda1^3")
+        cell = Cell("degree:lambda1^3", "a stored degree", Fraction(1), partial(_degree, None, element))
+        (check,) = _cell_checks([cell], "a3_taut", "a3_taut")
+        result = check.run()
+        assert result.id == "a3_taut:degree:lambda1^3"
+        assert (result.expected, result.computed, result.status) == (
+            "(evaluation)", "error: DegreeError: no degree functional on this ring", "fail"
+        )
+
+    def test_a_class_that_differs_shows_both_normal_forms(self, catalog):
+        loaded = catalog.ring("a3_tilde")
+        ring, b3 = loaded.ring, loaded.named["B3"]
+        cell = Cell("solve:B3", "a recovered class", ring.normal_form(b3), partial(_class_of, ring, "class", 2 * b3))
+        (check,) = _cell_checks([cell], "a3_tilde", "a3_tilde")
+        result = check.run()
+        assert result.status == "fail"
+        assert result.expected == "-92/3*lambda2*sigma1 + 420*lambda3 - 1/12*sigma1^3 + 11/36*sigma1*sigma2"
+        assert result.computed == "-184/3*lambda2*sigma1 + 840*lambda3 - 1/6*sigma1^3 + 11/18*sigma1*sigma2"

@@ -116,8 +116,8 @@ def test_fibre_pushforward_on_a_ring_that_is_not_artinian():
     base = QuotientRing(RingPresentation("line", base_gens, [parse_expression("a^7", base_gens)]))
     combined = QuotientRing(RingPresentation("free", combined_gens, relations + [parse_expression("a^7", combined_gens)]))
     relative = RelativeRing(base, combined, ("t", "s"))
-    rule = PushforwardRule(base_gens.zero(), base_gens.gen("a"), base_gens.one())
-    # a^4*t^2 = a^5*t pushes to a^5 * a, and a^5*s to a^5.
+    rule = PushforwardRule(base_gens.zero(), base_gens.one(), base_gens.gen("a"), shift=1)
+    # a^4*t^2 = a^5*t pushes to a^5, and a^5*s to a^5 * a.
     pushed = relative.pushforward(parse_expression("a^5*s + a^4*t^2", combined_gens), rule)
     assert pushed == parse_expression("a^6 + a^5", base_gens)
     rng = random.Random(11)

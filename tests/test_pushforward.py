@@ -153,6 +153,30 @@ class TestRelativeRing:
         with pytest.raises(Exception):
             rel.relative_degree(c("s*a^2"), functional, fiber_integration())
 
+    def test_rule_grading_must_match_its_shift(self, catalog):
+        # Over the catalog's surface, t -> 1 with shift 2 would send s*sigma1^3
+        # to lambda1*sigma1^3, above the base socle, whose degree reads 0.
+        fibred = catalog.fibered_surface()
+        relative = RelativeRing(fibred.base.ring, fibred.combined.ring, fibred.relative.fiber_names)
+        gens = fibred.base.ring.gens
+        element = fibred.combined.parse("s*sigma1^3")
+        shifted = PushforwardRule(gens.zero(), gens.one(), gens.gen("lambda1"), shift=2)
+        with pytest.raises(DegreeError, match=r"^rule image of t has degree 0, expected -1 \(weight 1 minus shift 2\)$"):
+            relative.relative_degree(element, fibred.base.functional, shifted)
+        sigma1_cubed = fibred.base.functional.degree(fibred.base.parse("sigma1^3"))
+        assert relative.relative_degree(element, fibred.base.functional, fibred.rule) == sigma1_cubed != 0
+        # Each slot is checked, 1 included, and a mixed image is refused.
+        rel = surface()
+        for rule, message in (
+            (PushforwardRule(b("0"), b("a"), b("1")), "^rule image of t has degree 1, expected -1 "),
+            (PushforwardRule(b("a"), b("1"), b("a"), shift=1), "^rule image of 1 has degree 1, expected -1 "),
+            (PushforwardRule(b("0"), b("0"), b("a^2"), shift=1), "^rule image of s has degree 2, expected 1 "),
+            (PushforwardRule(b("0"), b("0"), b("1 + a")), "homogeneous"),
+        ):
+            with pytest.raises(DegreeError, match=message):
+                rel.pushforward(c("s"), rule)
+        assert rel.pushforward(c("t*a + s"), PushforwardRule(b("0"), b("1"), b("a"), shift=1)) == b("2*a")
+
 
 class TestTabulatedPushforward:
     def setup_method(self):
