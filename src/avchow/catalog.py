@@ -122,9 +122,6 @@ class Catalog:
     # ------------------------------------------------------------------
     # data access
 
-    def ring_names(self) -> list[str]:
-        return list(RING_NAMES)
-
     def ring(self, name: str) -> LoadedRing:
         """Load (once) and return a catalog ring by name."""
         if name not in self._rings:

@@ -129,10 +129,7 @@ def _resolve_ring(spec: str, catalog: Catalog) -> LoadedRing:
         return catalog.ring(spec)
     path = Path(spec)
     if path.exists():
-        try:
-            return load_ring_spec(path)
-        except OSError as err:
-            raise UsageError(f"cannot read ring spec {spec!r}: {err}") from err
+        return load_ring_spec(path)
     raise UsageError(
         f"unknown ring {spec!r}: not a catalog name and not an existing file"
     )
@@ -161,6 +158,13 @@ def _require_functional(loaded: LoadedRing):
             "degree, pairing, and solve-class need one"
         )
     return loaded.functional
+
+
+def _complement(loaded: LoadedRing, functional, deg: int) -> int:
+    """The codimension complementary to ``--deg``, which must lie in 0..top degree."""
+    if not 0 <= deg <= functional.top_degree:
+        raise UsageError(f"--deg {deg} is outside 0..{functional.top_degree}, the degrees of {loaded.name!r}")
+    return functional.top_degree - deg
 
 
 def _default_basis(loaded: LoadedRing, degree: int) -> list[Polynomial]:
@@ -207,7 +211,7 @@ def _cmd_hilbert(args, catalog: Catalog) -> int:
 def _cmd_pairing(args, catalog: Catalog) -> int:
     loaded = _resolve_ring(args.ring, catalog)
     functional = _require_functional(loaded)
-    complement = functional.top_degree - args.deg
+    complement = _complement(loaded, functional, args.deg)
     if args.rows is None:
         rows = _default_basis(loaded, args.deg)
     else:
@@ -227,7 +231,7 @@ def _cmd_pairing(args, catalog: Catalog) -> int:
 def _cmd_solve_class(args, catalog: Catalog) -> int:
     loaded = _resolve_ring(args.ring, catalog)
     functional = _require_functional(loaded)
-    complement = functional.top_degree - args.deg
+    complement = _complement(loaded, functional, args.deg)
     if args.probes is None:
         probes = _default_basis(loaded, complement)
     else:
@@ -255,12 +259,6 @@ def _cmd_push(args, catalog: Catalog) -> int:
     return EXIT_OK
 
 
-def _table_header(table_id: str, source: str) -> str:
-    if source and source != f"table {table_id}":
-        return f"table {table_id} ({source})"
-    return f"table {table_id}"
-
-
 def _grid_rows(cells: list[Cell], width: int) -> list[str]:
     """Recomputed values of row-major cells, one comma-joined string per row."""
     values = [str(cell.recompute()) for cell in cells]
@@ -268,7 +266,7 @@ def _grid_rows(cells: list[Cell], width: int) -> list[str]:
 
 
 def _format_table(table, cells: list[Cell]) -> list[str]:
-    lines = [_table_header(table.id, table.source)]
+    lines = [f"table {table.id}"]
     if isinstance(table, DegreesTable):
         for cell in cells:
             if cell.recompute is None:
@@ -290,7 +288,7 @@ def _format_table(table, cells: list[Cell]) -> list[str]:
 def _format_table_4a(catalog: Catalog) -> list[str]:
     raw = catalog.torelli().raw["table_4a"]
     rows = _grid_rows(catalog.table_4a_cells(), len(raw["basis"]))
-    lines = [_table_header("4a", raw["source"]), "  basis: " + "; ".join(raw["basis"])]
+    lines = ["table 4a", "  basis: " + "; ".join(raw["basis"])]
     lines.extend(f"  {row['symbol']}: {values}" for row, values in zip(raw["rows"], rows))
     lines.append("  (rows list half the tabulated image)")
     return lines
@@ -346,10 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     catalog = default_catalog()
     try:
         return _COMMANDS[args.command](args, catalog)
-    except AvchowError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as err:
+    except (AvchowError, OSError) as err:  # OSError: a closed stdout, say
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
-from typing import Hashable, Iterable, Iterator, Mapping, Union
+from typing import Hashable, Iterable, Mapping, Union
 
 from .errors import DegreeError, GeneratorMismatchError, SizeError, SubstitutionError
 
@@ -128,9 +128,6 @@ class GeneratorSet:
         if not isinstance(other, GeneratorSet):
             return NotImplemented
         return self.names == other.names and self.weights == other.weights
-
-    def __hash__(self) -> int:
-        return hash((self.names, self.weights))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}:{w}" for n, w in zip(self.names, self.weights))
@@ -344,9 +341,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -355,14 +349,8 @@ class Polynomial:
         key = self.gens.sort_key
         return sorted(self._terms.items(), key=lambda item: key(item[0]), reverse=True)
 
-    def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(self.terms())
-
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(tuple(mono), Fraction(0))
-
-    def constant_coefficient(self) -> Fraction:
-        return self._terms.get((0,) * len(self.gens), Fraction(0))
 
     @property
     def is_homogeneous(self) -> bool:
@@ -407,13 +395,14 @@ class Polynomial:
                 f"operands over different generator sets: {self.gens!r} vs {other.gens!r}"
             )
 
-    def _coerce(self, other: object) -> Polynomial | None:
+    def _coerce(self, other: object) -> Polynomial:
+        """``other`` as a polynomial over these generators; TypeError unless it is one or a rational."""
         if isinstance(other, Polynomial):
             self._check_gens(other)
             return other
         if isinstance(other, (int, Fraction)):
             return self.gens.constant(other)
-        return None
+        raise TypeError(f"cannot combine a polynomial with {type(other).__name__}")
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
@@ -423,10 +412,7 @@ class Polynomial:
         return NotImplemented
 
     def __add__(self, other: object) -> Polynomial:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return Polynomial._raw(self.gens, add_terms(dict(self._terms), coerced._terms))
+        return Polynomial._raw(self.gens, add_terms(dict(self._terms), self._coerce(other)._terms))
 
     __radd__ = __add__
 
@@ -434,16 +420,10 @@ class Polynomial:
         return Polynomial._raw(self.gens, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: object) -> Polynomial:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return Polynomial._raw(self.gens, add_terms(dict(self._terms), coerced._terms, negate=True))
+        return Polynomial._raw(self.gens, add_terms(dict(self._terms), self._coerce(other)._terms, negate=True))
 
     def __rsub__(self, other: object) -> Polynomial:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced + (-self)
+        return self._coerce(other) + (-self)
 
     def __mul__(self, other: object) -> Polynomial:
         if isinstance(other, (int, Fraction)):
@@ -451,17 +431,14 @@ class Polynomial:
             if factor == 0:
                 return self.gens.zero()
             return Polynomial._raw(self.gens, {m: c * factor for m, c in self._terms.items()})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_gens(other)
-        return Polynomial._raw(self.gens, mul_terms(self._terms, other._terms))
+        return Polynomial._raw(self.gens, mul_terms(self._terms, self._coerce(other)._terms))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: object) -> Polynomial:
-        if isinstance(other, (int, Fraction)) and other != 0:
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
+    def __truediv__(self, other: Scalar) -> Polynomial:
+        # Fraction(1, other) accepts only rationals: TypeError on anything
+        # else, ZeroDivisionError on zero.
+        return self * Fraction(1, other)
 
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
@@ -541,24 +518,14 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def lambda_generators(genus: int) -> GeneratorSet:
-    """Generator set (lambda1, ..., lambda_g) with weights (1, ..., g)."""
-    if genus < 1:
-        raise ValueError(f"genus must be positive, got {genus}")
-    return GeneratorSet((f"lambda{i}", i) for i in range(1, genus + 1))
-
-
-def expand_chern_identity(genus: int, gens: GeneratorSet | None = None) -> list[Polynomial]:
+def expand_chern_identity(genus: int, gens: GeneratorSet) -> list[Polynomial]:
     """Homogeneous parts of (1 + sum lambda_i)(1 + sum (-1)^i lambda_i) - 1.
 
     These are the relations forced on the lambda classes by a rank-g bundle
     whose sum with its dual is trivial.  Returns the nonzero parts in
-    increasing degree.  With ``gens`` given, the parts are produced over
-    that generator set, which must contain lambda1..lambda_g with weights
-    1..g.
+    increasing degree, over ``gens``, which must contain lambda1..lambda_g
+    with weights 1..g.
     """
-    if gens is None:
-        gens = lambda_generators(genus)
     total = gens.one()
     dual = gens.one()
     for i in range(1, genus + 1):

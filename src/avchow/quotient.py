@@ -98,9 +98,6 @@ class RingPresentation:
         self.relations = tuple(listed)
         self.chern_identity_genus = chern_identity_genus
 
-    def __repr__(self) -> str:
-        return f"RingPresentation({self.name}, {len(self.relations)} relations)"
-
 
 class QuotientRing:
     """Graded quotient of a polynomial ring by a homogeneous ideal.
@@ -126,16 +123,7 @@ class QuotientRing:
     def name(self) -> str:
         return self.presentation.name
 
-    def __repr__(self) -> str:
-        return f"QuotientRing({self.name})"
-
     # Element helpers.
-
-    def zero(self) -> Polynomial:
-        return self.gens.zero()
-
-    def one(self) -> Polynomial:
-        return self.gens.one()
 
     def gen(self, name: str) -> Polynomial:
         return self.gens.gen(name)

@@ -144,6 +144,41 @@ MUTANTS = (
         "if degree >= MAX_SWEEP_DEGREES:",
         ("test_quotient.py",),
     ),
+    Mutant(
+        "presentation-relation-generators-unchecked",
+        "quotient.py",
+        "if relation.gens != gens:",
+        "if False:",
+        ("test_quotient.py",),
+    ),
+    Mutant(
+        "rank-one-refusal-dropped",
+        "quotient.py",
+        "if len(basis) != 1:",
+        "if False:",
+        ("test_quotient.py",),
+    ),
+    Mutant(
+        "equivalence-backward-relations-unchecked",
+        "quotient.py",
+        "        if not a.contains(relation.substitute(backward)):\n            return False\n",
+        "        pass\n",
+        ("test_quotient.py",),
+    ),
+    Mutant(
+        "equivalence-first-round-trip-unchecked",
+        "quotient.py",
+        "if not a.classes_equal(round_trip, a.gen(name)):",
+        "if False:",
+        ("test_quotient.py",),
+    ),
+    Mutant(
+        "equivalence-second-round-trip-unchecked",
+        "quotient.py",
+        "if not b.classes_equal(round_trip, b.gen(name)):",
+        "if False:",
+        ("test_quotient.py",),
+    ),
     # Integers on the calculator's hot path: degrees, rendering, parsing.
     Mutant(
         "degree-homogeneity-check-dropped",
@@ -338,6 +373,20 @@ MUTANTS = (
         ("test_linear_maps.py",),
     ),
     Mutant(
+        "solve-class-value-count-unchecked",
+        "quotient.py",
+        "if len(probes) != len(values):",
+        "if False:",
+        ("test_quotient.py",),
+    ),
+    Mutant(
+        "solve-class-probe-degree-unchecked",
+        "quotient.py",
+        "if d is not None and d != complement:",
+        "if False:",
+        ("test_quotient.py",),
+    ),
+    Mutant(
         "integer-terms-unscaled",
         "poly.py",
         "return {key: c.numerator * (scale // c.denominator) for key, c in terms.items()}, scale",
@@ -409,6 +458,34 @@ MUTANTS = (
         "if False:",
         ("test_pushforward.py",),
     ),
+    Mutant(
+        "fibre-count-unchecked",
+        "pushforward.py",
+        "if len(fiber_names) != 2:",
+        "if False:",
+        ("test_pushforward.py",),
+    ),
+    Mutant(
+        "fibre-base-weight-unchecked",
+        "pushforward.py",
+        "if combined.gens.weights[j] != weight:",
+        "if False:",
+        ("test_pushforward.py",),
+    ),
+    Mutant(
+        "torelli-unknown-symbol-accepted",
+        "pushforward.py",
+        "if name not in symbols.names:",
+        "if False:",
+        ("test_pushforward.py",),
+    ),
+    Mutant(
+        "torelli-image-ring-unchecked",
+        "pushforward.py",
+        "if image.gens != target.gens:",
+        "if False:",
+        ("test_pushforward.py",),
+    ),
     # The verifier: every stored value compared with == is a Cell.
     Mutant(
         "identity-mode-ignored",
@@ -437,6 +514,49 @@ MUTANTS = (
         "(push.image(symbol) / push.stack_degree).terms()",
         "(push.image(symbol) / 2).terms()",
         ("test_catalog.py",),
+    ),
+    Mutant(
+        "half-image-stray-monomials-pass",
+        "catalog.py",
+        "if not extra:",
+        "if True:",
+        ("test_catalog.py",),
+    ),
+    Mutant(
+        "integral-as-printed-count-not-flagged",
+        "catalog.py",
+        "if computed.denominator == 1:",
+        "if False:",
+        ("test_catalog.py",),
+    ),
+    Mutant(
+        "duplicate-check-ids-accepted",
+        "catalog.py",
+        "if duplicates:",
+        "if False:",
+        ("test_catalog.py",),
+    ),
+    # Level counts, the Chern identity and the command line.
+    Mutant(
+        "group-order-integrality-unchecked",
+        "levels.py",
+        "if value.denominator != 1:",
+        "if False:",
+        ("test_levels.py",),
+    ),
+    Mutant(
+        "chern-identity-weights-unchecked",
+        "poly.py",
+        'if gens.weights[gens.index(f"lambda{i}")] != i:',
+        "if False:",
+        ("test_poly.py",),
+    ),
+    Mutant(
+        "cli-codimension-range-unchecked",
+        "cli.py",
+        "if not 0 <= deg <= functional.top_degree:",
+        "if False:",
+        ("test_cli.py",),
     ),
 )
 

@@ -231,7 +231,7 @@ def pushforward_by_decomposition(relative, p, rule):
 
 def push_combination_by_polynomials(push, pairs):
     """Sum of coefficient * image over (coefficient, symbol) pairs, as Polynomials."""
-    result = push.target.zero()
+    result = push.target.gens.zero()
     for coeff, name in pairs:
         result = result + coeff * push.images[name]
     return result
@@ -312,7 +312,7 @@ def solve_class_by_products(functional, codimension, probes, values):
     basis = [ring.gens.monomial(m) for m in ring.standard_monomials(codimension)]
     matrix = [[degree_by_normal_form(functional, e * probe) for e in basis] for probe in probes]
     solution = solve_by_fractions(matrix, [Fraction(v) for v in values])
-    result = ring.zero()
+    result = ring.gens.zero()
     for coefficient, element in zip(solution, basis):
         result = result + coefficient * element
     return result

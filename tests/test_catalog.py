@@ -6,7 +6,18 @@ from functools import partial
 import pytest
 
 from avchow import RING_NAMES, Catalog, UnknownScopeError
-from avchow.catalog import GROUP_NAMES, Cell, _cell_checks, _class_of, _compare, _degree
+from avchow import catalog as catalog_module
+from avchow.catalog import (
+    GROUP_NAMES,
+    Cell,
+    _basis_monomials,
+    _cell_checks,
+    _check_half_image_support,
+    _check_mu_non_integer,
+    _class_of,
+    _compare,
+    _degree,
+)
 
 from oracles import hilbert_series_oracle
 
@@ -241,3 +252,37 @@ class TestCells:
         assert result.status == "fail"
         assert result.expected == "-92/3*lambda2*sigma1 + 420*lambda3 - 1/12*sigma1^3 + 11/36*sigma1*sigma2"
         assert result.computed == "-184/3*lambda2*sigma1 + 840*lambda3 - 1/6*sigma1^3 + 11/18*sigma1*sigma2"
+
+
+class TestOwnEvaluations:
+    """The checks whose verdict is not ``==``, and the guards of the suite, each made to fail."""
+
+    def test_duplicate_check_ids_are_refused(self, monkeypatch):
+        fresh = Catalog()
+        level_checks = fresh._level_checks
+        monkeypatch.setattr(fresh, "_level_checks", lambda: level_checks()[-1:] * 2)
+        with pytest.raises(ValueError, match=r"^duplicate check ids: \['levels:identity:l7'\]$"):
+            fresh.checks()
+
+    def test_basis_labels_must_be_monic(self, catalog):
+        gens = catalog.ring("a3_tilde").ring.gens
+        assert _basis_monomials(["lambda3", "lambda1^3"], gens) == [(0, 0, 1, 0, 0), (3, 0, 0, 0, 0)]
+        with pytest.raises(ValueError, match="basis entry '2\\*lambda3' is not monic"):
+            _basis_monomials(["lambda1^3", "2*lambda3"], gens)
+
+    def test_stray_monomials_of_a_half_image_are_a_failure_row(self, catalog):
+        # qc's half image is 30*lambda1^2*sigma1 - 6*lambda1*sigma2.
+        data = catalog.torelli()
+        labels = data.raw["table_4a"]["basis"]
+        basis = _basis_monomials(labels, data.push.target.gens)
+        assert _check_half_image_support(data.push, "qc", frozenset(basis))[2] == "pass"
+        assert labels[3] == "lambda1*sigma2"
+        without = frozenset(basis) - {basis[3]}
+        assert _check_half_image_support(data.push, "qc", without) == (
+            "support within the basis columns", "stray monomials: lambda1*sigma2", "fail"
+        )
+
+    def test_an_integral_as_printed_count_is_a_failure_row(self, monkeypatch):
+        assert _check_mu_non_integer(2, 3)[2] == "skipped"
+        monkeypatch.setattr(catalog_module, "cusp_count_mu", lambda genus, level, convention: Fraction(40))
+        assert _check_mu_non_integer(2, 3) == ("a non-integral value, flagged but not asserted", "40", "fail")

@@ -491,3 +491,56 @@ class TestUsageErrors:
         code, _, err = run(capsys, "degree", "--ring", "a2_partial", "lambda1^2")
         assert code == 2
         assert "normalization" in err
+
+    @pytest.mark.parametrize("command", [("pairing",), ("solve-class", "--values", "1")])
+    @pytest.mark.parametrize("deg", ["7", "99", "-1", "-3"])
+    def test_codimension_outside_the_ring_is_usage_error(self, capsys, command, deg):
+        # The old message named the complement: "no standard monomials in degree -93".
+        name, *rest = command
+        code, out, err = run(capsys, name, "--ring", "a3_tilde", "--deg", deg, *rest)
+        assert (code, out, err) == (2, "", f"error: --deg {deg} is outside 0..6, the degrees of 'a3_tilde'\n")
+
+    @pytest.mark.parametrize("command", [("pairing",), ("solve-class", "--values", "1")])
+    def test_codimension_with_no_standard_monomial_is_usage_error(self, capsys, tmp_path, command):
+        # Every weight is 2, so degree 1 is empty although it lies between 0 and the top degree 2.
+        path = tmp_path / "even.json"
+        data = {
+            "name": "even",
+            "generators": [{"name": "y", "degree": 2}],
+            "relations": ["y^2"],
+            "normalization": {"element": "y", "value": "1"},
+        }
+        path.write_text(json.dumps(data))
+        name, *rest = command
+        code, out, err = run(capsys, name, "--ring", str(path), "--deg", "1", *rest)
+        assert (code, out, err) == (2, "", "error: no standard monomials in degree 1 of 'even'\n")
+
+    @pytest.mark.parametrize("values", [("1/2,",), (",1/2",), ("1/2", ","), (" , 1/2 ,, ",)])
+    def test_empty_comma_pieces_are_skipped(self, capsys, values):
+        code, out, err = run(capsys, "solve-class", "--ring", "a1_tilde", "--deg", "1", "--values", *values)
+        assert (code, out, err) == (0, "sigma1\n", "")
+
+    @pytest.mark.parametrize("values", [(",",), (",", " ,, ")])
+    def test_no_values_is_usage_error(self, capsys, values):
+        code, out, err = run(capsys, "solve-class", "--ring", "a1_tilde", "--deg", "1", "--values", *values)
+        assert (code, out, err) == (2, "", "error: no pairing values given\n")
+
+    def test_solve_class_with_explicit_probes(self, capsys):
+        # deg(2*x) = 1 makes x the class of degree 1/2, sigma1.
+        code, out, err = run(capsys, "solve-class", "--ring", "a1_tilde", "--deg", "1", "--values", "1", "--probes", "2")
+        assert (code, out, err) == (0, "sigma1\n", "")
+
+    def test_directory_as_ring_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "hilbert", "--ring", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid ring spec:\n") and "cannot read" in err
+
+    def test_closed_stdout_is_usage_error(self, capsys, monkeypatch):
+        # As in `avchow hilbert --ring a3_tilde --max 10000000 | head -c 10`.
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        code = cli.main(["hilbert", "--ring", "a3_tilde", "--max", "10000000"])
+        assert (code, capsys.readouterr().err) == (2, "error: [Errno 32] Broken pipe\n")

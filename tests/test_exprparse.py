@@ -44,6 +44,10 @@ class TestGrammar:
     def test_parenthesized_power(self):
         assert p("(lambda1 + sigma1)^2") == p("lambda1^2 + 2*lambda1*sigma1 + sigma1^2")
 
+    def test_parenthesized_exponent(self):
+        assert p("lambda1^(3)") == p("lambda1^3")
+        assert p("(lambda1 + sigma1)^( +2 )*sigma2") == p("(lambda1 + sigma1)^2*sigma2")
+
     def test_constant_expressions(self):
         assert p("3/4") == GENS.constant(Fraction(3, 4))
         assert p("0").is_zero
@@ -141,6 +145,8 @@ ERROR_TABLE = [
     ("3/0", "zero denominator", 2),
     ("2*1/00*x", "zero denominator", 4),
     ("x^(2", "expected ')', found 'end of input'", 4),
+    ("x^(3", "expected ')', found 'end of input'", 4),
+    ("x^(3 + 1)", "expected ')', found '+'", 5),
     ("(x + y", "expected ')', found 'end of input'", 6),
     ("(x)^(2 y", "expected ')', found 'y'", 7),
     ("1/2/3", "unexpected trailing '/'", 3),

@@ -115,7 +115,7 @@ def build_in_quotient(tree, loaded):
         return -build_in_quotient(tree[1], loaded)
     if kind == "^":
         base, exponent = build_in_quotient(tree[1], loaded), tree[2]
-        result = ring.one()
+        result = ring.gens.one()
         while exponent:
             if exponent & 1:
                 result = ring.normal_form(result * base)

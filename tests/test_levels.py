@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from avchow import cusp_count_mu, group_order_gamma, verify_level_identity
+from avchow import levels
 from avchow.levels import CONVENTIONS, prime_divisors
 
 
@@ -49,6 +50,12 @@ class TestGroupOrder:
             group_order_gamma(0, 3)
         with pytest.raises(ValueError):
             group_order_gamma(1, 0)
+
+    def test_a_non_integral_order_raises(self, monkeypatch):
+        # With 3 taken for a prime divisor of 2: 2^3 * (1 - 1/9) = 64/9.
+        monkeypatch.setattr(levels, "prime_divisors", lambda n: [3])
+        with pytest.raises(ArithmeticError, match=r"^gamma\(1, 2\) failed to be integral: 64/9$"):
+            group_order_gamma(1, 2)
 
 
 class TestCuspCounts:

@@ -20,7 +20,7 @@ from avchow import (
     parse_rational,
 )
 from avchow.catalog import RING_NAMES
-from avchow.poly import expand_chern_identity, lambda_generators
+from avchow.poly import expand_chern_identity
 
 from helpers import random_polynomial
 from oracles import monomials_of_degree, render_polynomial
@@ -74,6 +74,16 @@ class TestGeneratorSet:
         with pytest.raises(ValueError):
             GeneratorSet([("x", 0)])
 
+    def test_equality(self):
+        assert XY == GeneratorSet([("x", 1), ("y", 2)])
+        assert XY != GeneratorSet([("x", 1), ("y", 1)])
+        assert XY != ("x", "y")
+
+    def test_monomial_needs_one_exponent_per_generator(self):
+        assert XY.monomial((1, 2), Fraction(1, 2)) == p("1/2*x*y^2")
+        with pytest.raises(ValueError, match="wrong length"):
+            XY.monomial((1,))
+
     # The tests draw and list monomials with the enumerator in oracles.py,
     # not with the package; these two check it.
 
@@ -114,6 +124,35 @@ class TestArithmetic:
         assert p("x") * 2 + 1 == p("2*x + 1")
         assert 1 - p("x") == p("1 - x")
         assert p("x") / 2 == p("1/2*x")
+        assert p("x") / Fraction(2, 3) == p("3/2*x")
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda a: a + 1.5,
+            lambda a: 1.5 + a,
+            lambda a: a - 1.5,
+            lambda a: 1.5 - a,
+            lambda a: a * "x",
+            lambda a: "x" * a,
+            lambda a: a / 1.5,
+            lambda a: a / a,
+        ],
+    )
+    def test_operands_other_than_rationals_raise_type_error(self, operation):
+        # Coefficients stay exact: a float is refused, not converted.
+        with pytest.raises(TypeError):
+            operation(p("x"))
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            p("x") / 0
+
+    def test_equality_with_scalars(self):
+        assert p("3/4") == Fraction(3, 4)
+        assert p("0") == 0
+        assert p("x") != 1
+        assert p("x") != "x"
 
     def test_pow(self):
         assert p("x + 1") ** 0 == XY.one()
@@ -134,7 +173,12 @@ class TestArithmetic:
         q = p("5*x^2*y - 1/3")
         assert q.coefficient((2, 1)) == 5
         assert q.coefficient((1, 0)) == 0
-        assert q.constant_coefficient() == Fraction(-1, 3)
+        assert q.coefficient((0, 0)) == Fraction(-1, 3)
+
+    def test_exponent_vectors_are_checked(self):
+        for mono in ((1,), (1, -1), (0, 0, 1)):
+            with pytest.raises(ValueError, match="bad exponent vector"):
+                Polynomial(XY, {mono: Fraction(1)})
 
 
 class TestGrading:
@@ -161,6 +205,9 @@ class TestGrading:
         # within degree 2, x^2 precedes y (earlier generator dominates)
         assert p("y + x^2").leading_monomial() == (2, 0)
         assert p("x + y^3").leading_monomial() == (0, 3)
+        assert p("2*x^2 - 3*y").leading_term() == ((2, 0), Fraction(2))
+        with pytest.raises(ValueError, match="zero polynomial has no leading term"):
+            XY.zero().leading_term()
 
 
 class TestSubstitution:
@@ -178,6 +225,12 @@ class TestSubstitution:
         other = GeneratorSet([("z", 1)])
         with pytest.raises(GeneratorMismatchError):
             p("x*y").substitute({"x": other.gen("z"), "y": p("y")})
+
+    def test_no_images(self):
+        # With no image there is no generator set for the result, even of a constant.
+        for q in (p("x"), p("2"), XY.zero()):
+            with pytest.raises(SubstitutionError, match="no images given"):
+                q.substitute({})
 
 
 class TestRendering:
@@ -245,12 +298,12 @@ def test_unprintable_exponent_raises_size_error():
         str(poly)
 
 
-class TestChernIdentity:
-    def test_lambda_generators(self):
-        gens = lambda_generators(3)
-        assert gens.names == ("lambda1", "lambda2", "lambda3")
-        assert gens.weights == (1, 2, 3)
+def lambda_generators(genus):
+    """The generators lambda1, ..., lambda_g with weights 1, ..., g."""
+    return GeneratorSet((f"lambda{i}", i) for i in range(1, genus + 1))
 
+
+class TestChernIdentity:
     def test_genus_two_expansion(self):
         gens = lambda_generators(2)
         relations = expand_chern_identity(2, gens)
@@ -275,6 +328,11 @@ class TestChernIdentity:
         parts = product.homogeneous_parts()
         for relation in expand_chern_identity(3, gens):
             assert parts[relation.weighted_degree()] == relation
+
+    def test_lambda_weights_are_checked(self):
+        gens = GeneratorSet([("lambda1", 1), ("lambda2", 1)])
+        with pytest.raises(GeneratorMismatchError, match="lambda2 must have weight 2"):
+            expand_chern_identity(2, gens)
 
 
 coefficients = st.fractions(

@@ -8,6 +8,7 @@ import pytest
 from avchow import (
     DegreeError,
     DegreeFunctional,
+    GeneratorMismatchError,
     GeneratorSet,
     PushforwardRule,
     QuotientRing,
@@ -72,6 +73,21 @@ class TestRelativeRing:
             assert mono in sparse.standard_monomials(COMBINED_GENS.weighted_degree(mono))
             with pytest.raises(DegreeError, match="module basis"):
                 RelativeRing(base_ring(), sparse, ("t", "s"))
+
+    def test_exactly_two_fiber_generators(self):
+        for names in (("t",), ("t", "s", "a")):
+            with pytest.raises(ValueError, match="expected exactly two fiber generators"):
+                RelativeRing(base_ring(), combined_ring(), names)
+
+    def test_base_generators_keep_their_weights(self):
+        heavy = GeneratorSet([("a", 2)])
+        base = QuotientRing(RingPresentation("heavy", heavy, [parse_expression("a^3", heavy)]))
+        with pytest.raises(GeneratorMismatchError, match="base generator 'a' changes weight in the combined ring"):
+            RelativeRing(base, combined_ring(), ("t", "s"))
+
+    def test_pushforward_rejects_elements_of_other_rings(self):
+        with pytest.raises(GeneratorMismatchError, match="element belongs to a different ring"):
+            surface().pushforward(b("a^2"), fiber_integration())
 
     def test_decompose(self):
         rel = surface()
@@ -235,6 +251,18 @@ class TestTabulatedPushforward:
                 self.target,
                 {"d0": parse_expression("x", gens)},
             )
+
+    def test_image_for_unknown_symbol_rejected(self):
+        images = {"d0": self.t("x"), "d9": self.t("y")}
+        with pytest.raises(UnknownSymbolError, match="image given for unknown symbol 'd9'"):
+            TabulatedPushforward(GeneratorSet([("d0", 1)]), self.target, images)
+        assert TabulatedPushforward(GeneratorSet([("d0", 1), ("d9", 1)]), self.target, images).image("d9") == self.t("y")
+
+    def test_image_outside_target_rejected(self):
+        # Same names and weights, one generator more: another ring.
+        wider = GeneratorSet([("x", 1), ("y", 1), ("z", 1)])
+        with pytest.raises(GeneratorMismatchError, match="image of 'd0' is not in the target ring"):
+            TabulatedPushforward(GeneratorSet([("d0", 1)]), self.target, {"d0": parse_expression("x", wider)})
 
     def test_missing_image_rejected(self):
         with pytest.raises(UnknownSymbolError):

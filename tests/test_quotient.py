@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from avchow import (
+    RING_NAMES,
     DegreeError,
     DegreeFunctional,
+    GeneratorMismatchError,
     GeneratorSet,
     PairingError,
     Polynomial,
@@ -22,6 +24,8 @@ from helpers import random_homogeneous, random_polynomial
 from oracles import hilbert_series_oracle, monomials_of_degree, without_pure_powers
 
 XY = GeneratorSet([("x", 1), ("y", 1)])
+# The same names over another generator set.
+XY2 = GeneratorSet([("x", 1), ("y", 2)])
 
 
 def make_ring():
@@ -37,6 +41,19 @@ class TestQuotientRing:
     def test_inhomogeneous_relation_rejected(self):
         with pytest.raises(DegreeError):
             RingPresentation("bad", XY, [q("x^2 - y")])
+
+    def test_relation_over_other_generators_rejected(self):
+        with pytest.raises(GeneratorMismatchError, match="relation 1 is over a different generator set"):
+            RingPresentation("bad", XY, [q("x^2"), parse_expression("y^2", XY2)])
+
+    def test_elements_over_other_generators_rejected(self):
+        ring = make_ring()
+        other = parse_expression("x^2", XY2)
+        with pytest.raises(GeneratorMismatchError, match="element belongs to a different ring"):
+            ring.normal_form(other)
+        for pair in ((other, q("x^2")), (q("x^2"), other)):
+            with pytest.raises(GeneratorMismatchError, match="elements belong to a different ring"):
+                ring.classes_equal(*pair)
 
     def test_normal_form_respects_relations(self):
         ring = make_ring()
@@ -98,9 +115,8 @@ def random_monomial(rng, gens, degree):
 class TestArtinianNormalForm:
     def test_cache_matches_reduction_on_catalog_rings(self, catalog):
         rng = random.Random(20261018)
-        names = catalog.ring_names()
-        assert len(names) == 9
-        for name in names:
+        assert len(RING_NAMES) == 9
+        for name in RING_NAMES:
             loaded = catalog.ring(name)
             ring = loaded.ring
             assert ring.socle_degree >= 0, name
@@ -272,6 +288,18 @@ class TestDegreeFunctional:
         assert functional.degree(XY.zero()) == 0
         assert functional.degree(q("x*y")) == 0
 
+    def test_element_over_other_generators_rejected(self):
+        functional = DegreeFunctional(make_ring(), q("y^2"), Fraction(1))
+        with pytest.raises(GeneratorMismatchError, match="element belongs to a different ring"):
+            functional.degree(parse_expression("x^2", XY2))
+
+    def test_top_piece_of_rank_two_refused(self):
+        # In Q[x,y]/(x^2, x*y, y^2) the socle degree 1 has the basis x, y.
+        ring = QuotientRing(RingPresentation("flat", XY, [q("x^2"), q("x*y"), q("y^2")]))
+        assert ring.hilbert_function(1) == [1, 2]
+        with pytest.raises(DegreeError, match="^degree-1 piece of flat has rank 2, need rank one$"):
+            DegreeFunctional(ring, q("x"), Fraction(1))
+
     def test_wrong_degree_rejected(self):
         ring = make_ring()
         functional = DegreeFunctional(ring, q("y^2"), Fraction(1))
@@ -302,6 +330,17 @@ class TestDegreeFunctional:
         probes = [q("x"), q("y")]
         solved = functional.solve_class(1, probes, [Fraction(1), Fraction(0)])
         assert ring.classes_equal(solved, q("x"))
+
+    def test_solve_class_needs_one_value_per_probe(self):
+        functional = DegreeFunctional(make_ring(), q("y^2"), Fraction(1))
+        for values in ([Fraction(1)], [Fraction(1), Fraction(0), Fraction(0)]):
+            with pytest.raises(ValueError, match="need exactly one value per probe"):
+                functional.solve_class(1, [q("x"), q("y")], values)
+
+    def test_solve_class_probe_degrees_checked(self):
+        functional = DegreeFunctional(make_ring(), q("y^2"), Fraction(1))
+        with pytest.raises(DegreeError, match="probe 1 has degree 2, expected 1"):
+            functional.solve_class(1, [q("x"), q("y^2")], [Fraction(1), Fraction(0)])
 
     def test_solve_class_inconsistent_data(self):
         ring = make_ring()
@@ -391,3 +430,42 @@ class TestPresentationsEquivalent:
         forward = {"x": parse_expression("u", u)}
         backward = {"u": parse_expression("x", x)}
         assert not presentations_equivalent(a, b, forward, backward)
+
+    # The pairs below fail only the backward relations, or only one round trip.
+
+    def test_backward_relations_checked(self):
+        # x -> u sends x^3 into (u^2), but u -> x sends u^2 to x^2, outside (x^3).
+        x = GeneratorSet([("x", 1)])
+        u = GeneratorSet([("u", 1)])
+        a = QuotientRing(RingPresentation("a", x, [parse_expression("x^3", x)]))
+        b = QuotientRing(RingPresentation("b", u, [parse_expression("u^2", u)]))
+        forward = {"x": parse_expression("u", u)}
+        backward = {"u": parse_expression("x", x)}
+        assert b.contains(a.presentation.relations[0].substitute(forward))
+        assert not presentations_equivalent(a, b, forward, backward)
+
+    def test_round_trips_checked(self):
+        # u -> x, v -> 0 and x -> u send relations into the ideals, and
+        # x -> u -> x holds, but v -> 0 -> 0 is not v.  As the first ring
+        # Q[u,v]/(u^2, uv, v^2) fails the first round trip, as the second the second.
+        uv = GeneratorSet([("u", 1), ("v", 1)])
+        x = GeneratorSet([("x", 1)])
+        a = QuotientRing(RingPresentation("a", uv, [parse_expression(t, uv) for t in ("u^2", "u*v", "v^2")]))
+        b = QuotientRing(RingPresentation("b", x, [parse_expression("x^2", x)]))
+        forward = {"u": parse_expression("x", x), "v": x.zero()}
+        backward = {"x": parse_expression("u", uv)}
+        assert b.classes_equal(backward["x"].substitute(forward), b.gen("x"))
+        assert not presentations_equivalent(a, b, forward, backward)
+        assert not presentations_equivalent(b, a, backward, forward)
+
+    def test_missing_images_raise(self):
+        x = GeneratorSet([("x", 1)])
+        u = GeneratorSet([("u", 1)])
+        a = QuotientRing(RingPresentation("a", x, [parse_expression("x^2", x)]))
+        b = QuotientRing(RingPresentation("b", u, [parse_expression("u^2", u)]))
+        forward = {"x": parse_expression("u", u)}
+        backward = {"u": parse_expression("x", x)}
+        with pytest.raises(GeneratorMismatchError, match="forward map misses generator 'x'"):
+            presentations_equivalent(a, b, {}, backward)
+        with pytest.raises(GeneratorMismatchError, match="backward map misses generator 'u'"):
+            presentations_equivalent(a, b, forward, {})
