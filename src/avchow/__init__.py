@@ -3,8 +3,8 @@
 The package has three layers:
 
 * a small exact-arithmetic core: sparse polynomials over the rationals
-  with weighted gradings, Groebner bases, and graded quotient rings with
-  degree functionals (``poly``, ``groebner``, ``linalg``, ``quotient``);
+  with weighted gradings, and graded quotient rings with their Groebner
+  bases and degree functionals (``poly``, ``linalg``, ``quotient``);
 * serialization and parsing: a JSON format for ring presentations with
   attached expectations, and a parser for polynomial expressions
   (``ringspec``, ``exprparse``);
@@ -31,12 +31,12 @@ from .errors import (
     UnknownSymbolError,
 )
 from .exprparse import parse_expression
-from .groebner import GroebnerBasis
 from .levels import cusp_count_mu, group_order_gamma, verify_level_identity
 from .poly import GeneratorSet, Polynomial, format_rational, parse_rational
 from .pushforward import PushforwardRule, RelativeRing, TabulatedPushforward
 from .quotient import (
     DegreeFunctional,
+    GroebnerBasis,
     QuotientRing,
     RingPresentation,
     presentations_equivalent,

@@ -186,9 +186,8 @@ class Catalog:
             return _grid_cells(table, self.fibered_surface().degree)
         if isinstance(table, DegreesTable):
             return _degree_entry_cells(table, loaded.functional)
-        if isinstance(table, PairingVectorTable):
-            return _vector_cells(table, loaded.functional)
-        raise TypeError(f"unknown table kind {table!r}")  # pragma: no cover
+        # ringspec builds only the four kinds, so the last is a PairingVectorTable.
+        return _vector_cells(table, loaded.functional)
 
     def table_4a_cells(self) -> list[Cell]:
         """Table 4a: coefficients of half of each tabulated image, by symbol."""

@@ -1,11 +1,11 @@
-"""Groebner bases for weighted-homogeneous ideals over Q.
+"""Buchberger's algorithm and full reduction: the tests' reference.
 
 ``QuotientRing`` builds its basis by a degree-by-degree elimination (see
 ``avchow.quotient``), which also yields its standard monomials and normal
-forms, and no package code reduces against a basis.  This module holds
-the basis type ``GroebnerBasis``, which records that basis, and two
-algorithms the tests use as an independent reference: reduction and
-Buchberger's algorithm.  The benchmark looks them up here by name.
+forms, and no package code imports this module.  It holds two algorithms
+the tests check the sweep against: reduction and Buchberger's algorithm,
+which returns the sweep's own record, ``quotient.GroebnerBasis``.  The
+benchmark looks them up here by name.
 
 Classic Buchberger with the two standard pair-elimination criteria
 (coprime leading monomials, and the chain criterion), followed by
@@ -45,14 +45,17 @@ from typing import Iterable, Sequence
 
 from .errors import GeneratorMismatchError
 from .poly import GeneratorSet, Monomial, Polynomial
+from .quotient import GroebnerBasis
+
+
+def _leading_term(p: Polynomial) -> tuple[Monomial, Fraction]:
+    """Largest term of a nonzero polynomial under ``GeneratorSet.sort_key``."""
+    mono = max(p._terms, key=p.gens.sort_key)
+    return mono, p._terms[mono]
 
 
 def monomial_divides(divisor: Monomial, mono: Monomial) -> bool:
     return all(d <= m for d, m in zip(divisor, mono))
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -60,7 +63,7 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _monic(p: Polynomial) -> Polynomial:
-    _, lead = p.leading_term()
+    _, lead = _leading_term(p)
     return p if lead == 1 else p * (Fraction(1) / lead)
 
 
@@ -85,7 +88,7 @@ class _Divisors:
             return
         if b.gens != self.gens:
             raise GeneratorMismatchError("basis element over a different generator set")
-        lm, lc = b.leading_term()
+        lm, lc = _leading_term(b)
         self.leading.append((lm, lc, b))
 
     def __len__(self) -> int:
@@ -139,13 +142,8 @@ def reduce(
     divisor); with ``rng`` the reducible term and the divisor are chosen at
     random, for confluence testing.
     """
-    if isinstance(basis, _Divisors):
-        # Passed by buchberger and GroebnerBasis, with the leading terms found.
-        divisors = basis
-        if divisors.leading and divisors.gens != p.gens:
-            raise GeneratorMismatchError("basis element over a different generator set")
-    else:
-        divisors = _Divisors(p.gens, basis)
+    # buchberger passes its _Divisors, with the leading terms found.
+    divisors = basis if isinstance(basis, _Divisors) else _Divisors(p.gens, basis)
     active = divisors.leading
     if not active:
         return p
@@ -190,9 +188,9 @@ def reduce(
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial: cancel the leading terms of f and g against their lcm."""
-    lmf, lcf = f.leading_term()
-    lmg, lcg = g.leading_term()
-    l = monomial_lcm(lmf, lmg)
+    lmf, lcf = _leading_term(f)
+    lmg, lcg = _leading_term(g)
+    l = tuple(map(max, lmf, lmg))
     uf = tuple(a - b for a, b in zip(l, lmf))
     ug = tuple(a - b for a, b in zip(l, lmg))
     return f.gens.monomial(uf, Fraction(1) / lcf) * f - f.gens.monomial(ug, Fraction(1) / lcg) * g
@@ -214,51 +212,6 @@ class BuchbergerStats(SimpleNamespace):
         super().__init__(**(dict.fromkeys(self.COUNTS, 0) | counts))
 
 
-class GroebnerBasis:
-    """Reduced monic Groebner basis, with the generators it was computed from.
-
-    ``stats`` holds the counts of the run that built it: ``BuchbergerStats``
-    from ``buchberger``, or the degree sweep's ``degrees_swept``,
-    ``candidate_rows``, ``zero_rows`` and ``pivots``.
-    """
-
-    __slots__ = ("gens", "elements", "source", "stats", "_divisors", "_leading")
-
-    def __init__(
-        self,
-        gens: GeneratorSet,
-        elements: Sequence[Polynomial],
-        source: Sequence[Polynomial] = (),
-        stats: SimpleNamespace | None = None,
-    ):
-        self.gens = gens
-        self.elements = tuple(elements)
-        self.source = tuple(source)
-        self.stats = stats if stats is not None else BuchbergerStats()
-        self._divisors = _Divisors(gens, self.elements)
-        self._leading = tuple(lm for lm, _, _ in self._divisors.leading)
-
-    @property
-    def leading_monomials(self) -> tuple[Monomial, ...]:
-        return self._leading
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def reduce(self, p: Polynomial, rng: random.Random | None = None) -> Polynomial:
-        return reduce(p, self._divisors, rng=rng)
-
-    def contains(self, p: Polynomial) -> bool:
-        return self.reduce(p).is_zero
-
-    def is_standard(self, mono: Monomial) -> bool:
-        """True when no basis leading monomial divides the given monomial."""
-        return not any(monomial_divides(lm, mono) for lm in self._leading)
-
-
 def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal spanned by the generators."""
     source = tuple(generators)
@@ -274,14 +227,14 @@ def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
     stats = BuchbergerStats()
     basis = _Divisors(gens, (_monic(g) for g in source if not g.is_zero))
     if not basis:
-        return GroebnerBasis(gens, (), source, stats)
+        return GroebnerBasis(gens, (), (), stats)
 
     lead = [lm for lm, _, _ in basis.leading]
     queue: list[tuple[tuple[int, Monomial], tuple[int, int], Monomial]] = []
     pending: set[tuple[int, int]] = set()
 
     def enqueue(i: int, j: int) -> None:
-        lcm_ij = monomial_lcm(lead[i], lead[j])
+        lcm_ij = tuple(map(max, lead[i], lead[j]))
         heappush(queue, (gens.sort_key(lcm_ij), (i, j), lcm_ij))
         pending.add((i, j))
         stats.pairs_queued += 1
@@ -347,5 +300,6 @@ def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
                 reduced[idx] = replacement
                 changed = True
 
-    reduced.sort(key=lambda b: gens.sort_key(b.leading_monomial()), reverse=True)
-    return GroebnerBasis(gens, reduced, source, stats)
+    by_lead = {_leading_term(b)[0]: b for b in reduced}
+    leading = sorted(by_lead, key=gens.sort_key, reverse=True)
+    return GroebnerBasis(gens, tuple(by_lead[lm] for lm in leading), tuple(leading), stats)

@@ -377,16 +377,6 @@ class Polynomial:
             parts.setdefault(self.gens.weighted_degree(mono), {})[mono] = coeff
         return {d: Polynomial._raw(self.gens, terms) for d, terms in sorted(parts.items())}
 
-    def leading_term(self) -> tuple[Monomial, Fraction]:
-        """Largest term under the monomial order; raises on zero."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        mono = max(self._terms, key=self.gens.sort_key)
-        return mono, self._terms[mono]
-
-    def leading_monomial(self) -> Monomial:
-        return self.leading_term()[0]
-
     # Arithmetic.
 
     def _check_gens(self, other: Polynomial) -> None:

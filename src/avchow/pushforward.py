@@ -131,12 +131,12 @@ class RelativeRing:
     def pushforward(self, p: Polynomial, rule: PushforwardRule) -> Polynomial:
         """Integrate over the fiber: apply the rule to the module generator of each standard monomial.
 
-        The result is the base normal form; reduction order cannot matter
-        because normal forms against a Groebner basis are unique, which the
-        tests exercise with randomized reduction paths.  The map is linear,
-        so each monomial with an entry in the combined normal-form table is
-        pushed once and its image reused; a monomial without an entry has
-        normal form 0 and pushes to 0.
+        The result is the base normal form, and nothing is reduced: the
+        pushforward is a tabulated linear map.  Each monomial with an entry
+        in the combined normal-form table is pushed once, as its normal form
+        applied to the rule's base image of each standard monomial, and its
+        image is reused; a monomial without an entry has normal form 0 and
+        pushes to 0.
         """
         combined = self.combined
         if p.gens != combined.gens:
@@ -203,7 +203,10 @@ class TabulatedPushforward:
         self.images = dict(images)
         self.stack_degree = stack_degree
         # Each symbol's image, keyed by the symbol's exponent vector (one 1, the rest 0).
-        self._by_exponents = {symbols.gen(name).leading_monomial(): image._terms for name, image in images.items()}
+        self._by_exponents = {
+            tuple(int(j == symbols.index(name)) for j in range(len(symbols))): image._terms
+            for name, image in images.items()
+        }
 
     def image(self, symbol: str) -> Polynomial:
         try:

@@ -1,10 +1,13 @@
 """Finitely presented graded quotient rings and their degree functionals.
 
 A presentation is a weighted generator set plus homogeneous relations; the
-quotient ring carries the reduced Groebner basis of the relation ideal,
-normal forms, per-degree standard-monomial bases, the Hilbert function,
-and, when the top graded piece has rank one, a degree functional pinned by
-one reference value.  All numbers are exact rationals.
+quotient ring carries the reduced Groebner basis of the relation ideal
+(the ``GroebnerBasis`` record defined here), normal forms, per-degree
+standard-monomial bases, the Hilbert function, and, when the top graded
+piece has rank one, a degree functional pinned by one reference value.
+All numbers are exact rationals.  No code here reduces against the basis
+or runs Buchberger's algorithm; ``avchow.groebner`` holds both as the
+tests' independent reference, and nothing in the package imports it.
 
 A ring is built by one sweep over the degrees 0, 1, 2, ...: in each
 degree the relations and the generator multiples of the rows found below
@@ -43,7 +46,6 @@ from types import SimpleNamespace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DegreeError, GeneratorMismatchError, InconsistentSystemError, PairingError, SingularSystemError
-from .groebner import GroebnerBasis, monomial_lcm
 from .linalg import solve_exact
 from .poly import GeneratorSet, Monomial, Polynomial, apply_linear, expand_chern_identity, integer_terms
 
@@ -173,6 +175,23 @@ class QuotientRing:
         return [len(self.standard_monomials(d)) for d in range(max_degree + 1)]
 
 
+class GroebnerBasis(NamedTuple):
+    """Reduced monic Groebner basis of a ring's relations, as the degree sweep found it.
+
+    ``elements`` descend by leading monomial, and ``leading_monomials``
+    lists their leading monomials in the same order.  ``stats`` holds the
+    counts of the run that built it: the sweep's ``degrees_swept``,
+    ``candidate_rows``, ``zero_rows`` and ``pivots``, or the tests'
+    reference ``groebner.buchberger``'s.  As with any named tuple, ``len``
+    and iteration run over these four fields, not over the elements.
+    """
+
+    gens: GeneratorSet
+    elements: tuple[Polynomial, ...]
+    leading_monomials: tuple[Monomial, ...]
+    stats: SimpleNamespace
+
+
 class _Swept(NamedTuple):
     """What the degree sweep found."""
 
@@ -280,7 +299,7 @@ def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _S
         for lead, tail in tails.items():
             if lead not in lower:
                 for other, _ in elements:
-                    lcm_top = max(lcm_top, gens.weighted_degree(monomial_lcm(lead, other)))
+                    lcm_top = max(lcm_top, gens.weighted_degree(tuple(map(max, lead, other))))
                 terms = dict(tail)
                 terms[lead] = Fraction(1)
                 elements.append((lead, Polynomial._raw(gens, terms)))
@@ -317,7 +336,9 @@ def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _S
             )
 
     elements.sort(key=lambda item: gens.sort_key(item[0]), reverse=True)
-    basis = GroebnerBasis(gens, [element for _, element in elements], relations, stats)
+    basis = GroebnerBasis(
+        gens, tuple(element for _, element in elements), tuple(lead for lead, _ in elements), stats
+    )
     normal_forms: dict[Monomial, dict[Monomial, Fraction]] = {}
     for d in range(socle + 1):
         for t, tail in tails_of[d].items():

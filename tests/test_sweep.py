@@ -1,15 +1,20 @@
 """The degree sweep that builds every ring: bases, normal forms, stopping rule."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avchow
 from avchow import DegreeError, GeneratorSet, Polynomial, QuotientRing, RingPresentation, parse_expression
 from avchow import groebner
 from avchow.catalog import RING_NAMES, Catalog
-from avchow.groebner import buchberger, reduce
+from avchow.groebner import _leading_term, buchberger, monomial_divides, reduce
 
 from oracles import monomials_of_degree, without_pure_powers
 
@@ -52,12 +57,12 @@ def artinian_presentations(draw):
 def test_sweep_matches_buchberger(presentation):
     ring = QuotientRing(presentation)
     reference = buchberger(presentation.relations)
-    assert list(ring.groebner) == list(reference)
+    assert ring.groebner.elements == reference.elements
     gens = ring.gens
     for degree in range(ring.socle_degree + 1):
         for mono in monomials_of_degree(gens.weights, degree):
             monomial = gens.monomial(mono)
-            assert ring.normal_form(monomial) == reduce(monomial, list(reference)), mono
+            assert ring.normal_form(monomial) == reduce(monomial, reference.elements), mono
 
 
 @st.composite
@@ -88,9 +93,13 @@ def test_sweep_finishes_any_ideal(presentation):
         return
     ring = QuotientRing(presentation)
     reference = buchberger(presentation.relations)
-    assert list(ring.groebner) == list(reference)
+    assert ring.groebner.elements == reference.elements
     for degree in range(ring.socle_degree + max(gens.weights) + 1):
-        expected = tuple(m for m in monomials_of_degree(gens.weights, degree) if reference.is_standard(m))
+        expected = tuple(
+            m
+            for m in monomials_of_degree(gens.weights, degree)
+            if not any(monomial_divides(lead, m) for lead in reference.leading_monomials)
+        )
         assert ring.standard_monomials(degree) == expected
 
 
@@ -102,8 +111,8 @@ def test_first_full_degree_is_not_enough():
     relations = [parse_expression(t, gens) for t in ("x^2 - y", "x*y")]
     ring = QuotientRing(RingPresentation("late", gens, relations))
     assert ring.hilbert_function(4) == [1, 1, 1, 0, 0]
-    assert [str(b) for b in ring.groebner] == ["y^2", "x*y", "x^2 - y"]
-    assert list(ring.groebner) == list(buchberger(relations))
+    assert [str(b) for b in ring.groebner.elements] == ["y^2", "x*y", "x^2 - y"]
+    assert ring.groebner.elements == buchberger(relations).elements
     assert ring.groebner.stats.degrees_swept == 5
     assert ring.normal_form(parse_expression("y^2 + x^2", gens)) == parse_expression("y", gens)
 
@@ -114,7 +123,7 @@ def test_every_unjoined_group_gives_a_candidate():
     gens = GeneratorSet([("x0", 1), ("x1", 3), ("x2", 1)])
     relations = [parse_expression(t, gens) for t in ("x0^2", "x1^2", "x2^3", "x0*x2^2 + x1")]
     ring = QuotientRing(RingPresentation("groups", gens, relations))
-    assert list(ring.groebner) == list(buchberger(relations))
+    assert ring.groebner.elements == buchberger(relations).elements
 
 
 def test_sweep_counts():
@@ -145,6 +154,26 @@ def test_catalog_loads_without_buchberger(monkeypatch):
     catalog.fibered_surface()
     catalog.torelli()
     assert calls == []
+
+
+@pytest.mark.parametrize("name", RING_NAMES)
+def test_leading_monomials_follow_the_elements(catalog, name):
+    # The sweep records each element's leading monomial as it finds it; the
+    # record must keep them in step with the sorted elements, and agree
+    # with Buchberger's.
+    ring = catalog.ring(name).ring
+    leading = ring.groebner.leading_monomials
+    assert leading == tuple(_leading_term(element)[0] for element in ring.groebner.elements)
+    assert leading == buchberger(ring.presentation.relations).leading_monomials
+
+
+def test_cli_import_leaves_out_the_reference():
+    # Buchberger and reduction are the tests' reference; the package never loads them.
+    source = str(Path(avchow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH")))))
+    code = "import sys, avchow.cli; print('avchow.groebner' in sys.modules, 'avchow.quotient' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "False True\n"
 
 
 def test_non_artinian_ring_stops_past_its_s_pairs():
