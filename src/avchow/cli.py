@@ -183,7 +183,7 @@ def _cmd_nf(args, catalog: Catalog) -> int:
 def _cmd_degree(args, catalog: Catalog) -> int:
     loaded = _resolve_ring(args.ring, catalog)
     functional = _require_functional(loaded)
-    print(format_rational(functional.degree(loaded.parse_class(args.expr))))
+    print(format_rational(functional.degree(loaded.parse(args.expr))))
     return EXIT_OK
 
 
@@ -215,11 +215,11 @@ def _cmd_pairing(args, catalog: Catalog) -> int:
     if args.rows is None:
         rows = _default_basis(loaded, args.deg)
     else:
-        rows = [loaded.parse_class(text) for text in args.rows]
+        rows = [loaded.parse(text) for text in args.rows]
     if args.cols is None:
         cols = _default_basis(loaded, complement)
     else:
-        cols = [loaded.parse_class(text) for text in args.cols]
+        cols = [loaded.parse(text) for text in args.cols]
     matrix = functional.pairing_matrix(args.deg, rows, cols)
     print("rows:", "; ".join(str(r) for r in rows))
     print("cols:", "; ".join(str(c) for c in cols))
@@ -235,7 +235,7 @@ def _cmd_solve_class(args, catalog: Catalog) -> int:
     if args.probes is None:
         probes = _default_basis(loaded, complement)
     else:
-        probes = [loaded.parse_class(text) for text in args.probes]
+        probes = [loaded.parse(text) for text in args.probes]
     values = _parse_values(args.values)
     if len(values) != len(probes):
         raise UsageError(

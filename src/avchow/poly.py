@@ -23,9 +23,6 @@ from typing import Hashable, Iterable, Mapping, Union
 
 from .errors import DegreeError, GeneratorMismatchError, SizeError, SubstitutionError
 
-# The scalar type used everywhere: exact, lowest terms, positive denominator.
-Rational = Fraction
-
 Monomial = tuple[int, ...]
 
 Scalar = Union[int, Fraction]

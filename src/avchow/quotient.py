@@ -11,11 +11,13 @@ tests' independent reference, and nothing in the package imports it.
 
 A ring is built by one sweep over the degrees 0, 1, 2, ...: in each
 degree the relations and the generator multiples of the rows found below
-are put in reduced row echelon form (Macaulay's matrices, as Lazard used
-them; the choice of multipliers follows Faugere's F4).  The pivots of a
-degree are its nonstandard monomials, each pivot row is that monomial
-minus its normal form, and the rows that no smaller pivot explains form
-the reduced Groebner basis.  The sweep stops once max(w) consecutive
+are eliminated one by one into reduced row echelon form, which is kept
+as each row arrives (Macaulay's matrices, as Lazard used them; the
+choice of multipliers follows Faugere's F4).  The pivots of a degree are
+its nonstandard monomials, each pivot row is that monomial minus its
+normal form, and the rows that no smaller pivot explains form the
+reduced Groebner basis.  Each degree's normal forms enter the table as
+soon as the degree is done.  The sweep stops once max(w) consecutive
 degrees have no standard monomial: the ring is Artinian.  A presentation
 is refused with DegreeError once the sweep is past every S-pair of its
 basis while some generator has no pure power (the ring is not Artinian),
@@ -192,17 +194,13 @@ class GroebnerBasis(NamedTuple):
     stats: SimpleNamespace
 
 
-class _Swept(NamedTuple):
-    """What the degree sweep found."""
-
-    basis: GroebnerBasis
-    socle_degree: int
-    standard: dict[int, tuple[Monomial, ...]]
-    normal_forms: dict[Monomial, dict[Monomial, Fraction]]
-
-
-def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _Swept:
+def _sweep(
+    name: str, gens: GeneratorSet, relations: Sequence[Polynomial]
+) -> tuple[GroebnerBasis, int, dict[int, tuple[Monomial, ...]], dict[Monomial, dict[Monomial, Fraction]]]:
     """Reduced Groebner basis of the relations by elimination, degree by degree.
+
+    Returns the basis, the socle degree, the standard monomials of each
+    degree that has some, and the table of monomial normal forms.
 
     Each nonstandard monomial t gets a row t + tail(t) in the ideal, with
     the tail on standard monomials, so NF(t) = -tail(t); a row with an
@@ -212,11 +210,12 @@ def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _S
     are joined when m/(x_i*x_j) is nonstandard too, and one candidate per
     joined group suffices: the difference of two joined products lies in
     the span of candidates with smaller leading monomials (the chain
-    criterion).  Gaussian elimination puts the rows in echelon form, and
-    back-substitution in ascending order rewrites each pivot row's tail on
-    standard monomials, so the pivots of degree d are its nonstandard
-    monomials.  The pivot rows whose leading monomial has no nonstandard
-    divisor m/x_i are the reduced Groebner basis.
+    criterion).  The rows are kept in reduced row echelon form as they
+    arrive (``_reduce``), so the pivots of degree d are its nonstandard
+    monomials, each with its tail on standard monomials.  The pivot rows
+    whose leading monomial has no nonstandard divisor m/x_i are the
+    reduced Groebner basis.  As each degree is done, its nonempty tails
+    (negated) and its standard monomials enter the normal-form table.
 
     Only two kinds of monomial of degree d are looked at: x_i * s for a
     standard s, which may be standard, and x_i * t for a t with a nonempty
@@ -246,9 +245,10 @@ def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _S
     for relation in relations:
         relations_of.setdefault(relation.weighted_degree(), []).append(relation._terms)
     top_relation = max(relations_of, default=0)
-    standard: list[tuple[Monomial, ...]] = []
+    standard: dict[int, tuple[Monomial, ...]] = {}  # the degrees that have standard monomials
     standard_sets: list[set[Monomial]] = []
     tails_of: list[dict[Monomial, dict[Monomial, Fraction]]] = []  # the tails that are not empty
+    normal_forms: dict[Monomial, dict[Monomial, Fraction]] = {}
     elements: list[tuple[Monomial, Polynomial]] = []
     stats = SimpleNamespace(degrees_swept=0, candidate_rows=0, zero_rows=0, pivots=0)
     lcm_top = 0  # the largest degree of the lcm of two leading monomials
@@ -260,7 +260,7 @@ def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _S
         looked_at = set()
         for i, weight in enumerate(weights):
             if weight <= degree:
-                products.update(s[:i] + (s[i] + 1,) + s[i + 1 :] for s in standard[degree - weight])
+                products.update(s[:i] + (s[i] + 1,) + s[i + 1 :] for s in standard_sets[degree - weight])
                 looked_at.update(t[:i] + (t[i] + 1,) + t[i + 1 :] for t in tails_of[degree - weight])
         looked_at |= products
         looked += len(looked_at)
@@ -288,8 +288,8 @@ def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _S
         if len(lower) < len(looked_at) or not all(any(not tail for _, _, tail in under) for under in lower.values()):
             rows = _candidate_rows(lower, standard_sets, degree, weights)
             for relation in relations_of.get(degree, ()):
-                rows.append((None, {m: c for m, c in relation.items() if m in looked_at}))
-            tails = _back_substitute(_echelon(rows, stats))
+                rows.append({m: c for m, c in relation.items() if m in looked_at})
+            tails = _reduce(rows, stats)
         else:
             # Every monomial of this degree has a bare row: the degree is
             # full, and neither elimination nor its relations add anything.
@@ -297,6 +297,8 @@ def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _S
         stats.degrees_swept += 1
         stats.pivots += len(tails)
         for lead, tail in tails.items():
+            if tail:
+                normal_forms[lead] = {s: -c for s, c in tail.items()}
             if lead not in lower:
                 for other, _ in elements:
                     lcm_top = max(lcm_top, gens.weighted_degree(tuple(map(max, lead, other))))
@@ -305,10 +307,11 @@ def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _S
                 elements.append((lead, Polynomial._raw(gens, terms)))
         tails_of.append({lead: tail for lead, tail in tails.items() if tail})
         here = sorted((m for m in products if m not in tails), reverse=True)
-        standard.append(tuple(here))
         standard_sets.append(set(here))
 
         if here:
+            standard[degree] = tuple(here)
+            normal_forms.update((m, {m: Fraction(1)}) for m in here)
             found += len(here)
             if found > MAX_STANDARD_MONOMIALS:
                 raise DegreeError(
@@ -339,13 +342,7 @@ def _sweep(name: str, gens: GeneratorSet, relations: Sequence[Polynomial]) -> _S
     basis = GroebnerBasis(
         gens, tuple(element for _, element in elements), tuple(lead for lead, _ in elements), stats
     )
-    normal_forms: dict[Monomial, dict[Monomial, Fraction]] = {}
-    for d in range(socle + 1):
-        for t, tail in tails_of[d].items():
-            normal_forms[t] = {s: -c for s, c in tail.items()}
-        for m in standard[d]:
-            normal_forms[m] = {m: Fraction(1)}
-    return _Swept(basis, socle, dict(enumerate(standard[: socle + 1])), normal_forms)
+    return basis, socle, standard, normal_forms
 
 
 # The tail of a bare row; shared, and never changed.
@@ -363,68 +360,15 @@ def _lacking_pure_powers(leading: Iterable[Monomial], names: Sequence[str]) -> l
 
 
 def _candidate_rows(lower, standard_sets, degree, weights):
-    """Rows x_i * row(m/x_i), one per group, as (leading monomial m, row)."""
+    """Rows x_i * row(m/x_i), one per group, each led by its monomial m."""
     rows = []
     for m, under in lower.items():
         for i, _, tail in _one_per_group(under, standard_sets, degree, weights):
             row = {m: Fraction(1)}
             for s, c in tail.items():
                 row[s[:i] + (s[i] + 1,) + s[i + 1 :]] = c
-            rows.append((m, row))
+            rows.append(row)
     return rows
-
-
-def _echelon(rows, stats):
-    """Rows with distinct leading monomials, each at coefficient 1.
-
-    All rows lie in one degree, where the monomial order is the order of
-    the exponent tuples, so ``max`` finds a leading monomial; one given as
-    None is found here.  Rows are consumed, and may be empty; ``stats``
-    counts the candidates and those reduced to zero.
-    """
-    stats.candidate_rows += len(rows)
-    echelon: dict[Monomial, dict[Monomial, Fraction]] = {}
-    for lead, row in rows:
-        if row and lead is None:
-            lead = max(row)
-        while row and lead in echelon:
-            factor = row[lead]
-            for mono, c in echelon[lead].items():
-                total = row.get(mono, 0) - factor * c
-                if total:
-                    row[mono] = total
-                else:
-                    del row[mono]
-            if row:
-                lead = max(row)
-        if not row:
-            stats.zero_rows += 1
-            continue
-        factor = row[lead]
-        echelon[lead] = row if factor == 1 else {mono: c / factor for mono, c in row.items()}
-    return echelon
-
-
-def _back_substitute(echelon):
-    """Each pivot's tail, rewritten on the monomials that are not pivots.
-
-    Pivots are taken in ascending order, so the pivots in a tail are
-    already final when they are substituted.
-    """
-    tails: dict[Monomial, dict[Monomial, Fraction]] = {}
-    for lead in sorted(echelon):
-        tail: dict[Monomial, Fraction] = {}
-        for mono, c in echelon[lead].items():
-            if mono == lead:
-                continue
-            known = tails.get(mono)
-            if known is None:
-                tail[mono] = tail.get(mono, 0) + c
-            else:
-                for s, f in known.items():
-                    tail[s] = tail.get(s, 0) - c * f
-        tails[lead] = {s: c for s, c in tail.items() if c}
-    return tails
 
 
 def _one_per_group(under, standard_sets, degree, weights):
@@ -451,6 +395,46 @@ def _one_per_group(under, standard_sets, degree, weights):
             keep, drop = sorted((group[a], group[b]))
             group = [keep if g == drop else g for g in group]
     return [member for a, member in enumerate(under) if group[a] == a]
+
+
+def _reduce(rows, stats):
+    """The reduced row echelon form of the rows, as {pivot: tail}.
+
+    All rows lie in one degree, where the monomial order is the order of
+    the exponent tuples, so ``max`` finds a leading monomial.  The pivots
+    are kept reduced as rows arrive: a row loses every pivot it holds, one
+    substitution each, since no tail holds a pivot; what is left leads
+    with a new pivot at coefficient 1, which is then eliminated from the
+    earlier tails.  Each tail lies on monomials that are not pivots.  Rows
+    are consumed, and may be empty; ``stats`` counts the candidates and
+    those reduced to zero.
+    """
+    stats.candidate_rows += len(rows)
+    tails: dict[Monomial, dict[Monomial, Fraction]] = {}
+    for row in rows:
+        for pivot in [m for m in row if m in tails]:
+            _subtract(row, row.pop(pivot), tails[pivot])
+        if not row:
+            stats.zero_rows += 1
+            continue
+        lead = max(row)
+        factor = row.pop(lead)
+        tail = row if factor == 1 else {mono: c / factor for mono, c in row.items()}
+        for other in tails.values():
+            if lead in other:
+                _subtract(other, other.pop(lead), tail)
+        tails[lead] = tail
+    return tails
+
+
+def _subtract(row, factor, tail):
+    """row -= factor * tail, in place, deleting the entries that cancel."""
+    for mono, c in tail.items():
+        total = row.get(mono, 0) - factor * c
+        if total:
+            row[mono] = total
+        else:
+            del row[mono]
 
 
 class DegreeFunctional:

@@ -129,11 +129,14 @@ class LoadedRing(NamedTuple):
         return parse_expression(text, self.ring.gens, self.named)
 
     def parse_class(self, text: str) -> Polynomial:
-        """Parse an expression as a class of this ring, for input from outside.
+        """Parse an expression as a class of this ring, for a normal form of input from outside.
 
         Products and powers drop their monomials above the socle degree as
         they are formed, so ``(x + y)^100000`` costs a few products.  The
-        class, and so every normal form, is unchanged.
+        class, and so every normal form, is unchanged, but the degree of the
+        input is lost: a power above the socle degree reads as 0.  Input
+        whose degree is checked (a degree, a pairing, a probe) is read with
+        ``parse``.
         """
         return parse_expression(text, self.ring.gens, self.named, self.ring.socle_degree)
 

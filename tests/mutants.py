@@ -13,10 +13,13 @@ fail.  The script copies ``src``, ``tests`` and ``perfbench`` (whose
 verifier output the tests compare with) into a temporary directory, runs
 the named test files there once unchanged (they must pass), and then
 applies one mutant at a time, runs its test files with pytest and puts the
-file back.  A mutant is killed when pytest reports a failure or an error,
-and survives when its tests pass.  The script prints one line per mutant
-and exits 1 if any survives.  A survivor marks a path no test reaches, or
-an oracle in ``tests/oracles.py`` that shares the defect.
+file back.  A mutant is killed when pytest exits with status 1 (the tests
+ran, and one failed or raised), and survives when its tests pass.  Any
+other status (the tests could not be collected or imported, say) tells
+nothing of the tests: the mutant is reported as broken.  The script
+prints one line per mutant, and exits 2 if a mutant is broken, else 1 if
+any survives.  A survivor marks a path no test reaches, or an oracle in
+``tests/oracles.py`` that shares the defect.
 
 ``tests/test_mutants.py`` checks, in the tier-1 suite, that each old text
 still occurs exactly once, so the list cannot rot silently.
@@ -105,9 +108,45 @@ MUTANTS = (
         "quotient.py",
         "                if lacking:\n                    raise DegreeError(",
         "                if lacking:\n"
-        "                    return _Swept(GroebnerBasis(gens, (), (), stats), -1, {}, {})\n"
+        "                    return GroebnerBasis(gens, (), (), stats), -1, {}, {}\n"
         "                    raise DegreeError(",
         ("test_quotient.py", "test_sweep.py"),
+    ),
+    # One elimination keeps each degree's rows in reduced echelon form.
+    Mutant(
+        "back-elimination-skipped",
+        "quotient.py",
+        "if lead in other:",
+        "if False:",
+        ("test_sweep.py",),
+    ),
+    Mutant(
+        "pivot-not-normalized",
+        "quotient.py",
+        "tail = row if factor == 1 else {mono: c / factor for mono, c in row.items()}",
+        "tail = row",
+        ("test_sweep.py",),
+    ),
+    Mutant(
+        "first-pivot-only-substituted",
+        "quotient.py",
+        "for pivot in [m for m in row if m in tails]:",
+        "for pivot in [m for m in row if m in tails][:1]:",
+        ("test_sweep.py",),
+    ),
+    Mutant(
+        "zero-rows-uncounted",
+        "quotient.py",
+        "            stats.zero_rows += 1\n",
+        "",
+        ("test_sweep.py",),
+    ),
+    Mutant(
+        "one-candidate-per-monomial",
+        "quotient.py",
+        "return [member for a, member in enumerate(under) if group[a] == a]",
+        "return under[:1]",
+        ("test_sweep.py",),
     ),
     Mutant(
         "sweep-leads-out-of-step",
@@ -597,7 +636,7 @@ def main(argv: list[str]) -> int:
         if _pytest(work, every_test) != 0:
             print("the unmutated tests fail; no mutant was run", file=sys.stderr)
             return 2
-        survivors = []
+        survivors, broken = [], []
         for mutant in chosen:
             path = work / "src" / "avchow" / mutant.file
             original = path.read_text(encoding="utf-8")
@@ -609,11 +648,17 @@ def main(argv: list[str]) -> int:
                 status = _pytest(work, mutant.tests)
             finally:
                 path.write_text(original, encoding="utf-8")
-            print(f"{'killed' if status else 'SURVIVED'}  {mutant.name}", flush=True)
-            if not status:
+            if status == 0:
                 survivors.append(mutant.name)
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed; {len(survivors)} survived")
-    return 1 if survivors else 0
+                print(f"SURVIVED  {mutant.name}", flush=True)
+            elif status == 1:
+                print(f"killed  {mutant.name}", flush=True)
+            else:
+                broken.append(mutant.name)
+                print(f"BROKEN  {mutant.name}: pytest exited with status {status}", flush=True)
+    killed = len(chosen) - len(survivors) - len(broken)
+    print(f"{killed} of {len(chosen)} mutants killed; {len(survivors)} survived; {len(broken)} broken")
+    return 2 if broken else 1 if survivors else 0
 
 
 if __name__ == "__main__":

@@ -515,6 +515,33 @@ class TestUsageErrors:
         code, out, err = run(capsys, name, "--ring", str(path), "--deg", "1", *rest)
         assert (code, out, err) == (2, "", "error: no standard monomials in degree 1 of 'even'\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("degree", "--ring", "a3_tilde", "(2*lambda1)^7"), "expected degree 6, got 7"),
+            (("degree", "--ring", "a3_tilde", "lambda1*(lambda1+sigma1)^6"), "expected degree 6, got 7"),
+            (
+                ("pairing", "--ring", "a3_tilde", "--deg", "5", "--rows", "(lambda1+sigma1)^7", "--cols", "lambda1"),
+                "row 0 has degree 7, expected 5",
+            ),
+            (
+                ("solve-class", "--ring", "a3_tilde", "--deg", "5", "--values", "1", "0", "--probes", "lambda1", "(lambda1+sigma1)^7"),
+                "probe 1 has degree 7, expected 1",
+            ),
+        ],
+        ids=["degree-power", "degree-product", "pairing-row", "solve-class-probe"],
+    )
+    def test_class_above_the_top_degree_is_usage_error(self, capsys, argv, message):
+        # Read with the socle truncation of `nf`, these classes became 0:
+        # `degree` printed 0 and `solve-class` reported a singular pairing.
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_degree_of_a_huge_power_is_bounded(self, capsys):
+        code, out, err = run(capsys, "degree", "--ring", "a3_tilde", "(lambda1+sigma1)^100000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "MAX_PRODUCT_PAIRS" in err
+
     @pytest.mark.parametrize("values", [("1/2,",), (",1/2",), ("1/2", ","), (" , 1/2 ,, ",)])
     def test_empty_comma_pieces_are_skipped(self, capsys, values):
         code, out, err = run(capsys, "solve-class", "--ring", "a1_tilde", "--deg", "1", "--values", *values)

@@ -134,6 +134,26 @@ def test_sweep_counts():
     assert (stats.degrees_swept, stats.candidate_rows, stats.zero_rows, stats.pivots) == (4, 1, 0, 1)
 
 
+def compact_lambda_ring(genus):
+    """Q[lambda1..lambda_g] modulo the Chern identity of that genus."""
+    gens = GeneratorSet((f"lambda{i}", i) for i in range(1, genus + 1))
+    return QuotientRing(RingPresentation(f"lambda_{genus}", gens, [], chern_identity_genus=genus))
+
+
+@pytest.mark.parametrize(
+    "name, counts, table",
+    [("a3_tilde", (10, 199, 30, 184), 60), ("x2_tilde", (8, 150, 16, 161), 55), ("lambda_5", (21, 764, 46, 908), 383)],
+    ids=["a3_tilde", "x2_tilde", "lambda_5"],
+)
+def test_sweep_work_is_pinned(catalog, name, counts, table):
+    # The sweep's counters and the size of its normal-form table, so a
+    # change to the elimination that does other work shows here.
+    ring = compact_lambda_ring(5) if name == "lambda_5" else catalog.ring(name).ring
+    stats = ring.groebner.stats
+    assert (stats.degrees_swept, stats.candidate_rows, stats.zero_rows, stats.pivots) == counts
+    assert len(ring._nf_cache) == table
+
+
 def test_catalog_loads_without_buchberger(monkeypatch):
     calls = []
 
