@@ -19,10 +19,10 @@ non-integral count, the level identity) keep their own evaluations.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
-from importlib import resources
 from typing import Callable, NamedTuple
 
 from .errors import DegreeError, UnknownScopeError
@@ -58,8 +58,8 @@ GROUP_NAMES = ("levels", "torelli", "equivalences")
 
 
 def _read_data(filename: str) -> dict:
-    path = resources.files("avchow") / "data" / filename
-    return json.loads(path.read_text(encoding="utf-8"))
+    with open(os.path.join(os.path.dirname(__file__), "data", filename), encoding="utf-8") as file:
+        return json.load(file)
 
 
 class TorelliTable(NamedTuple):

@@ -8,9 +8,9 @@ loaded from a JSON spec file (by path).  Exit status: 0 on success,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .catalog import RING_NAMES, Catalog, Cell, default_catalog
 from .errors import AvchowError
@@ -127,9 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_ring(spec: str, catalog: Catalog) -> LoadedRing:
     if spec in RING_NAMES:
         return catalog.ring(spec)
-    path = Path(spec)
-    if path.exists():
-        return load_ring_spec(path)
+    if os.path.exists(spec):
+        return load_ring_spec(spec)
     raise UsageError(
         f"unknown ring {spec!r}: not a catalog name and not an existing file"
     )

@@ -45,10 +45,12 @@ literal or an exponent too long for ``int()`` (which refuses more than
 4,300 digits by default from Python 3.11 and 3.10.7 on) fails alike on
 every Python version.
 
-With ``max_degree`` (a ring passes its socle degree), products
-and powers drop every monomial above it as they are formed, so
-``(x + y)^100000`` costs a few products instead of a full expansion.  Those
-monomials lie in the ideal of the ring, so its normal form is unchanged.
+With ``keep``, a container of monomials (a ring passes its normal-form
+table), products and powers drop every monomial outside it as they are
+formed, so ``(x + y)^100000`` costs a few products instead of a full
+expansion.  A monomial missing from the table has normal form 0, so it
+lies in the ideal of the ring, and the normal form of the result is
+unchanged.
 Literal powers and the coefficients of products and powers are bounded by
 ``poly.MAX_COEFFICIENT_BITS``, so ``7^1000000000000`` raises SizeError
 instead of running out of memory, and a single product by
@@ -61,7 +63,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import add
-from typing import Mapping
+from typing import Container, Mapping
 
 from .errors import ParseError
 from .poly import (
@@ -132,12 +134,12 @@ def _expr(context: tuple, pos: int, depth: int) -> tuple[_Terms, int]:
     """The value of the expression at token ``pos``, a new term dict, and the token after it.
 
     ``context`` is the text, its tokens, the generators, the named classes
-    and the degree bound; ``depth`` counts the parentheses open around the
-    expression.
+    and the monomials to keep; ``depth`` counts the parentheses open around
+    the expression.
     """
-    text, words, gens, symbols, max_degree = context
+    text, words, gens, symbols, keep = context
     index = gens._index
-    weights = gens.weights
+    width = len(gens)
     value: _Terms | None = None
     word = words[pos]
     if word == "+" or word == "-":
@@ -145,7 +147,7 @@ def _expr(context: tuple, pos: int, depth: int) -> tuple[_Terms, int]:
     while True:
         # One term: a scalar, an exponent vector and the factors that are sums.
         scalar: Scalar = -1 if word == "-" else 1
-        exponents = [0] * len(weights)
+        exponents = [0] * width
         sums: list[_Terms] = []
         while True:
             word = words[pos]
@@ -193,7 +195,7 @@ def _expr(context: tuple, pos: int, depth: int) -> tuple[_Terms, int]:
                     raise ParseError(f"expected a value, found {word or 'end of input'!r}", _position(text, pos - 1))
                 if words[pos] == "^":
                     exponent, pos = _exponent(context, pos + 1)
-                    inner = pow_terms(inner, exponent, weights, max_degree)
+                    inner = pow_terms(inner, exponent, width, keep)
                 sums.append(inner)
             if words[pos] != "*":
                 break
@@ -209,7 +211,7 @@ def _expr(context: tuple, pos: int, depth: int) -> tuple[_Terms, int]:
             elif product is None:
                 product = factor
             else:
-                product = truncated_product(product, factor, weights, max_degree)
+                product = truncated_product(product, factor, keep)
         if not scalar:
             term: _Terms = {}
         elif product is None:
@@ -217,7 +219,7 @@ def _expr(context: tuple, pos: int, depth: int) -> tuple[_Terms, int]:
         elif scalar == 1 and not any(exponents):
             term = product
         else:
-            term = truncated_product({tuple(exponents): scalar}, product, weights, max_degree)
+            term = truncated_product({tuple(exponents): scalar}, product, keep)
         if value is None:
             value = term
         else:
@@ -253,19 +255,19 @@ def parse_expression(
     text: str,
     gens: GeneratorSet,
     symbols: Mapping[str, Polynomial] | None = None,
-    max_degree: int | None = None,
+    keep: Container[Monomial] | None = None,
 ) -> Polynomial:
     """Parse an expression into a polynomial over the given generators.
 
     ``symbols`` optionally maps extra identifiers (named classes) to
     polynomials over the same generator set; generator names win on
     collision, and a class over another generator set raises ParseError
-    where the text uses it.  With ``max_degree``, products and powers drop
-    their monomials above it, so the result equals the full expansion up to
-    monomials of higher degree.
+    where the text uses it.  With ``keep``, products and powers drop their
+    monomials outside it, so the result equals the full expansion up to
+    monomials that are not kept.
     """
     words = _scan(text)
-    terms, pos = _expr((text, words, gens, symbols or {}, max_degree), 0, 0)
+    terms, pos = _expr((text, words, gens, symbols or {}, keep), 0, 0)
     if words[pos]:
         raise ParseError(f"unexpected trailing {words[pos]!r}", _position(text, pos))
     for mono, coeff in terms.items():

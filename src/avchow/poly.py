@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
-from typing import Hashable, Iterable, Mapping, Union
+from typing import Container, Hashable, Iterable, Mapping, Union
 
 from .errors import DegreeError, GeneratorMismatchError, SizeError, SubstitutionError
 
@@ -39,12 +39,12 @@ MAX_COEFFICIENT_BITS = 100_000
 # A product of two term dicts forms one term for each pair of their terms
 # before anything cancels or is dropped.  ``truncated_product`` refuses,
 # with SizeError, a product of more pairs than this.  Expressions given for
-# a ring drop their monomials above its socle degree as they go, which keeps
-# their products small on the catalog's rings; this cap alone guards what
-# nothing truncates: expressions in a spec file, which are parsed before the
-# ring exists, and the Torelli symbol ring, where ``(xi0 + xi1)^3000``
-# fails within a second instead of expanding for minutes.  ``(x + y)^300``
-# forms at most 129 * 129 pairs.
+# a ring keep only the monomials of its normal-form table as they go, so
+# every product and power they form is kept to the table's size; this cap
+# alone guards what nothing truncates: expressions in a spec file, which
+# are parsed before the ring exists, and the Torelli symbol ring, where
+# ``(xi0 + xi1)^3000`` fails within a second instead of expanding for
+# minutes.  ``(x + y)^300`` forms at most 129 * 129 pairs.
 MAX_PRODUCT_PAIRS = 100_000
 
 
@@ -246,18 +246,14 @@ def integer_terms(terms: Mapping[Hashable, Fraction]) -> tuple[dict[Hashable, in
 
 
 def truncated_product(
-    a: Mapping[Monomial, Fraction],
-    b: Mapping[Monomial, Fraction],
-    weights: tuple[int, ...],
-    max_degree: int | None = None,
+    a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction], keep: Container[Monomial] | None = None
 ) -> dict[Monomial, Fraction]:
-    """Product of two term dicts without its monomials above ``max_degree``.
+    """Product of two term dicts with only its monomials in ``keep``.
 
-    ``weights`` are the generators' weights; with ``max_degree`` None
-    nothing is dropped.  Raises SizeError, before multiplying, when the
-    product would form more than MAX_PRODUCT_PAIRS pairs of terms, and
-    after, when a coefficient of the result has more than
-    MAX_COEFFICIENT_BITS bits.
+    With ``keep`` None nothing is dropped.  Raises SizeError, before
+    multiplying, when the product would form more than MAX_PRODUCT_PAIRS
+    pairs of terms, and after, when a coefficient of the result has more
+    than MAX_COEFFICIENT_BITS bits.
     """
     if len(a) * len(b) > MAX_PRODUCT_PAIRS:
         raise SizeError(
@@ -265,45 +261,42 @@ def truncated_product(
             f"MAX_PRODUCT_PAIRS = {MAX_PRODUCT_PAIRS} pairs"
         )
     product = mul_terms(a, b)
-    if max_degree is not None:
-        product = {m: c for m, c in product.items() if sum(map(mul, m, weights)) <= max_degree}
+    if keep is not None:
+        product = {m: c for m, c in product.items() if m in keep}
     for coeff in product.values():
         check_size(coeff)
     return product
 
 
 def pow_terms(
-    terms: Mapping[Monomial, Fraction],
-    exponent: int,
-    weights: tuple[int, ...],
-    max_degree: int | None = None,
+    terms: Mapping[Monomial, Fraction], exponent: int, width: int, keep: Container[Monomial] | None = None
 ) -> dict[Monomial, Fraction]:
     """``terms`` to a non-negative integer power, as a new term dict.
 
-    ``weights`` are the generators' weights; any base to the power 0 is 1.
-    With ``max_degree``, every monomial above it is dropped as the power is
-    formed, so the cost does not grow with the exponent once the base's
-    monomials are all above it.  A single term is raised by scaling its
-    exponents and its coefficient; other bases by repeated squaring.
-    Raises SizeError when a coefficient would pass MAX_COEFFICIENT_BITS or a
-    product MAX_PRODUCT_PAIRS.
+    ``width`` is the number of generators; any base to the power 0 is 1.
+    With ``keep``, every monomial outside it is dropped as the power is
+    formed, so the squaring costs next to nothing once a square keeps no
+    term.  A single term is raised by scaling its exponents, and its
+    coefficient is raised only when the monomial is kept; other bases go
+    by repeated squaring.  Raises SizeError when a coefficient would pass
+    MAX_COEFFICIENT_BITS or a product MAX_PRODUCT_PAIRS.
     """
     if exponent == 0:
-        return {(0,) * len(weights): 1}
+        return {(0,) * width: 1}
     if len(terms) == 1:
         ((mono, coeff),) = terms.items()
         mono = tuple(e * exponent for e in mono)
-        if max_degree is not None and sum(map(mul, mono, weights)) > max_degree:
+        if keep is not None and mono not in keep:
             return {}
         return {mono: rational_power(coeff, exponent)}
     result: dict[Monomial, Fraction] | None = None
     base = terms
     while exponent:
         if exponent & 1:
-            result = dict(base) if result is None else truncated_product(result, base, weights, max_degree)
+            result = dict(base) if result is None else truncated_product(result, base, keep)
         exponent >>= 1
         if exponent:
-            base = truncated_product(base, base, weights, max_degree)
+            base = truncated_product(base, base, keep)
     return result
 
 
@@ -432,7 +425,7 @@ class Polynomial:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
         if exponent == 0:
             return self.gens.one()
-        return Polynomial._raw(self.gens, pow_terms(self._terms, exponent, self.gens.weights))
+        return Polynomial._raw(self.gens, pow_terms(self._terms, exponent, len(self.gens)))
 
     # Structural maps.
 

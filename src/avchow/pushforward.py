@@ -11,11 +11,10 @@ polynomial, extended by linearity only, never multiplicatively.
 Both are linear maps given per basis element, and each is validation
 followed by one ``poly.apply_linear`` call over a table of images.  The
 Torelli table keys each symbol's image by the symbol's exponent vector.
-A RelativeRing tabulates, per rule, the base image of each standard
-combined monomial, and pushes each monomial of the combined normal-form
-table through that table the first time it is met; a monomial outside
-the normal-form table has normal form 0 and pushes to 0, so the kept
-images never outnumber the table's entries.
+When a RelativeRing is first passed a rule, it tabulates the base image
+of each standard combined monomial and, in one pass, the base image of
+every monomial of the combined normal-form table; a monomial outside the
+normal-form table has normal form 0 and pushes to 0.
 """
 
 from __future__ import annotations
@@ -95,16 +94,19 @@ class RelativeRing:
                     "combined staircase does not reduce the fiber generators; "
                     "module basis {1, t, s} is not free over this presentation"
                 )
-        # The rule's base image of each standard combined monomial, built when
-        # the rule is first passed, and the pushed base images of combined
-        # monomials, filled on first use; both are kept for one rule at a time
+        # The base image of each monomial of the combined normal-form table,
+        # built when a rule is first passed and kept for one rule at a time
         # (the catalog always passes the same one).
         self._pushed_rule: PushforwardRule | None = None
-        self._rule_images: dict[Monomial, dict[Monomial, Fraction]] = {}
         self._pushed: dict[Monomial, dict[Monomial, Fraction]] = {}
 
     def _images_under(self, rule: PushforwardRule) -> dict[Monomial, dict[Monomial, Fraction]]:
-        """Base normal form of b * rule(f) for each standard combined monomial b * f, f in {1, t, s}."""
+        """The base image of each monomial of the combined normal-form table.
+
+        A standard combined monomial b * f, f in {1, t, s}, maps to the
+        base normal form of b * rule(f); every other monomial of the table
+        maps through its normal form.
+        """
         slots = {(0, 0): rule.one_image, (1, 0): rule.t_image, (0, 1): rule.s_image}
         base, combined = self.base, self.combined
         weights = combined.gens.weights
@@ -126,29 +128,22 @@ class RelativeRing:
                 fiber = slots[mono[self._t_index], mono[self._s_index]]
                 factor = base.gens.monomial(tuple(mono[j] for j in self._base_positions))
                 images[mono] = base.normal_form(factor * fiber)._terms
-        return images
+        return {mono: apply_linear(nf.items(), images) for mono, nf in combined._nf_cache.items()}
 
     def pushforward(self, p: Polynomial, rule: PushforwardRule) -> Polynomial:
         """Integrate over the fiber: apply the rule to the module generator of each standard monomial.
 
         The result is the base normal form, and nothing is reduced: the
-        pushforward is a tabulated linear map.  Each monomial with an entry
-        in the combined normal-form table is pushed once, as its normal form
-        applied to the rule's base image of each standard monomial, and its
-        image is reused; a monomial without an entry has normal form 0 and
-        pushes to 0.
+        pushforward is a tabulated linear map over the base image of each
+        monomial of the combined normal-form table, built for the rule
+        when it is first passed; a monomial without an entry has normal
+        form 0 and pushes to 0.
         """
-        combined = self.combined
-        if p.gens != combined.gens:
+        if p.gens != self.combined.gens:
             raise GeneratorMismatchError("element belongs to a different ring")
         if rule is not self._pushed_rule:
-            self._pushed_rule, self._rule_images, self._pushed = rule, self._images_under(rule), {}
-        pushed = self._pushed
-        table = combined._nf_cache
-        for mono in p._terms:
-            if mono not in pushed and mono in table:
-                pushed[mono] = apply_linear(table[mono].items(), self._rule_images)
-        return Polynomial._raw(self.base.gens, apply_linear(p._terms.items(), pushed))
+            self._pushed_rule, self._pushed = rule, self._images_under(rule)
+        return Polynomial._raw(self.base.gens, apply_linear(p._terms.items(), self._pushed))
 
     def relative_degree(self, p: Polynomial, functional: DegreeFunctional, rule: PushforwardRule) -> Fraction:
         """Degree of the pushforward of p against the base functional.

@@ -524,26 +524,9 @@ class DegreeFunctional:
         entry is the bilinear form sum a_m * b_n * V[m + n] over the value
         table, and one Fraction is made per entry.
         """
-        complement = self.top_degree - codimension
-        for label, elements, expected in (("row", rows, codimension), ("column", cols, complement)):
-            for i, element in enumerate(elements):
-                d = element.weighted_degree()
-                if d is not None and d != expected:
-                    raise DegreeError(f"{label} {i} has degree {d}, expected {expected}")
-        self._check_gens(rows)
-        self._check_gens(cols)
-        scaled_cols = [integer_terms(c._terms) for c in cols]
-        matrix = []
-        for r in rows:
-            row_terms, row_scale = integer_terms(r._terms)
-            row_scale *= self._denominator
-            matrix.append(
-                [
-                    Fraction(self._pairing(row_terms, col_terms), row_scale * col_scale)
-                    for col_terms, col_scale in scaled_cols
-                ]
-            )
-        return matrix
+        self._check("row", rows, codimension)
+        self._check("column", cols, self.top_degree - codimension)
+        return self._matrix([r._terms for r in rows], [c._terms for c in cols])
 
     def solve_class(
         self,
@@ -554,36 +537,52 @@ class DegreeFunctional:
         """Reconstruct the unique degree-k class with the given pairings.
 
         Probes are homogeneous classes of complementary degree; values are
-        the expected degree(x * probe) numbers.  The system is solved
-        exactly; rank deficiency means the pairing cannot see the class
-        (singular pairing), and contradictory overdetermined data is
-        reported rather than least-squares fitted.  Each equation is the
-        pairing row of its probe read from the value table and scaled to
-        integers, which changes neither the solution nor whether there is
-        one.
+        the expected degree(x * probe) numbers.  The equations are the
+        pairing matrix of the probes against the standard monomials of
+        degree k, and ``solve_exact`` solves them exactly; rank deficiency
+        means the pairing cannot see the class (singular pairing), and
+        contradictory overdetermined data is reported rather than
+        least-squares fitted.
         """
         if len(probes) != len(values):
             raise ValueError("need exactly one value per probe")
-        complement = self.top_degree - codimension
-        for i, probe in enumerate(probes):
-            d = probe.weighted_degree()
-            if d is not None and d != complement:
-                raise DegreeError(f"probe {i} has degree {d}, expected {complement}")
+        self._check("probe", probes, self.top_degree - codimension)
         basis = self.ring.standard_monomials(codimension)
-        self._check_gens(probes)
-        matrix, scales = [], []
-        for probe in probes:
-            terms, scale = integer_terms(probe._terms)
-            matrix.append([self._pairing({e: 1}, terms) for e in basis])
-            scales.append(scale * self._denominator)
-        rhs = [Fraction(v) * scale for v, scale in zip(values, scales)]
+        equations = self._matrix([p._terms for p in probes], [{m: 1} for m in basis])
         try:
-            solution = solve_exact(matrix, rhs)
+            solution = solve_exact(equations, values)
         except SingularSystemError as err:
             raise PairingError(f"singular pairing in codimension {codimension}: {err}") from err
         except InconsistentSystemError as err:
             raise PairingError(f"inconsistent pairing data in codimension {codimension}: {err}") from err
         return Polynomial._raw(self.ring.gens, {m: c for m, c in zip(basis, solution) if c})
+
+    def _check(self, label: str, elements: Sequence[Polynomial], expected: int) -> None:
+        """Refuse an element of another ring, or a nonzero one not of the expected degree."""
+        gens = self.ring.gens
+        for i, element in enumerate(elements):
+            d = element.weighted_degree()
+            if d is not None and d != expected:
+                raise DegreeError(f"{label} {i} has degree {d}, expected {expected}")
+            if element.gens != gens:
+                raise GeneratorMismatchError("element belongs to a different ring")
+
+    def _matrix(
+        self, rows: Sequence[Mapping[Monomial, Fraction]], cols: Sequence[Mapping[Monomial, Fraction]]
+    ) -> list[list[Fraction]]:
+        """degree(row * col) for each row and column, given as term dicts, with nothing checked."""
+        scaled_cols = [integer_terms(c) for c in cols]
+        matrix = []
+        for r in rows:
+            row_terms, row_scale = integer_terms(r)
+            row_scale *= self._denominator
+            matrix.append(
+                [
+                    Fraction(self._pairing(row_terms, col_terms), row_scale * col_scale)
+                    for col_terms, col_scale in scaled_cols
+                ]
+            )
+        return matrix
 
     def _pairing(self, left: Mapping[Monomial, int], right: Mapping[Monomial, int]) -> int:
         """Sum of a * b * V[m + n] over the terms (m, a) of left and (n, b) of right."""
@@ -595,12 +594,6 @@ class DegreeFunctional:
                 if value is not None:
                     total += a * b * value
         return total
-
-    def _check_gens(self, elements: Sequence[Polynomial]) -> None:
-        gens = self.ring.gens
-        for element in elements:
-            if element.gens != gens:
-                raise GeneratorMismatchError("element belongs to a different ring")
 
 
 def presentations_equivalent(

@@ -23,9 +23,9 @@ ends the item's checks.
 from __future__ import annotations
 
 import json
+import os
 import re
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from .errors import AvchowError, ParseError, RingSpecError
@@ -131,14 +131,15 @@ class LoadedRing(NamedTuple):
     def parse_class(self, text: str) -> Polynomial:
         """Parse an expression as a class of this ring, for a normal form of input from outside.
 
-        Products and powers drop their monomials above the socle degree as
-        they are formed, so ``(x + y)^100000`` costs a few products.  The
-        class, and so every normal form, is unchanged, but the degree of the
-        input is lost: a power above the socle degree reads as 0.  Input
+        Products and powers keep only the monomials of the ring's
+        normal-form table as they are formed, so ``(x + y)^100000`` costs a
+        few products.  A monomial missing from the table has normal form 0,
+        so the class, and every normal form, is unchanged, but the degree of
+        the input is lost: a power above the socle degree reads as 0.  Input
         whose degree is checked (a degree, a pairing, a probe) is read with
         ``parse``.
         """
-        return parse_expression(text, self.ring.gens, self.named, self.ring.socle_degree)
+        return parse_expression(text, self.ring.gens, self.named, self.ring._nf_cache)
 
 
 class _Collector:
@@ -244,14 +245,15 @@ class _Collector:
         return tuple([self.expr(text, f"{pointer}/{i}") for i, text in enumerate(values)])
 
 
-def _read_source(source: str | Path | Mapping[str, Any]) -> dict:
+def _read_source(source: str | os.PathLike | Mapping[str, Any]) -> dict:
     if isinstance(source, Mapping):
         return dict(source)
-    path = Path(source)
     try:
-        text = path.read_text(encoding="utf-8")
+        # fspath refuses an int, which open would take for a file descriptor.
+        with open(os.fspath(source), encoding="utf-8") as file:
+            text = file.read()
     except OSError as err:
-        raise RingSpecError([("", f"cannot read {path}: {err}")]) from err
+        raise RingSpecError([("", f"cannot read {source}: {err}")]) from err
     except UnicodeDecodeError as err:
         raise RingSpecError([("", f"not UTF-8 text: {err}")]) from err
     try:
@@ -399,7 +401,7 @@ def _load_tables(listed: Any, problems: _Collector) -> list[Any]:
     return tables
 
 
-def load_ring_spec(source: str | Path | Mapping[str, Any]) -> LoadedRing:
+def load_ring_spec(source: str | os.PathLike | Mapping[str, Any]) -> LoadedRing:
     """Load and validate one ring spec; raises RingSpecError with every problem."""
     data = _read_source(source)
     problems = _Collector()

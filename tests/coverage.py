@@ -16,6 +16,13 @@ function that raises, so a test can leave the tracer off for every later
 test; the script puts it back after each test and names the tests that
 turned it off.
 
+Hypothesis runs with no example database here: an example that ran slowly
+under the tracer and missed its deadline is not saved, so the next run
+does not replay it first.  A fresh checkout has no database either.  This
+keeps one traced deadline miss from failing every later run; it does not
+stop a first one.  Deadlines, example counts and strategies are the
+tests' own.
+
 The script exits 1 when the suite fails, when a line is unrun and not in
 ``ALLOWED`` below, or when a line in ``ALLOWED`` did run (the list cannot
 rot).  Each entry of ``ALLOWED`` gives the reason its line cannot run
@@ -33,7 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "avchow"
 
 ALLOWED = {
-    "cli.py:353": "the __main__ guard; the tests call cli.main, and the console script imports it",
+    "cli.py:352": "the __main__ guard; the tests call cli.main, and the console script imports it",
 }
 
 
@@ -87,6 +94,10 @@ def main() -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
     import pytest
+    from hypothesis import settings
+
+    settings.register_profile("coverage", database=None)
+    settings.load_profile("coverage")
 
     tracer = trace.Trace(count=1, trace=0)
     tracer.ignore = OnlyThePackage()

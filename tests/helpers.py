@@ -10,6 +10,11 @@ from avchow import GeneratorSet, Polynomial
 from oracles import monomials_of_degree
 
 
+def monomials_up_to(weights, degree) -> set:
+    """Every exponent tuple of weighted degree at most ``degree``."""
+    return {mono for d in range(degree + 1) for mono in monomials_of_degree(weights, d)}
+
+
 def random_coefficient(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 

@@ -318,6 +318,25 @@ MUTANTS = (
         "mono = tuple(e * (exponent - 1) for e in mono)",
         ("test_exprparse.py", "test_poly.py"),
     ),
+    Mutant(
+        "keep-ignored-in-product",
+        "poly.py",
+        "product = {m: c for m, c in product.items() if m in keep}",
+        "product = {m: c for m, c in product.items()}",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "keep-checked-after-power",
+        "poly.py",
+        "        if keep is not None and mono not in keep:\n"
+        "            return {}\n"
+        "        return {mono: rational_power(coeff, exponent)}\n",
+        "        power = rational_power(coeff, exponent)\n"
+        "        if keep is not None and mono not in keep:\n"
+        "            return {}\n"
+        "        return {mono: power}\n",
+        ("test_exprparse.py",),
+    ),
     # Integer linear algebra: pairings, class recovery, determinants.
     Mutant(
         "bareiss-sign-flip",
@@ -386,22 +405,22 @@ MUTANTS = (
     Mutant(
         "pairing-row-generator-check-removed",
         "quotient.py",
-        "        self._check_gens(rows)\n",
-        "",
+        "if element.gens != gens:",
+        'if element.gens != gens and label != "row":',
         ("test_linear_maps.py",),
     ),
     Mutant(
         "pairing-column-generator-check-removed",
         "quotient.py",
-        "        self._check_gens(cols)\n",
-        "",
+        "if element.gens != gens:",
+        'if element.gens != gens and label != "column":',
         ("test_linear_maps.py",),
     ),
     Mutant(
-        "solve-class-right-hand-sides-unscaled",
+        "solve-class-equations-transposed",
         "quotient.py",
-        "rhs = [Fraction(v) * scale for v, scale in zip(values, scales)]",
-        "rhs = [Fraction(v) for v in values]",
+        "equations = self._matrix([p._terms for p in probes], [{m: 1} for m in basis])",
+        "equations = self._matrix([{m: 1} for m in basis], [p._terms for p in probes])",
         ("test_linear_maps.py",),
     ),
     Mutant(
@@ -412,10 +431,10 @@ MUTANTS = (
         ("test_linear_maps.py",),
     ),
     Mutant(
-        "solve-class-basis-coefficient-wrong",
+        "solve-class-basis-of-complement",
         "quotient.py",
-        "self._pairing({e: 1}, terms)",
-        "self._pairing({e: 2}, terms)",
+        "basis = self.ring.standard_monomials(codimension)",
+        "basis = self.ring.standard_monomials(self.top_degree - codimension)",
         ("test_linear_maps.py",),
     ),
     Mutant(
@@ -428,8 +447,8 @@ MUTANTS = (
     Mutant(
         "solve-class-probe-degree-unchecked",
         "quotient.py",
-        "if d is not None and d != complement:",
-        "if False:",
+        "if d is not None and d != expected:",
+        'if d is not None and d != expected and label != "probe":',
         ("test_quotient.py",),
     ),
     Mutant(
@@ -461,6 +480,13 @@ MUTANTS = (
         "images[mono] = base.normal_form(factor * fiber)._terms",
         "images[mono] = (factor * fiber)._terms",
         ("test_linear_maps.py",),
+    ),
+    Mutant(
+        "fibre-table-skips-normal-form",
+        "pushforward.py",
+        "{mono: apply_linear(nf.items(), images) for mono, nf in combined._nf_cache.items()}",
+        "{mono: images.get(mono, {}) for mono, nf in combined._nf_cache.items()}",
+        ("test_pushforward.py", "test_linear_maps.py"),
     ),
     Mutant(
         "fibre-square-skipped-by-basis-check",

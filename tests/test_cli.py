@@ -4,12 +4,14 @@ import hashlib
 import json
 import time
 import tracemalloc
+from itertools import combinations
+from math import perm
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from avchow import cli
+from avchow import GeneratorSet, Polynomial, cli
 from avchow.verify import FAIL, Check, run_checks
 
 TOY_SPEC = {
@@ -444,6 +446,33 @@ class TestLargeExpressions:
         code, out, _ = run(capsys, "nf", "--ring", "a1_tilde", "(1+lambda1)^1000000000000")
         assert code == 0
         assert out.strip() == "250000000000/3*sigma1 + 1"
+
+    def test_power_on_ring_with_many_monomials_below_its_socle(self, capsys, tmp_path):
+        # 30 * 2^5 = 960 standard monomials and socle degree 34.  Every
+        # monomial of degree at most 34 used to be kept until the normal
+        # form, so ^12 formed 126 by 1287 terms and passed MAX_PRODUCT_PAIRS.
+        names = "abcdef"
+        path = tmp_path / "six.json"
+        data = {
+            "name": "six",
+            "generators": [{"name": name, "degree": 1} for name in names],
+            "relations": ["a^30"] + [f"{name}^2" for name in names[1:]],
+        }
+        path.write_text(json.dumps(data))
+        gens = GeneratorSet([(name, 1) for name in names])
+        # a^(12-k) times k distinct generators of b..f, with coefficient 12!/(12-k)!.
+        expected = {
+            (12 - k, *(int(i in chosen) for i in range(5))): perm(12, k)
+            for k in range(6)
+            for chosen in combinations(range(5), k)
+        }
+        code, out, err = run(capsys, "nf", "--ring", str(path), "(a+b+c+d+e+f)^12")
+        assert (code, out, err) == (0, f"{Polynomial(gens, expected)}\n", "")
+        assert len(expected) == 32
+        code, out, _ = run(capsys, "nf", "--ring", str(path), "(a+b+c+d+e+f)^34")
+        assert (code, out) == (0, "33390720*a^29*b*c*d*e*f\n")
+        code, out, _ = run(capsys, "nf", "--ring", str(path), "(a+b+c+d+e+f)^35")
+        assert (code, out) == (0, "0\n")
 
     def test_power_on_non_artinian_ring_is_bounded(self, capsys, tmp_path):
         path = tmp_path / "axes.json"

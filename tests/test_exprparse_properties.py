@@ -25,6 +25,7 @@ from avchow import AvchowError, GeneratorSet, ParseError, Polynomial, SizeError,
 from avchow.catalog import RING_NAMES
 from avchow.exprparse import _position, _scan
 
+from helpers import monomials_up_to
 from oracles import ScanError, scan_expression
 
 # Expression trees are tuples: ("lit", Fraction), ("gen", name), ("named", name),
@@ -246,9 +247,10 @@ def test_edge_cases(catalog, text, expected):
 # Hostile text: the grammar's alphabet, whole identifiers of a3_tilde, some
 # non-ASCII characters (a space, letters and digits that are not ASCII) and
 # digits.  Exponents stay small: the text keeps at most two '^' and each
-# exponent literal is below 4.  Without a max_degree the evaluator expands
-# (a + b)^N in full, so a large N runs until ``poly.MAX_PRODUCT_PAIRS``
-# refuses it with SizeError, which is not what this test checks.
+# exponent literal is below 4.  With no monomials to keep given, the
+# evaluator expands (a + b)^N in full, so a large N runs until
+# ``poly.MAX_PRODUCT_PAIRS`` refuses it with SizeError, which is not what
+# this test checks.
 HOSTILE_PIECES = [
     *"+-*^/() 0123456789_",
     "lambda1", "sigma1", "lambda3", "A111", "B3", "nosuch", "x9",
@@ -285,6 +287,7 @@ def test_hostile_text_parses_or_raises_parse_error(catalog, text):
 # non-ASCII digit, a non-ASCII letter and a superscript.
 SCANNER_ALPHABET = "+-*^/()" + "abxyz_AB" + "0123456789" + " \x1c٣é²"
 SCANNER_GENS = GeneratorSet([("x", 1), ("y", 1), ("z", 2)])
+SCANNER_KEPT = monomials_up_to(SCANNER_GENS.weights, 4)
 
 
 def message(err):
@@ -295,7 +298,7 @@ def message(err):
 def outcome(text):
     """What parsing ``text`` gives: ("value", polynomial) or (error type, message, position)."""
     try:
-        return ("value", parse_expression(text, SCANNER_GENS, max_degree=4))
+        return ("value", parse_expression(text, SCANNER_GENS, keep=SCANNER_KEPT))
     except ParseError as err:
         return (ParseError, message(err), err.position)
     except AvchowError as err:
