@@ -157,14 +157,8 @@ class Catalog:
             combined = self.ring("x2_tilde")
             fib = combined.raw["fibration"]
             base = self.ring(fib["base"])
-            relative = RelativeRing(base.ring, combined.ring, tuple(fib["fiber"]))
-            rule_raw = fib["rule"]
-            rule = PushforwardRule(
-                one_image=parse_expression(rule_raw["one"], base.ring.gens),
-                t_image=parse_expression(rule_raw["t"], base.ring.gens),
-                s_image=parse_expression(rule_raw["s"], base.ring.gens),
-                shift=fib.get("shift", 2),
-            )
+            relative = RelativeRing(base.ring, combined.ring)
+            rule = PushforwardRule(*(parse_expression(fib["rule"][slot], base.ring.gens) for slot in ("one", "t", "s")))
             self._surface = FiberedSurface(
                 relative=relative, rule=rule, base=base, combined=combined
             )

@@ -193,24 +193,6 @@ def add_terms(
     return into
 
 
-def mul_terms(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-    """Product of two term dicts, as a new term dict."""
-    product: dict[Monomial, Fraction] = {}
-    for mono_a, coeff_a in a.items():
-        for mono_b, coeff_b in b.items():
-            mono = tuple(map(add, mono_a, mono_b))
-            present = product.get(mono)
-            if present is None:
-                product[mono] = coeff_a * coeff_b
-            else:
-                total = present + coeff_a * coeff_b
-                if total:
-                    product[mono] = total
-                else:
-                    del product[mono]
-    return product
-
-
 def apply_linear(
     terms: Iterable[tuple[Hashable, Fraction]], images: Mapping[Hashable, Mapping[Monomial, Fraction]]
 ) -> dict[Monomial, Fraction]:
@@ -260,7 +242,19 @@ def truncated_product(
             f"a product of {len(a)} by {len(b)} terms would form more than "
             f"MAX_PRODUCT_PAIRS = {MAX_PRODUCT_PAIRS} pairs"
         )
-    product = mul_terms(a, b)
+    product: dict[Monomial, Fraction] = {}
+    for mono_a, coeff_a in a.items():
+        for mono_b, coeff_b in b.items():
+            mono = tuple(map(add, mono_a, mono_b))
+            present = product.get(mono)
+            if present is None:
+                product[mono] = coeff_a * coeff_b
+            else:
+                total = present + coeff_a * coeff_b
+                if total:
+                    product[mono] = total
+                else:
+                    del product[mono]
     if keep is not None:
         product = {m: c for m, c in product.items() if m in keep}
     for coeff in product.values():
@@ -411,7 +405,7 @@ class Polynomial:
             if factor == 0:
                 return self.gens.zero()
             return Polynomial._raw(self.gens, {m: c * factor for m, c in self._terms.items()})
-        return Polynomial._raw(self.gens, mul_terms(self._terms, self._coerce(other)._terms))
+        return Polynomial._raw(self.gens, truncated_product(self._terms, self._coerce(other)._terms))
 
     __rmul__ = __mul__
 

@@ -2,25 +2,28 @@
 
 Two shapes of pushforward appear in the catalog.  The universal family
 over the genus-2 space is handled by a RelativeRing: its Chow ring is a
-free module over the base with basis {1, t, s}, so every standard
-monomial is a base monomial times one of the three, and fiber integration
-applies a rule to that module generator.  The Torelli-style maps are pure
-tables: linear data assigning each formal source symbol an image
-polynomial, extended by linearity only, never multiplicatively.
+free module over the base with basis {1, t, s}, where t and s, in that
+order, are the generators of the combined ring that the base lacks.
+Every standard monomial is a base monomial times one of the three, and
+fiber integration applies a rule to that module generator.  The
+Torelli-style maps are pure tables: linear data assigning each formal
+source symbol an image polynomial, extended by linearity only, never
+multiplicatively.
 
 Both are linear maps given per basis element, and each is validation
 followed by one ``poly.apply_linear`` call over a table of images.  The
 Torelli table keys each symbol's image by the symbol's exponent vector.
-When a RelativeRing is first passed a rule, it tabulates the base image
-of each standard combined monomial and, in one pass, the base image of
-every monomial of the combined normal-form table; a monomial outside the
-normal-form table has normal form 0 and pushes to 0.
+When a RelativeRing is first passed a rule, it reads the rule's
+codimension shift off the images and tabulates the base image of each
+standard combined monomial and, in one pass, of every monomial of the
+combined normal-form table; a monomial outside the normal-form table has
+normal form 0 and pushes to 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import DegreeError, GeneratorMismatchError, UnknownSymbolError
 from .poly import GeneratorSet, Monomial, Polynomial, apply_linear, format_rational
@@ -31,53 +34,41 @@ class PushforwardRule:
     """Base-linear images of the module generators 1, t, s.
 
     The zero-section geometry of the catalog sends 1 and t to zero and s
-    to 1 with a codimension shift of 2; other rules are expressible but
-    the shift must match the grading of the images: a nonzero image of a
-    module generator of weight w is homogeneous of degree w - shift.  A
-    RelativeRing checks this when it first pushes with the rule, since the
-    weights of t and s are those of its combined ring.
+    to 1.  A rule has a codimension shift: each nonzero image of a module
+    generator of weight w is homogeneous of degree w - shift.  A
+    RelativeRing reads the shift off the images, which must agree on it,
+    when it first pushes with the rule, since the weights of t and s are
+    those of its combined ring.
     """
 
-    __slots__ = ("one_image", "t_image", "s_image", "shift")
+    __slots__ = ("one_image", "t_image", "s_image")
 
-    def __init__(
-        self,
-        one_image: Polynomial,
-        t_image: Polynomial,
-        s_image: Polynomial,
-        shift: int = 2,
-    ):
+    def __init__(self, one_image: Polynomial, t_image: Polynomial, s_image: Polynomial):
         gens = one_image.gens
         if t_image.gens != gens or s_image.gens != gens:
             raise GeneratorMismatchError("rule images must share one generator set")
         self.one_image = one_image
         self.t_image = t_image
         self.s_image = s_image
-        self.shift = shift
 
 
 class RelativeRing:
     """Quotient ring fibered over a base, free with module basis {1, t, s}.
 
-    The combined presentation extends the base presentation by two fiber
-    generators whose names are fixed at construction; the combined
-    Groebner staircase must kill t^2, t*s and s^2 so that every standard
-    monomial has fiber part 1, t or s.
+    The fiber generators are the two generators of the combined ring that
+    the base lacks, in the combined ring's order: the first is t, the
+    second s.  The combined Groebner staircase must kill t^2, t*s and s^2
+    so that every standard monomial has fiber part 1, t or s.
     """
 
-    def __init__(
-        self,
-        base: QuotientRing,
-        combined: QuotientRing,
-        fiber_names: Sequence[str] = ("t", "s"),
-    ):
+    def __init__(self, base: QuotientRing, combined: QuotientRing):
+        fiber_names = tuple(name for name in combined.gens.names if name not in base.gens.names)
         if len(fiber_names) != 2:
-            raise ValueError("expected exactly two fiber generators")
+            raise ValueError(f"expected exactly two fiber generators, found {', '.join(fiber_names) or 'none'}")
         self.base = base
         self.combined = combined
-        self.fiber_names = tuple(fiber_names)
-        self._t_index = combined.gens.index(fiber_names[0])
-        self._s_index = combined.gens.index(fiber_names[1])
+        self.fiber_names = fiber_names
+        self._t_index, self._s_index = (combined.gens.index(name) for name in fiber_names)
         base_positions = []
         for name, weight in zip(base.gens.names, base.gens.weights):
             j = combined.gens.index(name)
@@ -94,41 +85,47 @@ class RelativeRing:
                     "combined staircase does not reduce the fiber generators; "
                     "module basis {1, t, s} is not free over this presentation"
                 )
-        # The base image of each monomial of the combined normal-form table,
-        # built when a rule is first passed and kept for one rule at a time
-        # (the catalog always passes the same one).
+        # A rule's codimension shift and the base image of each monomial of
+        # the combined normal-form table, built when the rule is first passed
+        # and kept for one rule at a time (the catalog always passes the same one).
         self._pushed_rule: PushforwardRule | None = None
+        self._shift: int | None = None
         self._pushed: dict[Monomial, dict[Monomial, Fraction]] = {}
 
-    def _images_under(self, rule: PushforwardRule) -> dict[Monomial, dict[Monomial, Fraction]]:
-        """The base image of each monomial of the combined normal-form table.
+    def _tabulate(self, rule: PushforwardRule) -> None:
+        """Keep the rule, its codimension shift and the base image of each monomial of the table.
 
-        A standard combined monomial b * f, f in {1, t, s}, maps to the
-        base normal form of b * rule(f); every other monomial of the table
-        maps through its normal form.
+        Each nonzero image of a module generator gives the shift, the
+        generator's weight minus the image's degree; a rule with no nonzero
+        image has none.  A standard combined monomial b * f, f in {1, t, s},
+        maps to the base normal form of b * rule(f); every other monomial of
+        the table maps through its normal form.
         """
         slots = {(0, 0): rule.one_image, (1, 0): rule.t_image, (0, 1): rule.s_image}
         base, combined = self.base, self.combined
         weights = combined.gens.weights
-        t_name, s_name = self.fiber_names
-        for name, weight, image in (
-            ("1", 0, rule.one_image),
-            (t_name, weights[self._t_index], rule.t_image),
-            (s_name, weights[self._s_index], rule.s_image),
-        ):
-            degree = image.weighted_degree()
-            if degree is not None and degree != weight - rule.shift:
-                raise DegreeError(
-                    f"rule image of {name} has degree {degree}, expected {weight - rule.shift} "
-                    f"(weight {weight} minus shift {rule.shift})"
-                )
+        shifts = {
+            name: weight - image.weighted_degree()
+            for name, weight, image in (
+                ("1", 0, rule.one_image),
+                (self.fiber_names[0], weights[self._t_index], rule.t_image),
+                (self.fiber_names[1], weights[self._s_index], rule.s_image),
+            )
+            if not image.is_zero
+        }
+        if len(set(shifts.values())) > 1:
+            raise DegreeError(
+                "rule images disagree on the codimension shift: "
+                + ", ".join(f"{name} gives {shift}" for name, shift in shifts.items())
+            )
         images = {}
         for degree in range(combined.socle_degree + 1):
             for mono in combined.standard_monomials(degree):
                 fiber = slots[mono[self._t_index], mono[self._s_index]]
                 factor = base.gens.monomial(tuple(mono[j] for j in self._base_positions))
                 images[mono] = base.normal_form(factor * fiber)._terms
-        return {mono: apply_linear(nf.items(), images) for mono, nf in combined._nf_cache.items()}
+        pushed = {mono: apply_linear(nf.items(), images) for mono, nf in combined._nf_cache.items()}
+        self._pushed_rule, self._shift, self._pushed = rule, next(iter(shifts.values()), None), pushed
 
     def pushforward(self, p: Polynomial, rule: PushforwardRule) -> Polynomial:
         """Integrate over the fiber: apply the rule to the module generator of each standard monomial.
@@ -142,23 +139,24 @@ class RelativeRing:
         if p.gens != self.combined.gens:
             raise GeneratorMismatchError("element belongs to a different ring")
         if rule is not self._pushed_rule:
-            self._pushed_rule, self._pushed = rule, self._images_under(rule)
+            self._tabulate(rule)
         return Polynomial._raw(self.base.gens, apply_linear(p._terms.items(), self._pushed))
 
     def relative_degree(self, p: Polynomial, functional: DegreeFunctional, rule: PushforwardRule) -> Fraction:
         """Degree of the pushforward of p against the base functional.
 
-        Nonzero input must be homogeneous of combined degree equal to the
-        base top degree plus the rule's codimension shift.
+        Nonzero input must be homogeneous, of combined degree equal to the
+        base top degree plus the rule's codimension shift when the rule has
+        one; a rule without a shift pushes everything to 0.
         """
         if functional.ring is not self.base and functional.ring.gens != self.base.gens:
             raise GeneratorMismatchError("functional does not live on the base ring")
+        pushed = self.pushforward(p, rule)
         if not p.is_zero:
             d = p.weighted_degree()
-            expected = functional.top_degree + rule.shift
-            if d != expected:
-                raise DegreeError(f"expected combined degree {expected}, got {d}")
-        return functional.degree(self.pushforward(p, rule))
+            if self._shift is not None and d != functional.top_degree + self._shift:
+                raise DegreeError(f"expected combined degree {functional.top_degree + self._shift}, got {d}")
+        return functional.degree(pushed)
 
 
 class TabulatedPushforward:

@@ -326,6 +326,18 @@ MUTANTS = (
         ("test_cli.py",),
     ),
     Mutant(
+        "mul-unguarded",
+        "poly.py",
+        "        return Polynomial._raw(self.gens, truncated_product(self._terms, self._coerce(other)._terms))\n",
+        "        product: dict[Monomial, Fraction] = {}\n"
+        "        for mono_a, coeff_a in self._terms.items():\n"
+        "            for mono_b, coeff_b in self._coerce(other)._terms.items():\n"
+        "                mono = tuple(map(add, mono_a, mono_b))\n"
+        "                product[mono] = product.get(mono, 0) + coeff_a * coeff_b\n"
+        "        return Polynomial._raw(self.gens, {m: c for m, c in product.items() if c})\n",
+        ("test_poly.py",),
+    ),
+    Mutant(
         "keep-checked-after-power",
         "poly.py",
         "        if keep is not None and mono not in keep:\n"
@@ -526,8 +538,15 @@ MUTANTS = (
     Mutant(
         "fibre-rule-grading-check-dropped",
         "pushforward.py",
-        "if degree is not None and degree != weight - rule.shift:",
+        "if len(set(shifts.values())) > 1:",
         "if False:",
+        ("test_pushforward.py",),
+    ),
+    Mutant(
+        "shift-read-from-first-image-only",
+        "pushforward.py",
+        "            if not image.is_zero\n        }\n",
+        "            if not image.is_zero\n        }\n        shifts = dict(list(shifts.items())[:1])\n",
         ("test_pushforward.py",),
     ),
     Mutant(

@@ -5,7 +5,7 @@ from functools import partial
 
 import pytest
 
-from avchow import RING_NAMES, Catalog, UnknownScopeError
+from avchow import RING_NAMES, Catalog, DegreeError, UnknownScopeError
 from avchow import catalog as catalog_module
 from avchow.catalog import (
     GROUP_NAMES,
@@ -121,7 +121,13 @@ class TestSurface:
         surface = catalog.fibered_surface()
         assert surface.base.name == "a2_tilde"
         assert surface.combined.name == "x2_tilde"
-        assert surface.rule.shift == 2
+        # The fibre generators and the rule's shift are read off the rings:
+        # the shift 2 puts the classes that integrate in combined degree 5.
+        assert surface.relative.fiber_names == ("t", "s")
+        functional = surface.base.functional
+        assert surface.relative.relative_degree(surface.combined.parse("lambda1^3*s"), functional, surface.rule) != 0
+        with pytest.raises(DegreeError, match="^expected combined degree 5, got 4$"):
+            surface.relative.relative_degree(surface.combined.parse("lambda1^2*s"), functional, surface.rule)
 
     def test_fiber_cube_pushforward(self, catalog):
         surface = catalog.fibered_surface()

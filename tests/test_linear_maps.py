@@ -77,7 +77,7 @@ def test_degree_on_a_ring_that_is_not_artinian():
 def _fresh_relative(catalog):
     """A RelativeRing over the catalog's x2_tilde rings, with nothing pushed yet."""
     surface = catalog.fibered_surface()
-    return RelativeRing(surface.base.ring, surface.combined.ring, surface.relative.fiber_names)
+    return RelativeRing(surface.base.ring, surface.combined.ring)
 
 
 def test_fibre_pushforward_matches_decomposition(catalog):
@@ -90,7 +90,7 @@ def test_fibre_pushforward_matches_decomposition(catalog):
     rules = [
         surface.rule,
         PushforwardRule(base_gens.zero(), base_gens.zero(), base_gens.one()),
-        PushforwardRule(base_gens.one(), base_gens.gen("lambda1"), base_gens.gen("lambda1") ** 2, shift=0),
+        PushforwardRule(base_gens.one(), base_gens.gen("lambda1"), base_gens.gen("lambda1") ** 2),
     ]
     rng = random.Random(1993)
     for rule in rules:
@@ -116,8 +116,8 @@ def test_fibre_pushforward_on_a_ring_that_is_not_artinian():
         QuotientRing(RingPresentation("free", combined_gens, relations))
     base = QuotientRing(RingPresentation("line", base_gens, [parse_expression("a^7", base_gens)]))
     combined = QuotientRing(RingPresentation("free", combined_gens, relations + [parse_expression("a^7", combined_gens)]))
-    relative = RelativeRing(base, combined, ("t", "s"))
-    rule = PushforwardRule(base_gens.zero(), base_gens.one(), base_gens.gen("a"), shift=1)
+    relative = RelativeRing(base, combined)
+    rule = PushforwardRule(base_gens.zero(), base_gens.one(), base_gens.gen("a"))
     # a^4*t^2 = a^5*t pushes to a^5, and a^5*s to a^5 * a.
     pushed = relative.pushforward(parse_expression("a^5*s + a^4*t^2", combined_gens), rule)
     assert pushed == parse_expression("a^6 + a^5", base_gens)

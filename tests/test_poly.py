@@ -160,6 +160,20 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             p("x") ** -1
 
+    def test_products_are_guarded_like_powers(self):
+        # 317 * 317 pairs pass MAX_PRODUCT_PAIRS = 100,000; 316 * 316 do not.
+        x = GeneratorSet([("x", 1)])
+        for n, refused in ((316, False), (317, True)):
+            q = Polynomial(x, {(e,): 1 for e in range(n)})
+            if refused:
+                with pytest.raises(SizeError, match=f"^a product of {n} by {n} terms would form more than MAX_PRODUCT_PAIRS"):
+                    q * q
+            else:
+                assert len((q * q).terms()) == 2 * n - 1
+        big = Polynomial(x, {(1,): 2**60_000})
+        with pytest.raises(SizeError, match="MAX_COEFFICIENT_BITS"):
+            big * big
+
     def test_mixed_generator_sets_rejected(self):
         other = GeneratorSet([("x", 1)])
         with pytest.raises(GeneratorMismatchError):

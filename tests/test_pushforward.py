@@ -40,7 +40,7 @@ def combined_ring():
 
 
 def surface():
-    return RelativeRing(base_ring(), combined_ring(), ("t", "s"))
+    return RelativeRing(base_ring(), combined_ring())
 
 
 def fiber_integration():
@@ -72,18 +72,31 @@ class TestRelativeRing:
             (mono,) = c(square)._terms
             assert mono in sparse.standard_monomials(COMBINED_GENS.weighted_degree(mono))
             with pytest.raises(DegreeError, match="module basis"):
-                RelativeRing(base_ring(), sparse, ("t", "s"))
+                RelativeRing(base_ring(), sparse)
 
     def test_exactly_two_fiber_generators(self):
-        for names in (("t",), ("t", "s", "a")):
-            with pytest.raises(ValueError, match="expected exactly two fiber generators"):
-                RelativeRing(base_ring(), combined_ring(), names)
+        # The combined generators the base lacks, in the combined ring's
+        # order: the first plays the part of t, even when it is named s.
+        assert surface().fiber_names == ("t", "s")
+        for gens, texts, found in (
+            ([("s", 2), ("a", 1), ("t", 1)], ("t^2", "t*s", "s^2", "a^3"), None),
+            ([("a", 1)], ("a^3",), "none"),
+            ([("t", 1), ("a", 1)], ("t^2", "a^3"), "t"),
+            ([("t", 1), ("s", 2), ("u", 1), ("a", 1)], ("t^2", "t*s", "s^2", "u^2", "t*u", "a^3"), "t, s, u"),
+        ):
+            gens = GeneratorSet(gens)
+            ring = QuotientRing(RingPresentation("other", gens, [parse_expression(t, gens) for t in texts]))
+            if found is None:
+                assert RelativeRing(base_ring(), ring).fiber_names == ("s", "t")
+                continue
+            with pytest.raises(ValueError, match=f"^expected exactly two fiber generators, found {found}$"):
+                RelativeRing(base_ring(), ring)
 
     def test_base_generators_keep_their_weights(self):
         heavy = GeneratorSet([("a", 2)])
         base = QuotientRing(RingPresentation("heavy", heavy, [parse_expression("a^3", heavy)]))
         with pytest.raises(GeneratorMismatchError, match="base generator 'a' changes weight in the combined ring"):
-            RelativeRing(base, combined_ring(), ("t", "s"))
+            RelativeRing(base, combined_ring())
 
     def test_pushforward_rejects_elements_of_other_rings(self):
         with pytest.raises(GeneratorMismatchError, match="element belongs to a different ring"):
@@ -112,8 +125,13 @@ class TestRelativeRing:
 
     def test_custom_rule(self):
         rel = surface()
-        rule = PushforwardRule(b("0"), b("1"), b("a"), shift=1)
+        rule = PushforwardRule(b("0"), b("1"), b("a"))
         assert rel.pushforward(c("t*a + s"), rule) == b("2*a")
+        # Its shift is 1: combined degree 3 integrates against a^2.
+        functional = DegreeFunctional(rel.base, b("a^2"), Fraction(1))
+        assert rel.relative_degree(c("t*a^2 + s*a"), functional, rule) == 2
+        with pytest.raises(DegreeError, match="^expected combined degree 3, got 4$"):
+            rel.relative_degree(c("s*a^2"), functional, rule)
 
     def test_rule_images_must_share_generators(self):
         other = GeneratorSet([("z", 1)])
@@ -169,29 +187,42 @@ class TestRelativeRing:
         with pytest.raises(Exception):
             rel.relative_degree(c("s*a^2"), functional, fiber_integration())
 
-    def test_rule_grading_must_match_its_shift(self, catalog):
-        # Over the catalog's surface, t -> 1 with shift 2 would send s*sigma1^3
-        # to lambda1*sigma1^3, above the base socle, whose degree reads 0.
+    def test_rule_shift_is_read_off_its_images(self, catalog):
+        # Over the catalog's surface, t -> 1 and s -> lambda1 agree on shift 1,
+        # so s*sigma1^3, of combined degree 5, is refused rather than pushed
+        # above the base socle, whose degree would read 0.
         fibred = catalog.fibered_surface()
-        relative = RelativeRing(fibred.base.ring, fibred.combined.ring, fibred.relative.fiber_names)
+        relative = RelativeRing(fibred.base.ring, fibred.combined.ring)
         gens = fibred.base.ring.gens
         element = fibred.combined.parse("s*sigma1^3")
-        shifted = PushforwardRule(gens.zero(), gens.one(), gens.gen("lambda1"), shift=2)
-        with pytest.raises(DegreeError, match=r"^rule image of t has degree 0, expected -1 \(weight 1 minus shift 2\)$"):
+        shifted = PushforwardRule(gens.zero(), gens.one(), gens.gen("lambda1"))
+        with pytest.raises(DegreeError, match="^expected combined degree 4, got 5$"):
             relative.relative_degree(element, fibred.base.functional, shifted)
         sigma1_cubed = fibred.base.functional.degree(fibred.base.parse("sigma1^3"))
         assert relative.relative_degree(element, fibred.base.functional, fibred.rule) == sigma1_cubed != 0
-        # Each slot is checked, 1 included, and a mixed image is refused.
+
+    def test_rule_grading_must_match_its_shift(self):
+        # Every nonzero image gives a shift, 1 included, and a mixed image is refused.
         rel = surface()
         for rule, message in (
-            (PushforwardRule(b("0"), b("a"), b("1")), "^rule image of t has degree 1, expected -1 "),
-            (PushforwardRule(b("a"), b("1"), b("a"), shift=1), "^rule image of 1 has degree 1, expected -1 "),
-            (PushforwardRule(b("0"), b("0"), b("a^2"), shift=1), "^rule image of s has degree 2, expected 1 "),
+            (PushforwardRule(b("a"), b("1"), b("0")), "^rule images disagree on the codimension shift: 1 gives -1, t gives 1$"),
+            (PushforwardRule(b("0"), b("a"), b("1")), "^rule images disagree on the codimension shift: t gives 0, s gives 2$"),
+            (PushforwardRule(b("1"), b("0"), b("a")), ": 1 gives 0, s gives 1$"),
             (PushforwardRule(b("0"), b("0"), b("1 + a")), "homogeneous"),
         ):
             with pytest.raises(DegreeError, match=message):
                 rel.pushforward(c("s"), rule)
-        assert rel.pushforward(c("t*a + s"), PushforwardRule(b("0"), b("1"), b("a"), shift=1)) == b("2*a")
+        assert rel.pushforward(c("t*a + s"), PushforwardRule(b("0"), b("1"), b("a"))) == b("2*a")
+
+    def test_rule_without_a_nonzero_image_has_no_shift(self):
+        rel = surface()
+        zero = PushforwardRule(b("0"), b("0"), b("0"))
+        functional = DegreeFunctional(rel.base, b("a^2"), Fraction(1))
+        for text in ("1", "s*a^2", "t^2*a^2 + 3*s*a^2", "a^7*s"):
+            assert rel.pushforward(c(text), zero).is_zero
+            assert rel.relative_degree(c(text), functional, zero) == 0
+        with pytest.raises(DegreeError, match="^polynomial is not homogeneous: degrees \\[2, 4\\]$"):
+            rel.relative_degree(c("s*a^2 + s"), functional, zero)
 
 
 class TestTabulatedPushforward:
