@@ -32,14 +32,7 @@ from .linalg import det_exact
 from .poly import GeneratorSet, Polynomial
 from .pushforward import PushforwardRule, RelativeRing, TabulatedPushforward
 from .quotient import DegreeFunctional, QuotientRing, presentations_equivalent
-from .ringspec import (
-    DegreesTable,
-    LoadedRing,
-    PairingTable,
-    PairingVectorTable,
-    RelativePairingTable,
-    load_ring_spec,
-)
+from .ringspec import DegreesTable, LoadedRing, PairingTable, PairingVectorTable, load_ring_spec
 from .verify import FAIL, PASS, SKIPPED, Check, VerificationReport, run_checks
 
 RING_NAMES = (
@@ -174,13 +167,13 @@ class Catalog:
 
     def table_cells(self, loaded: LoadedRing, table) -> list[Cell]:
         """The cells of one of a ring's tables, in row-major order."""
-        if isinstance(table, PairingTable):
+        if table.kind == "pairing":
             return _grid_cells(table, partial(_degree, loaded.functional))
-        if isinstance(table, RelativePairingTable):
+        if table.kind == "relative_pairing":
             return _grid_cells(table, self.fibered_surface().degree)
-        if isinstance(table, DegreesTable):
+        if table.kind == "degrees":
             return _degree_entry_cells(table, loaded.functional)
-        # ringspec builds only the four kinds, so the last is a PairingVectorTable.
+        # ringspec builds only the four kinds, so the last is a pairing vector.
         return _vector_cells(table, loaded.functional)
 
     def table_4a_cells(self) -> list[Cell]:
@@ -280,7 +273,7 @@ class Catalog:
             degree = partial(_degree, functional, entry.element)
             cells.append(Cell(f"degree:{entry.expr_text}", entry.source, entry.value, degree))
         vectors = loaded.pairing_vectors + [
-            table for table in loaded.tables if isinstance(table, PairingVectorTable)
+            table for table in loaded.tables if table.kind == "pairing_vector"
         ]
         for vector in vectors:
             if vector.solve:
@@ -298,7 +291,7 @@ class Catalog:
             group = f"table:{table.id}"
             cells = self.table_cells(loaded, table)
             checks.extend(_cell_checks(cells, group, group, parent=name))
-            if isinstance(table, PairingTable):
+            if table.kind == "pairing":
                 checks.append(
                     Check(
                         id=f"{name}:det:{table.id}",
@@ -420,10 +413,7 @@ def _degree(functional: DegreeFunctional | None, element: Polynomial) -> Fractio
     return functional.degree(element)
 
 
-def _grid_cells(
-    table: PairingTable | RelativePairingTable,
-    degree: Callable[[Polynomial], Fraction],
-) -> list[Cell]:
+def _grid_cells(table: PairingTable, degree: Callable[[Polynomial], Fraction]) -> list[Cell]:
     """Pairing-table cells: the degree of each row class times each column class."""
     return [
         Cell(

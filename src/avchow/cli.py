@@ -15,7 +15,7 @@ from fractions import Fraction
 from .catalog import RING_NAMES, Catalog, Cell, default_catalog
 from .errors import AvchowError
 from .poly import Polynomial, format_rational, parse_rational
-from .ringspec import DegreesTable, LoadedRing, PairingVectorTable, load_ring_spec
+from .ringspec import LoadedRing, load_ring_spec
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -266,13 +266,13 @@ def _grid_rows(cells: list[Cell], width: int) -> list[str]:
 
 def _format_table(table, cells: list[Cell]) -> list[str]:
     lines = [f"table {table.id}"]
-    if isinstance(table, DegreesTable):
+    if table.kind == "degrees":
         for cell in cells:
             if cell.recompute is None:
                 lines.append(f"  {cell.key} = {cell.shown} (recorded; not recomputed)")
             else:
                 lines.append(f"  {cell.key} = {cell.recompute()}")
-    elif isinstance(table, PairingVectorTable):
+    elif table.kind == "pairing_vector":
         lines.append("  basis: " + "; ".join(table.basis_labels))
         lines.append("  " + ",".join(str(cell.recompute() * table.divide_by) for cell in cells))
         if table.divide_by != 1:

@@ -31,11 +31,11 @@ generators and their powers add to the exponents, and a parenthesized
 expression or named class of a single term folds into both.  Only factors
 with several terms are multiplied, once the term ends, with
 ``poly.truncated_product``; powers of them go through ``poly.pow_terms``.
-Scalars are Python ints, unless a literal ``p/q`` or a named class makes
-one a Fraction, and a term is stored with its scalar as it is, so integer
-arithmetic builds no Fraction.  Terms are summed in place, and the result
-becomes a ``Polynomial`` once, at the end, where every coefficient that is
-still an int becomes a Fraction in one pass.
+Scalars are Python ints, unless a literal ``p/q``, a named class or a
+product of sums (one Fraction per term of its result) makes one a Fraction,
+and a term is stored with its scalar as it is.  Terms are summed in place,
+and the result becomes a ``Polynomial`` once, at the end, where every
+coefficient that is still an int becomes a Fraction in one pass.
 
 A named class is checked to lie over ``gens`` where it is
 substituted, so a class over other generators raises ParseError at its

@@ -232,29 +232,26 @@ def truncated_product(
 ) -> dict[Monomial, Fraction]:
     """Product of two term dicts with only its monomials in ``keep``.
 
-    With ``keep`` None nothing is dropped.  Raises SizeError, before
-    multiplying, when the product would form more than MAX_PRODUCT_PAIRS
-    pairs of terms, and after, when a coefficient of the result has more
-    than MAX_COEFFICIENT_BITS bits.
+    With ``keep`` None nothing is dropped.  Each factor is scaled once to
+    integer numerators (``integer_terms``), the pairs multiply ints, and
+    each term of the result becomes one Fraction over the product of the
+    two scales.  Raises SizeError, before multiplying, when the product
+    would form more than MAX_PRODUCT_PAIRS pairs of terms, and after, when
+    a coefficient of the result has more than MAX_COEFFICIENT_BITS bits.
     """
     if len(a) * len(b) > MAX_PRODUCT_PAIRS:
         raise SizeError(
             f"a product of {len(a)} by {len(b)} terms would form more than "
             f"MAX_PRODUCT_PAIRS = {MAX_PRODUCT_PAIRS} pairs"
         )
-    product: dict[Monomial, Fraction] = {}
+    (a, scale_a), (b, scale_b) = integer_terms(a), integer_terms(b)
+    sums: dict[Monomial, int] = {}
     for mono_a, coeff_a in a.items():
         for mono_b, coeff_b in b.items():
             mono = tuple(map(add, mono_a, mono_b))
-            present = product.get(mono)
-            if present is None:
-                product[mono] = coeff_a * coeff_b
-            else:
-                total = present + coeff_a * coeff_b
-                if total:
-                    product[mono] = total
-                else:
-                    del product[mono]
+            sums[mono] = sums.get(mono, 0) + coeff_a * coeff_b
+    scale = scale_a * scale_b
+    product = {m: Fraction(c, scale) for m, c in sums.items() if c}
     if keep is not None:
         product = {m: c for m, c in product.items() if m in keep}
     for coeff in product.values():

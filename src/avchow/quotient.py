@@ -49,7 +49,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DegreeError, GeneratorMismatchError, InconsistentSystemError, PairingError, SingularSystemError
 from .linalg import solve_exact
-from .poly import GeneratorSet, Monomial, Polynomial, apply_linear, expand_chern_identity, integer_terms
+from .poly import GeneratorSet, Monomial, Polynomial, apply_linear, integer_terms
 
 # The degree sweep lists the standard monomials of every degree it passes,
 # so this bounds the work a short presentation such as ``x^100000000`` can
@@ -70,22 +70,11 @@ MAX_SWEEP_DEGREES = 20_000
 
 
 class RingPresentation:
-    """Weighted generators plus homogeneous relations.
+    """Weighted generators plus their nonzero relations, in order, each homogeneous over ``gens``."""
 
-    With ``chern_identity_genus`` set, the homogeneous parts of
-    (1 + sum lambda_i)(1 + sum (-1)^i lambda_i) - 1 for that genus are
-    appended to the listed relations, so catalog files do not repeat them.
-    """
+    __slots__ = ("name", "gens", "relations")
 
-    __slots__ = ("name", "gens", "relations", "chern_identity_genus")
-
-    def __init__(
-        self,
-        name: str,
-        gens: GeneratorSet,
-        relations: Iterable[Polynomial],
-        chern_identity_genus: int | None = None,
-    ):
+    def __init__(self, name: str, gens: GeneratorSet, relations: Iterable[Polynomial]):
         self.name = name
         self.gens = gens
         listed = []
@@ -97,10 +86,7 @@ class RingPresentation:
             if not relation.is_homogeneous:
                 raise DegreeError(f"relation {i} ({relation}) is not homogeneous")
             listed.append(relation)
-        if chern_identity_genus is not None:
-            listed.extend(expand_chern_identity(chern_identity_genus, gens))
         self.relations = tuple(listed)
-        self.chern_identity_genus = chern_identity_genus
 
 
 class QuotientRing:

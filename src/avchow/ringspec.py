@@ -1,11 +1,14 @@
 """Ring spec files: JSON in, validated rings out.
 
 A spec file (UTF-8 JSON) declares weighted generators, homogeneous
-relations (plus an optional Chern identity genus whose relations are
-appended automatically), an optional degree normalization, named classes,
-and expected data: the Hilbert function, degree values, identities,
-tables and pairing vectors.  Rationals are always strings like
-"-4103/144", never floats; flags are JSON booleans.
+relations (plus an optional Chern identity genus, whose relations the
+loader appends to the listed ones), an optional degree normalization,
+named classes, and expected data: the Hilbert function, degree values,
+identities, tables and pairing vectors.  Rationals are always strings like
+"-4103/144", never floats; flags are JSON booleans.  A fact the entries
+already state is not declared again: a degrees-table entry is recomputed
+exactly when it has an expression, and a pairing grid's codimension is
+the common degree of its rows.
 
 Every field is read by one reader per JSON shape (``_Collector.text``,
 ``integer``, ``flag``, ``items``, ``objects``, ``rational``, ``expr`` and
@@ -30,7 +33,7 @@ from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from .errors import AvchowError, ParseError, RingSpecError
 from .exprparse import parse_expression
-from .poly import GeneratorSet, Polynomial, parse_rational
+from .poly import GeneratorSet, Polynomial, expand_chern_identity, parse_rational
 from .quotient import DegreeFunctional, QuotientRing, RingPresentation
 
 _is_identifier = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch
@@ -45,7 +48,11 @@ class DegreeEntry(NamedTuple):
     element: Polynomial | None
     value: Fraction
     alt_value: Fraction | None
-    checkable: bool
+
+    @property
+    def checkable(self) -> bool:
+        """Whether the entry is recomputed: it is when it has an element."""
+        return self.element is not None
 
 
 class DegreesTable(NamedTuple):
@@ -56,6 +63,11 @@ class DegreesTable(NamedTuple):
 
 
 class PairingTable(NamedTuple):
+    """Stored degrees of row class times column class; a "relative_pairing" is integrated over the fibre.
+
+    ``codim`` is the rows' common degree, and ``det_nonzero`` is read for a "pairing" only.
+    """
+
     id: str
     codim: int
     row_labels: tuple[str, ...]
@@ -65,7 +77,7 @@ class PairingTable(NamedTuple):
     values: tuple[tuple[Fraction, ...], ...]
     det_nonzero: bool
     source: str
-    kind: str = "pairing"
+    kind: str
 
 
 class PairingVectorTable(NamedTuple):
@@ -79,17 +91,6 @@ class PairingVectorTable(NamedTuple):
     solve: bool
     source: str
     kind: str = "pairing_vector"
-
-
-class RelativePairingTable(NamedTuple):
-    id: str
-    row_labels: tuple[str, ...]
-    rows: tuple[Polynomial, ...]
-    col_labels: tuple[str, ...]
-    cols: tuple[Polynomial, ...]
-    values: tuple[tuple[Fraction, ...], ...]
-    source: str
-    kind: str = "relative_pairing"
 
 
 class Identity(NamedTuple):
@@ -293,41 +294,39 @@ def _load_generators(listed: Any, problems: _Collector) -> GeneratorSet | None:
     return GeneratorSet(pairs.items())
 
 
-def _chern_genus(value: Any, gens: GeneratorSet, problems: _Collector) -> int | None:
-    """The genus whose Chern identity is appended, once its lambda generators are checked."""
+def _chern_relations(value: Any, gens: GeneratorSet, problems: _Collector) -> tuple[Polynomial, ...]:
+    """The relations of the Chern identity of the genus ``value``, once its lambda generators are checked."""
     if value is None:
-        return None
+        return ()
     pointer = "/chern_identity_genus"
     genus = problems.integer(value, pointer, lambda n: n >= 1, "must be a positive integer, got {!r}")
-    for i in range(1, (genus or 0) + 1):
+    if genus is None:
+        return ()
+    for i in range(1, genus + 1):
         lam = f"lambda{i}"
         if not problems.check(lam in gens.names, pointer, f"generator {lam} missing for genus {genus}"):
-            return None
+            return ()
         if not problems.check(gens.weights[gens.index(lam)] == i, pointer, f"generator {lam} must have degree {i}"):
-            return None
-    return genus
+            return ()
+    return tuple(expand_chern_identity(genus, gens))
 
 
 def _load_degree_entries(listed: Any, pointer: str, problems: _Collector) -> tuple[DegreeEntry, ...]:
     entries = []
     for entry_pointer, entry in problems.objects(listed, pointer, "expected a non-empty list", nonempty=True):
-        checkable = problems.flag(entry.get("checkable", "expr" in entry), f"{entry_pointer}/checkable")
         value = problems.rational(entry.get("value"), f"{entry_pointer}/value")
         alt_value = problems.rational(entry["alt_value"], f"{entry_pointer}/alt_value") if "alt_value" in entry else None
         element = problems.expr(entry["expr"], f"{entry_pointer}/expr") if "expr" in entry else None
         label = entry.get("label")
         if label is None:
             label = entry.get("expr")
-        if problems.text(label, entry_pointer, "entry needs an expr or a label") is not None:
-            problems.check(not checkable or element is not None, entry_pointer, "checkable entry needs a parsable expr")
-        entries.append(DegreeEntry(label, element, value, alt_value, checkable))
+        problems.text(label, entry_pointer, "entry needs an expr or a label")
+        entries.append(DegreeEntry(label, element, value, alt_value))
     return tuple(entries)
 
 
-def _load_grid(
-    item: Mapping[str, Any], pointer: str, table_id: str, problems: _Collector
-) -> PairingTable | RelativePairingTable | None:
-    """A pairing or relative pairing table: row and column expressions and their values."""
+def _load_grid(item: Mapping[str, Any], pointer: str, table_id: str, kind: str, problems: _Collector) -> PairingTable | None:
+    """A pairing or relative pairing grid: row and column expressions and their values."""
     row_labels = problems.items(item.get("rows"), f"{pointer}/rows", "expected a non-empty list of expressions", nonempty=True)
     if row_labels is None:
         return None
@@ -347,16 +346,14 @@ def _load_grid(
     )
     if len(problems.problems) > before:  # a bad row, column or value
         return None
-    if item.get("kind") == "relative_pairing":
-        return RelativePairingTable(
-            table_id, tuple(row_labels), rows, tuple(col_labels), cols, matrix, _source(item, pointer, problems)
-        )
-    codim = problems.integer(
-        item.get("codim"), f"{pointer}/codim", lambda n: n >= 0, "pairing table needs a non-negative integer codim"
-    )
-    det_nonzero = problems.flag(item.get("det_nonzero", False), f"{pointer}/det_nonzero")
+    codims = {row.weighted_degree() for row in rows}  # None for a zero row
+    if not problems.check(len(codims) == 1 and None not in codims, f"{pointer}/rows", "rows must share one degree"):
+        return None
+    det_nonzero = kind == "pairing" and problems.flag(item.get("det_nonzero", False), f"{pointer}/det_nonzero")
     source = _source(item, pointer, problems)
-    return PairingTable(table_id, codim, tuple(row_labels), rows, tuple(col_labels), cols, matrix, det_nonzero, source)
+    return PairingTable(
+        table_id, codims.pop(), tuple(row_labels), rows, tuple(col_labels), cols, matrix, det_nonzero, source, kind
+    )
 
 
 def _load_pairing_vector(item: Mapping[str, Any], pointer: str, problems: _Collector) -> PairingVectorTable | None:
@@ -397,7 +394,7 @@ def _load_tables(listed: Any, problems: _Collector) -> list[Any]:
         elif kind == "pairing_vector":
             tables.append(_load_pairing_vector(item, pointer, problems))
         else:
-            tables.append(_load_grid(item, pointer, table_id, problems))
+            tables.append(_load_grid(item, pointer, table_id, kind, problems))
     return tables
 
 
@@ -414,7 +411,7 @@ def load_ring_spec(source: str | os.PathLike | Mapping[str, Any]) -> LoadedRing:
     gens = problems.gens = _load_generators(data.get("generators"), problems)
     if gens is None:
         raise RingSpecError(problems.problems)
-    chern_genus = _chern_genus(data.get("chern_identity_genus"), gens, problems)
+    chern_relations = _chern_relations(data.get("chern_identity_genus"), gens, problems)
 
     # Read before any class is named: relations may use generators only.
     relations = problems.items(data.get("relations", []), "/relations", "expected a list of expression strings")
@@ -436,7 +433,7 @@ def load_ring_spec(source: str | os.PathLike | Mapping[str, Any]) -> LoadedRing:
 
     problems.raise_if_any()
 
-    ring = QuotientRing(RingPresentation(name, gens, listed_relations, chern_genus))
+    ring = QuotientRing(RingPresentation(name, gens, listed_relations + chern_relations))
 
     functional = None
     normalization = data.get("normalization")

@@ -102,6 +102,35 @@ MUTANTS = (
         "if isinstance(value, (bool, str)):",
         ("test_ringspec.py",),
     ),
+    # Facts read off the entries, not declared.
+    Mutant(
+        "grid-rows-degree-unchecked",
+        "ringspec.py",
+        "len(codims) == 1 and None not in codims",
+        "None not in codims",
+        ("test_ringspec_corpus.py",),
+    ),
+    Mutant(
+        "grid-zero-row-accepted",
+        "ringspec.py",
+        "len(codims) == 1 and None not in codims",
+        "len(codims) == 1",
+        ("test_ringspec_corpus.py",),
+    ),
+    Mutant(
+        "entry-always-checkable",
+        "ringspec.py",
+        "return self.element is not None",
+        "return True",
+        ("test_catalog.py",),
+    ),
+    Mutant(
+        "chern-relations-not-appended",
+        "ringspec.py",
+        "    return tuple(expand_chern_identity(genus, gens))\n",
+        "    return ()\n",
+        ("test_ringspec.py",),
+    ),
     # The kernel refuses what is not Artinian.
     Mutant(
         "not-artinian-accepted",
@@ -317,6 +346,13 @@ MUTANTS = (
         "mono = tuple(e * exponent for e in mono)",
         "mono = tuple(e * (exponent - 1) for e in mono)",
         ("test_exprparse.py", "test_poly.py"),
+    ),
+    Mutant(
+        "product-common-scale-dropped",
+        "poly.py",
+        "(a, scale_a), (b, scale_b) = integer_terms(a), integer_terms(b)",
+        "scale_a = scale_b = 1",
+        ("test_poly.py",),
     ),
     Mutant(
         "keep-ignored-in-product",

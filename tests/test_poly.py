@@ -13,9 +13,11 @@ from avchow import (
     GeneratorMismatchError,
     GeneratorSet,
     Polynomial,
+    RingSpecError,
     SizeError,
     SubstitutionError,
     format_rational,
+    load_ring_spec,
     parse_expression,
     parse_rational,
 )
@@ -173,6 +175,29 @@ class TestArithmetic:
         big = Polynomial(x, {(1,): 2**60_000})
         with pytest.raises(SizeError, match="MAX_COEFFICIENT_BITS"):
             big * big
+
+    def test_products_multiply_integer_numerators(self, monkeypatch):
+        # A spec relation is expanded in full before its homogeneity is
+        # checked.  Each product scales its factors to integer numerators
+        # once, so refusing this one multiplies no pair of Fractions; a
+        # Fraction product per pair of terms would make about 70,000.
+        products = 0
+        fraction_mul, fraction_rmul = Fraction.__mul__, Fraction.__rmul__
+
+        def counted(multiply):
+            def count(a, b):
+                nonlocal products
+                products += 1
+                return multiply(a, b)
+
+            return count
+
+        monkeypatch.setattr(Fraction, "__mul__", counted(fraction_mul))
+        monkeypatch.setattr(Fraction, "__rmul__", counted(fraction_rmul))
+        spec = {"name": "hostile", "generators": [{"name": "y", "degree": 2}], "relations": ["((y + 1/2))^422"]}
+        with pytest.raises(RingSpecError, match=r"'\(\(y \+ 1/2\)\)\^422' is not homogeneous"):
+            load_ring_spec(spec)
+        assert products < 10
 
     def test_mixed_generator_sets_rejected(self):
         other = GeneratorSet([("x", 1)])

@@ -136,7 +136,6 @@ class TestValidation:
         pairing = {
             "id": "t",
             "kind": "pairing",
-            "codim": True,
             "rows": ["x"],
             "cols": ["x^2"],
             "values": [["1"]],
@@ -149,23 +148,20 @@ class TestValidation:
             "values": ["1"],
             "divide_by": True,
         }
-        degrees = {"id": "d", "kind": "degrees", "entries": [{"expr": "x", "value": "1", "checkable": "no"}]}
         identity = {"id": "i", "lhs": "x", "rhs": "x", "source": 5}
         for bad, pointer, expected in (
-            (spec(tables=[pairing]), "/tables/0/codim", "integer"),
             (spec(tables=[vector]), "/tables/0/divide_by", "integer"),
             (spec(chern_identity_genus=True), "/chern_identity_genus", "integer"),
             # and flags are not strings, nor citations numbers
-            (spec(tables=[dict(pairing, codim=1, det_nonzero="false")]), "/tables/0/det_nonzero", "true or false"),
+            (spec(tables=[dict(pairing, det_nonzero="false")]), "/tables/0/det_nonzero", "true or false"),
             (spec(tables=[dict(vector, divide_by=1, solve="no")]), "/tables/0/solve", "true or false"),
-            (spec(tables=[degrees]), "/tables/0/entries/0/checkable", "true or false"),
             (spec(identities=[identity]), "/identities/0/source", "expected a string, got int"),
         ):
             with pytest.raises(RingSpecError) as info:
                 load_ring_spec(bad)
             messages = [m for q, m in info.value.problems if q == pointer]
             assert messages and expected in messages[0], pointer
-        loaded = load_ring_spec(spec(tables=[dict(pairing, codim=1, det_nonzero=False), dict(vector, divide_by=1, solve=True)]))
+        loaded = load_ring_spec(spec(tables=[dict(pairing, det_nonzero=False), dict(vector, divide_by=1, solve=True)]))
         assert [loaded.tables[0].det_nonzero, loaded.tables[1].solve] == [False, True]
 
     def test_names_may_not_end_in_a_newline(self):

@@ -15,6 +15,10 @@ after a deliberate change of the loader's behaviour, run from the
 repository root:
 
     PYTHONPATH=src python tests/test_ringspec_corpus.py
+
+Before it rewrites the file, the script prints each case whose outcome
+differs from the recorded one, old and new in full, each recorded case
+that is gone, and the count of cases whose ``loads`` digest alone changed.
 """
 
 from __future__ import annotations
@@ -48,13 +52,12 @@ TOY = {
         {
             "id": "d",
             "kind": "degrees",
-            "entries": [{"expr": "x^3", "value": "1/6"}, {"label": "other", "value": "1", "checkable": False}],
+            "entries": [{"expr": "x^3", "value": "1/6"}, {"label": "other", "value": "1"}],
             "source": "s",
         },
         {
             "id": "p",
             "kind": "pairing",
-            "codim": 1,
             "rows": ["x"],
             "cols": ["x^2"],
             "values": [["1/6"]],
@@ -161,7 +164,8 @@ HAND_CASES = [
     ("pairing-values-row-wrong-length", [("/tables/1/values/0", ["1", "2"])]),
     ("pairing-value-bad", [("/tables/1/values/0/0", "x")]),
     ("pairing-every-part-bad", [("/tables/1/rows/0", "x +"), ("/tables/1/cols/0", 2), ("/tables/1/values/0/0", "x")]),
-    ("pairing-codim-missing", [("/tables/1/codim", DELETE)]),
+    ("pairing-rows-mixed-degrees", [("/tables/1/rows", ["x", "y"]), ("/tables/1/values", [["1/6"], ["1/12"]])]),
+    ("pairing-row-zero", [("/tables/1/rows/0", "0")]),
     ("pairing-codim-negative", [("/tables/1/codim", -1)]),
     ("pairing-codim-bool", [("/tables/1/codim", True)]),
     ("pairing-det-string", [("/tables/1/det_nonzero", "false")]),
@@ -367,7 +371,24 @@ def test_outcome_is_pinned(case):
         assert outcome(apply_edits(base, case["edits"])) == case["outcome"]
 
 
+def report_changes(recorded: list[dict], corpus: list[dict]) -> None:
+    """Print how ``corpus`` differs from the ``recorded`` outcomes, case by case."""
+    before = {case["name"]: case["outcome"] for case in recorded}
+    digests = 0
+    for case in corpus:
+        old, new = before.pop(case["name"], None), case["outcome"]
+        if old is not None and "loads" in old and "loads" in new:
+            digests += old != new
+        elif old != new:
+            print(f"{case['name']}\n  was: {json.dumps(old)}\n  now: {json.dumps(new)}")
+    for name in before:
+        print(f"{name}\n  gone")
+    print(f"{digests} cases changed only their loads digest")
+
+
 if __name__ == "__main__":
-    lines = ",\n".join(json.dumps(case) for case in build_corpus())  # one case a line, so diffs name the case
+    corpus = build_corpus()
+    report_changes(RECORDED, corpus)
+    lines = ",\n".join(json.dumps(case) for case in corpus)  # one case a line, so diffs name the case
     CORPUS.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
     sys.exit(0)

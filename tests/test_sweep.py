@@ -15,6 +15,7 @@ from avchow import DegreeError, GeneratorSet, Polynomial, QuotientRing, RingPres
 from avchow import groebner
 from avchow.catalog import RING_NAMES, Catalog
 from avchow.groebner import _leading_term, buchberger, monomial_divides, reduce
+from avchow.poly import expand_chern_identity
 
 from oracles import monomials_of_degree, without_pure_powers
 
@@ -137,7 +138,7 @@ def test_sweep_counts():
 def compact_lambda_ring(genus):
     """Q[lambda1..lambda_g] modulo the Chern identity of that genus."""
     gens = GeneratorSet((f"lambda{i}", i) for i in range(1, genus + 1))
-    return QuotientRing(RingPresentation(f"lambda_{genus}", gens, [], chern_identity_genus=genus))
+    return QuotientRing(RingPresentation(f"lambda_{genus}", gens, expand_chern_identity(genus, gens)))
 
 
 @pytest.mark.parametrize(
