@@ -17,10 +17,14 @@ pointer.  Validation is aggregated: a bad file reports every problem it
 contains in one RingSpecError.  Problems come in the order the fields
 are read: name, description, source and generators (a bad generator ends
 the checks there), Chern genus, relations and named classes; then, once
-the ring is built, normalization, identities, expected data, tables and
-pairing vectors.  The items of a list come in order, and within an item
-a bad field that the rest depends on (an id, a kind, a list's shape)
-ends the item's checks.
+the ring is built, the file's own keys, normalization, identities,
+expected data, tables and pairing vectors.  The items of a list come in
+order, and within an item a bad field that the rest depends on (an id, a
+kind, a list's shape) ends the item's checks.  An object's keys are
+checked before its fields (a table's once its id and kind are read,
+since its keys depend on its kind): each key the format does not know
+is one problem at its own pointer, such as ``unknown key 'det_nonzer'``,
+and the object's other checks go on.
 """
 
 from __future__ import annotations
@@ -38,7 +42,29 @@ from .quotient import DegreeFunctional, QuotientRing, RingPresentation
 
 _is_identifier = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch
 
-TABLE_KINDS = ("pairing", "degrees", "pairing_vector", "relative_pairing")
+# The keys each object may have; any other key is reported.  The file's
+# "fibration" is read by ``Catalog.fibered_surface``, and a degrees table's
+# "scale_note" is a note for the reader, checked as a string.
+_SPEC_KEYS = frozenset(
+    {
+        "name", "description", "source", "generators", "chern_identity_genus", "relations", "named_classes",
+        "normalization", "identities", "expected", "tables", "pairing_vectors", "fibration",
+    }
+)
+_GENERATOR_KEYS = frozenset({"name", "degree"})
+_NORMALIZATION_KEYS = frozenset({"element", "value"})
+_IDENTITY_KEYS = frozenset({"id", "lhs", "rhs", "mode", "source"})
+_EXPECTED_KEYS = frozenset({"hilbert", "degrees"})
+_EXPECTED_DEGREE_KEYS = frozenset({"expr", "value", "source"})
+_ENTRY_KEYS = frozenset({"label", "expr", "value", "alt_value"})
+_VECTOR_KEYS = frozenset({"id", "class", "basis", "values", "divide_by", "solve", "source"})
+_GRID_KEYS = frozenset({"id", "kind", "rows", "cols", "values", "source"})
+_TABLE_KEYS = {
+    "pairing": _GRID_KEYS | {"det_nonzero"},
+    "degrees": frozenset({"id", "kind", "entries", "source", "scale_note"}),
+    "pairing_vector": _VECTOR_KEYS | {"kind"},
+    "relative_pairing": _GRID_KEYS,
+}
 
 
 class DegreeEntry(NamedTuple):
@@ -166,6 +192,12 @@ class _Collector:
         if self.problems:
             raise RingSpecError(self.problems)
 
+    def known_keys(self, item: Mapping[str, Any], pointer: str, keys: frozenset) -> None:
+        """Report each key of the object ``item`` that is not in ``keys``, at its own pointer."""
+        for key in item:
+            if key not in keys:
+                self.add(_pointer(pointer, key), f"unknown key {key!r}")
+
     def check(self, ok: Any, pointer: str, message: str) -> bool:
         if not ok:
             self.add(pointer, message)
@@ -246,6 +278,11 @@ class _Collector:
         return tuple([self.expr(text, f"{pointer}/{i}") for i, text in enumerate(values)])
 
 
+def _pointer(parent: str, key: Any) -> str:
+    """The pointer of an object's ``key``, escaped as RFC 6901 asks: '~' as '~0', then '/' as '~1'."""
+    return f"{parent}/" + str(key).replace("~", "~0").replace("/", "~1")
+
+
 def _read_source(source: str | os.PathLike | Mapping[str, Any]) -> dict:
     if isinstance(source, Mapping):
         return dict(source)
@@ -282,6 +319,7 @@ def _load_generators(listed: Any, problems: _Collector) -> GeneratorSet | None:
         nonempty=True,
         item_message="expected an object with name and degree",
     ):
+        problems.known_keys(item, pointer, _GENERATOR_KEYS)
         name = item.get("name")
         if problems.check(
             isinstance(name, str) and _is_identifier(name), f"{pointer}/name", f"invalid generator name {name!r}"
@@ -314,6 +352,7 @@ def _chern_relations(value: Any, gens: GeneratorSet, problems: _Collector) -> tu
 def _load_degree_entries(listed: Any, pointer: str, problems: _Collector) -> tuple[DegreeEntry, ...]:
     entries = []
     for entry_pointer, entry in problems.objects(listed, pointer, "expected a non-empty list", nonempty=True):
+        problems.known_keys(entry, entry_pointer, _ENTRY_KEYS)
         value = problems.rational(entry.get("value"), f"{entry_pointer}/value")
         alt_value = problems.rational(entry["alt_value"], f"{entry_pointer}/alt_value") if "alt_value" in entry else None
         element = problems.expr(entry["expr"], f"{entry_pointer}/expr") if "expr" in entry else None
@@ -386,10 +425,14 @@ def _load_tables(listed: Any, problems: _Collector) -> list[Any]:
     for pointer, item in problems.objects(listed, "/tables"):
         table_id = problems.text(item.get("id"), f"{pointer}/id", "table id must be a non-empty string")
         kind = item.get("kind")
-        if table_id is None or not problems.check(kind in TABLE_KINDS, f"{pointer}/kind", f"unknown table kind {kind!r}"):
+        if table_id is None or not problems.check(
+            isinstance(kind, str) and kind in _TABLE_KEYS, f"{pointer}/kind", f"unknown table kind {kind!r}"
+        ):
             continue
+        problems.known_keys(item, pointer, _TABLE_KEYS[kind])
         if kind == "degrees":
             entries = _load_degree_entries(item.get("entries", []), f"{pointer}/entries", problems)
+            problems.text(item.get("scale_note", ""), f"{pointer}/scale_note", empty=True)
             tables.append(DegreesTable(table_id, entries, _source(item, pointer, problems)))
         elif kind == "pairing_vector":
             tables.append(_load_pairing_vector(item, pointer, problems))
@@ -422,8 +465,7 @@ def load_ring_spec(source: str | os.PathLike | Mapping[str, Any]) -> LoadedRing:
     if not problems.check(isinstance(named_raw, Mapping), "/named_classes", "expected an object of name -> expression"):
         named_raw = {}
     for class_name, text in named_raw.items():
-        # A key is escaped as RFC 6901 asks: '~' as '~0', then '/' as '~1'.
-        pointer = "/named_classes/" + str(class_name).replace("~", "~0").replace("/", "~1")
+        pointer = _pointer("/named_classes", class_name)
         if problems.check(
             isinstance(class_name, str) and _is_identifier(class_name), pointer, f"invalid class name {class_name!r}"
         ) and problems.check(class_name not in gens.names, pointer, f"named class {class_name!r} shadows a generator"):
@@ -434,12 +476,14 @@ def load_ring_spec(source: str | os.PathLike | Mapping[str, Any]) -> LoadedRing:
     problems.raise_if_any()
 
     ring = QuotientRing(RingPresentation(name, gens, listed_relations + chern_relations))
+    problems.known_keys(data, "", _SPEC_KEYS)
 
     functional = None
     normalization = data.get("normalization")
     if normalization is not None and problems.check(
         isinstance(normalization, Mapping), "/normalization", "expected an object with element and value"
     ):
+        problems.known_keys(normalization, "/normalization", _NORMALIZATION_KEYS)
         element = problems.expr(normalization.get("element"), "/normalization/element")
         value = problems.rational(normalization.get("value"), "/normalization/value")
         if element is not None and value is not None:
@@ -450,6 +494,7 @@ def load_ring_spec(source: str | os.PathLike | Mapping[str, Any]) -> LoadedRing:
 
     identities: list[Identity] = []
     for pointer, item in problems.objects(data.get("identities", []), "/identities"):
+        problems.known_keys(item, pointer, _IDENTITY_KEYS)
         identity_id = problems.text(item.get("id"), f"{pointer}/id", "identity needs a non-empty id")
         mode = item.get("mode", "class")
         if identity_id is None or not problems.check(
@@ -463,25 +508,28 @@ def load_ring_spec(source: str | os.PathLike | Mapping[str, Any]) -> LoadedRing:
     expected = data.get("expected", {})
     if not problems.check(isinstance(expected, Mapping), "/expected", "expected an object"):
         expected = {}
+    problems.known_keys(expected, "/expected", _EXPECTED_KEYS)
     expected_hilbert = expected.get("hilbert")
     if "hilbert" in expected and not problems.check(
         isinstance(expected_hilbert, list)
+        and expected_hilbert
         and all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in expected_hilbert),
         "/expected/hilbert",
-        "expected a list of non-negative integers",
+        "expected a non-empty list of non-negative integers",
     ):
         expected_hilbert = None
     degrees: list[DegreeExpectation] = []
     for pointer, item in problems.objects(expected.get("degrees", []), "/expected/degrees"):
+        problems.known_keys(item, pointer, _EXPECTED_DEGREE_KEYS)
         element = problems.expr(item.get("expr"), f"{pointer}/expr")
         value = problems.rational(item.get("value"), f"{pointer}/value")
         degrees.append(DegreeExpectation(item.get("expr"), element, value, _source(item, pointer, problems)))
 
     tables = _load_tables(data.get("tables", []), problems)
-    pairing_vectors = [
-        _load_pairing_vector(item, pointer, problems)
-        for pointer, item in problems.objects(data.get("pairing_vectors", []), "/pairing_vectors")
-    ]
+    pairing_vectors = []
+    for pointer, item in problems.objects(data.get("pairing_vectors", []), "/pairing_vectors"):
+        problems.known_keys(item, pointer, _VECTOR_KEYS)
+        pairing_vectors.append(_load_pairing_vector(item, pointer, problems))
 
     problems.raise_if_any()
 

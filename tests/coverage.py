@@ -23,10 +23,8 @@ keeps one traced deadline miss from failing every later run; it does not
 stop a first one.  Deadlines, example counts and strategies are the
 tests' own.
 
-The script exits 1 when the suite fails, when a line is unrun and not in
-``ALLOWED`` below, or when a line in ``ALLOWED`` did run (the list cannot
-rot).  Each entry of ``ALLOWED`` gives the reason its line cannot run
-under a test.
+The script exits 1 when the suite fails or when any line is unrun; there
+is no allowlist, so a new line comes with a test that runs it.
 """
 
 from __future__ import annotations
@@ -38,11 +36,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "avchow"
-
-ALLOWED = {
-    "cli.py:352": "the __main__ guard; the tests call cli.main, and the console script imports it",
-}
-
 
 class OnlyThePackage:
     """The tracer's filter: ``names`` is true (ignore) for every file outside ``src/avchow``.
@@ -118,13 +111,9 @@ def main() -> int:
         absolute = os.path.realpath(path)
         unrun.extend(f"{path.name}:{line}" for line in sorted(executable_lines(path)) if (absolute, line) not in ran)
     for key in unrun:
-        print(f"unrun  {key}" + (f"  (allowed: {ALLOWED[key]})" if key in ALLOWED else ""))
-    unexpected = [key for key in unrun if key not in ALLOWED]
-    stale = [key for key in ALLOWED if key not in unrun]
-    for key in stale:
-        print(f"allowed but run  {key}; remove it from ALLOWED")
-    print(f"{len(unrun)} unrun lines in src/avchow, {len(unexpected)} not allowed; {len(stale)} stale allowances")
-    return 1 if unexpected or stale else 0
+        print(f"unrun  {key}")
+    print(f"{len(unrun)} unrun lines in src/avchow")
+    return 1 if unrun else 0
 
 
 if __name__ == "__main__":

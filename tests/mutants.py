@@ -53,7 +53,7 @@ MUTANTS = (
         "ringspec.py",
         "if isinstance(value, int) and not isinstance(value, bool) and ok(value):",
         "if isinstance(value, int) and ok(value):",
-        ("test_ringspec.py",),
+        ("test_ringspec.py", "test_ringspec_corpus.py"),
     ),
     Mutant(
         "spec-objects-eager",
@@ -79,28 +79,49 @@ MUTANTS = (
         "ringspec.py",
         'if self.check(poly.is_homogeneous, pointer, f"expression {value!r} is not homogeneous"):',
         "if True:",
-        ("test_ringspec.py",),
+        ("test_ringspec.py", "test_ringspec_corpus.py"),
     ),
     Mutant(
         "spec-identifier-prefix-match",
         "ringspec.py",
         'r"[A-Za-z_][A-Za-z0-9_]*").fullmatch',
         'r"[A-Za-z_][A-Za-z0-9_]*").match',
-        ("test_ringspec.py",),
+        ("test_ringspec.py", "test_ringspec_corpus.py"),
     ),
     Mutant(
         "spec-class-pointer-unescaped",
         "ringspec.py",
         '.replace("~", "~0").replace("/", "~1")',
         "",
-        ("test_ringspec.py",),
+        ("test_ringspec.py", "test_ringspec_corpus.py"),
     ),
     Mutant(
         "spec-flag-accepts-strings",
         "ringspec.py",
         "if isinstance(value, bool):",
         "if isinstance(value, (bool, str)):",
-        ("test_ringspec.py",),
+        ("test_ringspec.py", "test_ringspec_corpus.py"),
+    ),
+    Mutant(
+        "spec-unknown-keys-ignored",
+        "ringspec.py",
+        "            if key not in keys:\n",
+        "            if False:\n",
+        ("test_ringspec_corpus.py",),
+    ),
+    Mutant(
+        "table-keys-ignore-kind",
+        "ringspec.py",
+        '    "relative_pairing": _GRID_KEYS,\n',
+        '    "relative_pairing": _GRID_KEYS | {"det_nonzero"},\n',
+        ("test_ringspec_corpus.py",),
+    ),
+    Mutant(
+        "spec-empty-hilbert-accepted",
+        "ringspec.py",
+        "        and expected_hilbert\n",
+        "",
+        ("test_ringspec_corpus.py",),
     ),
     # Facts read off the entries, not declared.
     Mutant(

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import runpy
+import sys
 import time
 import tracemalloc
 from itertools import combinations
@@ -63,6 +65,15 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "hilbert", "--ring", "a2_tilde")
         assert code == 0
         assert out.strip() == "1,2,2,1"
+
+    # The module is imported already, and runpy warns that it runs it again.
+    @pytest.mark.filterwarnings("ignore:'avchow.cli' found in sys.modules:RuntimeWarning")
+    def test_module_runs_as_a_script(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["avchow", "hilbert", "--ring", "a1_tilde"])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("avchow.cli", run_name="__main__")
+        assert info.value.code == 0
+        assert capsys.readouterr().out == "1,1\n"
 
     def test_hilbert_with_max(self, capsys):
         code, out, _ = run(capsys, "hilbert", "--ring", "a1_tilde", "--max", "3")

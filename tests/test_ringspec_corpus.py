@@ -6,13 +6,14 @@ exact list of ``(pointer, message)`` problems in order, another
 ``AvchowError`` with its text, or a digest of the loaded ring.  The hand
 cases reach every place where the loader reports a problem; the drawn
 cases replace one field, at depth 1 to 4, of a catalog spec with a hostile
-value, from a fixed seed.  The draw walks the fields of each spec, so an
-edit of a catalog spec moves it; the drawn cases it moves out are kept
-as they were, so that no pinned outcome is lost.
+value: ``PER_SPEC`` cases for each spec, from that spec's own seeded
+stream, so an edit of one spec moves only that spec's drawn cases.
 
-The outcomes live in ``ringspec_corpus.json``.  To record them again
-after a deliberate change of the loader's behaviour, run from the
-repository root:
+The outcomes live in ``ringspec_corpus.json``, which is the record: a
+recorded catalog case stays in it after the draw stops producing it, as
+long as its edits still apply to its spec.  To record the outcomes again
+after a deliberate change of the loader's behaviour or of a catalog spec,
+run from the repository root:
 
     PYTHONPATH=src python tests/test_ringspec_corpus.py
 
@@ -95,6 +96,7 @@ HAND_CASES = [
     ("generator-duplicate", [("/generators/1/name", "x")]),
     ("generator-degree-zero", [("/generators/0/degree", 0)]),
     ("generator-degree-bool", [("/generators/0/degree", True)]),
+    ("generator-stray-key", [("/generators/1/weight", 2)]),
     ("generators-all-bad", [("/generators", [1, {"name": "", "degree": 1}, {"name": "z", "degree": 1.0}])]),
     ("chern-not-int", [("/chern_identity_genus", "2")]),
     ("chern-bool", [("/chern_identity_genus", True)]),
@@ -135,6 +137,7 @@ HAND_CASES = [
     ("hilbert-not-list", [("/expected/hilbert", 3)]),
     ("hilbert-negative", [("/expected/hilbert", [1, -1])]),
     ("hilbert-bool", [("/expected/hilbert", [True])]),
+    ("hilbert-empty", [("/expected/hilbert", [])]),
     ("degrees-not-list", [("/expected/degrees", {})]),
     ("degree-not-object", [("/expected/degrees/0", "x")]),
     ("degree-expr-missing", [("/expected/degrees/0/expr", DELETE)]),
@@ -156,6 +159,7 @@ HAND_CASES = [
     ("degree-entry-bad-value", [("/tables/0/entries/0/value", 1)]),
     ("degree-entry-bad-alt-value", [("/tables/0/entries/0/alt_value", "a")]),
     ("degree-entry-checkable-string", [("/tables/0/entries/0/checkable", "no")]),
+    ("degree-table-scale-note-int", [("/tables/0/scale_note", 2)]),
     ("degree-table-source-int", [("/tables/0/source", 5)]),
     ("pairing-rows-empty", [("/tables/1/rows", [])]),
     ("pairing-cols-not-list", [("/tables/1/cols", "x^2")]),
@@ -169,10 +173,12 @@ HAND_CASES = [
     ("pairing-codim-negative", [("/tables/1/codim", -1)]),
     ("pairing-codim-bool", [("/tables/1/codim", True)]),
     ("pairing-det-string", [("/tables/1/det_nonzero", "false")]),
+    ("pairing-det-misspelt", [("/tables/1/det_nonzer", True)]),
     ("pairing-source-int", [("/tables/1/source", 5)]),
     ("relative-rows-missing", [("/tables/2/rows", DELETE)]),
     ("relative-value-not-string", [("/tables/2/values/0/0", 0.5)]),
     ("relative-codim-ignored", [("/tables/2/codim", "x")]),
+    ("relative-det-nonzero", [("/tables/2/det_nonzero", True)]),
     ("vector-id-empty", [("/tables/3/id", "")]),
     ("vector-class-missing", [("/tables/3/class", DELETE)]),
     ("vector-class-bad", [("/tables/3/class", "q")]),
@@ -189,6 +195,16 @@ HAND_CASES = [
     ("pairing-vector-class-not-string", [("/pairing_vectors/0/class", 1)]),
     ("pairing-vectors-order", [("/pairing_vectors", [{}, None])]),
     ("pairing-vector-source-int", [("/pairing_vectors/0/source", 1)]),
+    (
+        "stray-key-in-every-object",
+        [
+            (f"{pointer}/zz~", 1)
+            for pointer in (
+                "", "/normalization", "/identities/0", "/expected", "/expected/degrees/0", "/tables/0",
+                "/tables/0/entries/0", "/tables/1", "/tables/2", "/tables/3", "/pairing_vectors/0",
+            )
+        ],
+    ),
     ("construction-problems-in-order", [("/name", ""), ("/relations/1", "x + y"), ("/named_classes/A", "z")]),
     (
         "expectation-problems-in-order",
@@ -215,37 +231,14 @@ HOSTILE = [
     DELETE, None, True, False, 0, 1, -1, 2.5, "", "x", "false", "1/0", "0.5", "x^2 +", "lambda1 + lambda1^2", "zz",
     [], [None], ["1"], [[]], {}, {"a": 1},
 ]
-DRAWN = 100
+PER_SPEC = 13
 SEED = 17
 
-# (base, pointer, value): drawn cases that edits of the catalog specs moved
-# out of the draw, kept.
-KEPT = [
-    # Moved when x2_tilde's fibration lost its "fiber" and "shift" fields.
-    ("x2_tilde", "/tables/0/rows", {"a": 1}),
-    ("x2_tilde", "/fibration/base", [None]),
-    ("x2_tilde", "/fibration/rule", "zz"),
-    ("x2_tilde", "/tables/1/kind", "false"),
-    ("x2_tilde", "/fibration/pushforwards", "lambda1 + lambda1^2"),
-    ("x2_tilde", "/relations/0", ["1"]),
-    ("x2_tilde", "/fibration/pushforwards/0", "x"),
-    ("x2_tilde", "/fibration/pushforwards/2", "lambda1 + lambda1^2"),
-    ("x2_tilde", "/relations/4", 2.5),
-    ("x2_tilde", "/tables/1/rows", "x^2 +"),
-    ("x2_tilde", "/tables/0", "lambda1 + lambda1^2"),
-    ("a2_tilde", "/named_classes/sigma2", "x^2 +"),
-    ("a3_partial", "/identities", "0.5"),
-    ("a3_partial", "/relations/2", 2.5),
-    ("a3_taut", "/generators/1", 1),
-    ("lambda1_quartic", "/generators", False),
-    ("a3_partial", "/expected/hilbert/4", False),
-    ("a2_tilde_2gen", "/expected/degrees/0/expr", ""),
-    ("lambda1_quartic", "/description", 1),
-]
 
-
-def catalog_spec(name: str) -> dict:
-    return json.loads((resources.files("avchow") / "data" / f"{name}.json").read_text(encoding="utf-8"))
+CATALOG = {
+    name: json.loads((resources.files("avchow") / "data" / f"{name}.json").read_text(encoding="utf-8"))
+    for name in RING_NAMES
+}
 
 
 def _pointers(value, pointer: str = "", depth: int = 0):
@@ -258,32 +251,23 @@ def _pointers(value, pointer: str = "", depth: int = 0):
         yield from _pointers(value[key], f"{pointer}/{key}", depth + 1)
 
 
-def catalog_case(base: str, pointer: str, value) -> tuple[str, str, list]:
-    """The case that replaces one field of the catalog spec ``base``: (name, base, edits)."""
-    return f"{base}{pointer}={json.dumps(value)}", base, [(pointer, value)]
-
-
-def drawn_cases() -> list[tuple[str, str, list]]:
-    """One field of a catalog spec replaced by a hostile value, from a fixed seed."""
-    rng = random.Random(SEED)
-    cases, seen = [], set()
-    while len(cases) < DRAWN:
-        base = rng.choice(RING_NAMES)
+def drawn_cases(specs: dict[str, dict]) -> list[tuple[str, str, list]]:
+    """(name, base, edits): for each spec, ``PER_SPEC`` fields replaced by a hostile value, from its own stream."""
+    cases = []
+    for base, spec in specs.items():
+        rng = random.Random(f"{SEED}:{base}")
         by_depth: dict[int, list[str]] = {}
-        for depth, pointer in _pointers(catalog_spec(base)):
+        for depth, pointer in _pointers(spec):
             by_depth.setdefault(depth, []).append(pointer)
-        pointer = rng.choice(by_depth[rng.choice(sorted(by_depth))])
-        value = rng.choice(HOSTILE)
-        key = (base, pointer, json.dumps(value))
-        if key not in seen:
-            seen.add(key)
-            cases.append(catalog_case(base, pointer, value))
+        names: set[str] = set()
+        while len(names) < PER_SPEC:
+            pointer = rng.choice(by_depth[rng.choice(sorted(by_depth))])
+            value = rng.choice(HOSTILE)
+            name = f"{base}{pointer}={json.dumps(value)}"
+            if name not in names:
+                names.add(name)
+                cases.append((name, base, [(pointer, value)]))
     return cases
-
-
-def catalog_cases() -> list[tuple[str, str, list]]:
-    """The drawn cases, then the kept ones."""
-    return drawn_cases() + [catalog_case(*kept) for kept in KEPT]
 
 
 def apply_edits(spec: dict, edits) -> dict:
@@ -338,16 +322,25 @@ def text_outcome(text: str) -> dict:
         return outcome(path)
 
 
-def build_corpus() -> list[dict]:
+def build_corpus(recorded: list[dict]) -> list[dict]:
+    """The hand, text and drawn cases, then each ``recorded`` catalog case outside them whose edits still apply."""
     corpus = [
         {"name": name, "base": "toy", "edits": edits, "outcome": outcome(apply_edits(TOY, edits))}
         for name, edits in HAND_CASES
     ]
     corpus += [{"name": name, "text": text, "outcome": text_outcome(text)} for name, text in TEXT_CASES]
     corpus += [
-        {"name": name, "base": base, "edits": edits, "outcome": outcome(apply_edits(catalog_spec(base), edits))}
-        for name, base, edits in catalog_cases()
+        {"name": name, "base": base, "edits": edits, "outcome": outcome(apply_edits(CATALOG[base], edits))}
+        for name, base, edits in drawn_cases(CATALOG)
     ]
+    names = {case["name"] for case in corpus}
+    for case in recorded:
+        if case.get("base") in CATALOG and case["name"] not in names:
+            try:
+                spec = apply_edits(CATALOG[case["base"]], case["edits"])
+            except (LookupError, TypeError, ValueError):  # the spec lost the edited field
+                continue
+            corpus.append(dict(case, outcome=outcome(spec)))
     return corpus
 
 
@@ -357,9 +350,19 @@ RECORDED = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() els
 def test_corpus_is_complete():
     names = [case["name"] for case in RECORDED]
     expected = [name for name, _ in HAND_CASES] + [name for name, _ in TEXT_CASES]
-    expected += [name for name, _, _ in catalog_cases()]
-    assert names == expected and len(set(names)) == len(names)
+    expected += [name for name, _, _ in drawn_cases(CATALOG)]
+    assert names[: len(expected)] == expected and len(set(names)) == len(names)
+    assert all(case["base"] in CATALOG for case in RECORDED[len(expected) :])
     assert sum("loads" in case["outcome"] for case in RECORDED) < len(RECORDED) // 2
+
+
+def test_an_edit_moves_only_its_own_spec_draw():
+    # The first spec, so that a stream shared with the specs after it would move their cases.
+    first = RING_NAMES[0]
+    edited = {**CATALOG, first: apply_edits(CATALOG[first], [("/expected/hilbert", DELETE)])}
+    before, after = drawn_cases(CATALOG), drawn_cases(edited)
+    assert [case for case in before if case[1] != first] == [case for case in after if case[1] != first]
+    assert [case for case in before if case[1] == first] != [case for case in after if case[1] == first]
 
 
 @pytest.mark.parametrize("case", RECORDED, ids=[case["name"] for case in RECORDED])
@@ -367,7 +370,7 @@ def test_outcome_is_pinned(case):
     if "text" in case:
         assert text_outcome(case["text"]) == case["outcome"]
     else:
-        base = TOY if case["base"] == "toy" else catalog_spec(case["base"])
+        base = TOY if case["base"] == "toy" else CATALOG[case["base"]]
         assert outcome(apply_edits(base, case["edits"])) == case["outcome"]
 
 
@@ -387,7 +390,7 @@ def report_changes(recorded: list[dict], corpus: list[dict]) -> None:
 
 
 if __name__ == "__main__":
-    corpus = build_corpus()
+    corpus = build_corpus(RECORDED)
     report_changes(RECORDED, corpus)
     lines = ",\n".join(json.dumps(case) for case in corpus)  # one case a line, so diffs name the case
     CORPUS.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
