@@ -1,10 +1,11 @@
-"""JSON ring-spec loading: the values of loaded rings, the text of a RingSpecError, and the CLI on unreadable files.
+"""JSON ring-spec loading, validation, and the CLI on unreadable files.
 
-What the loader reports for a malformed spec is pinned in ``test_ringspec_corpus.py``.
+The full record of what the loader reports for a malformed spec is ``test_ringspec_corpus.py``.
 """
 
 import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -71,6 +72,69 @@ class TestLoad:
 
 
 class TestValidation:
+    def test_inhomogeneous_relation(self):
+        with pytest.raises(RingSpecError) as info:
+            load_ring_spec(spec(relations=["x + y"]))
+        assert any("/relations/0" in pointer for pointer, _ in info.value.problems)
+
+    def test_unknown_generator_in_relation(self):
+        with pytest.raises(RingSpecError) as info:
+            load_ring_spec(spec(relations=["z^2"]))
+        assert any("/relations/0" in pointer for pointer, _ in info.value.problems)
+
+    def test_bad_rational(self):
+        with pytest.raises(RingSpecError) as info:
+            load_ring_spec(
+                spec(normalization={"element": "x^4", "value": "0.5"})
+            )
+        assert any(
+            "/normalization/value" in pointer for pointer, _ in info.value.problems
+        )
+
+    def test_duplicate_generator(self):
+        bad = spec()
+        bad["generators"].append({"name": "x", "degree": 3})
+        with pytest.raises(RingSpecError):
+            load_ring_spec(bad)
+
+    def test_nonpositive_weight(self):
+        bad = spec()
+        bad["generators"][0]["degree"] = 0
+        with pytest.raises(RingSpecError):
+            load_ring_spec(bad)
+
+    def test_construction_errors_are_aggregated(self):
+        bad = spec(relations=["x + y", "z^2", "x^3"])
+        bad["named_classes"] = {"x": "y"}
+        with pytest.raises(RingSpecError) as info:
+            load_ring_spec(bad)
+        pointers = [pointer for pointer, _ in info.value.problems]
+        assert len(info.value.problems) >= 3
+        assert any("/relations/0" in q for q in pointers)
+        assert any("/relations/1" in q for q in pointers)
+        assert any("/named_classes/x" in q for q in pointers)
+
+    def test_expectation_errors_are_aggregated(self):
+        bad = spec()
+        bad["expected"] = {
+            "hilbert": [1, "two"],
+            "degrees": [{"expr": "nope", "value": "1/2"}],
+        }
+        with pytest.raises(RingSpecError) as info:
+            load_ring_spec(bad)
+        pointers = [pointer for pointer, _ in info.value.problems]
+        assert len(info.value.problems) >= 2
+        assert any("/expected/hilbert" in q for q in pointers)
+        assert any("/expected/degrees/0" in q for q in pointers)
+
+    def test_non_list_degrees_reported(self):
+        path = resources.files("avchow") / "data" / "a2_tilde.json"
+        bad = json.loads(path.read_text(encoding="utf-8"))
+        bad["expected"]["degrees"] = 5
+        with pytest.raises(RingSpecError) as info:
+            load_ring_spec(bad)
+        assert ("/expected/degrees", "expected a list") in info.value.problems
+
     def test_class_name_pointers_are_escaped(self):
         with pytest.raises(RingSpecError) as info:
             load_ring_spec(spec(named_classes={"a/b": "x", "c~d": "x", "e\nf\u2028": "x"}))
@@ -110,3 +174,11 @@ class TestValidation:
         assert messages and "socle degree 2" in messages[0]
         loaded = load_ring_spec(dict(cubic, normalization={"element": "x^2", "value": "1"}))
         assert loaded.functional.top_degree == 2
+
+    def test_named_class_cannot_shadow_generator(self):
+        with pytest.raises(RingSpecError):
+            load_ring_spec(spec(named_classes={"x": "2*y"}))
+
+    def test_chern_identity_needs_lambda_generators(self):
+        with pytest.raises(RingSpecError):
+            load_ring_spec(spec(chern_identity_genus=2))
