@@ -13,7 +13,9 @@ Every table kind has one function that lists its cells; the checks and the
 ``tables`` command both read them.  The few checks whose verdict is not
 ``==`` (determinants, the support of a tabulated image, equivalences, a
 non-integral count, the level identity) keep their own evaluations.
-``run_verification`` filters the checks by scope and runs them.
+``run_verification`` filters the checks by scope and runs them; the scopes
+are the names the checks carry (each one's group and parent: a ring name, a
+group or a table id), so no list of them is kept apart from the checks.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ RING_NAMES = (
     "lambda1_quartic",
     "x2_tilde",
 )
-
-GROUP_NAMES = ("levels", "torelli", "equivalences")
 
 
 def _read_data(filename: str) -> dict:
@@ -195,21 +195,10 @@ class Catalog:
     # ------------------------------------------------------------------
     # scopes and the check suite
 
-    def table_ids(self) -> list[str]:
-        ids = []
-        for name in RING_NAMES:
-            for table in self.ring(name).tables:
-                ids.append(table.id)
-        ids.append("4a")
-        return sorted(ids)
-
     def scopes(self) -> list[str]:
-        """Every scope accepted by run_verification."""
-        scopes = ["all"]
-        scopes.extend(RING_NAMES)
-        scopes.extend(GROUP_NAMES)
-        scopes.extend("table:" + tid for tid in self.table_ids())
-        return scopes
+        """Every scope accepted by run_verification: ``all``, then each check's parent and group, in build order."""
+        named = (scope for check in self.checks() for scope in (check.parent, check.group) if scope)
+        return ["all", *dict.fromkeys(named)]
 
     def checks(self) -> list[Check]:
         """The full check suite, built once and cached."""
@@ -229,23 +218,15 @@ class Catalog:
         return self._checks
 
     def select(self, scope: str = "all") -> list[Check]:
-        """Checks whose group or parent matches the scope."""
-        checks = self.checks()
-        if scope in ("all", None, ""):
-            return list(checks)
-        normalized = scope
-        if "table:" + scope in self.scopes():
-            normalized = "table:" + scope
-        if normalized not in self.scopes():
-            known = ", ".join(self.scopes())
-            raise UnknownScopeError(
-                f"unknown scope {scope!r}; known scopes: {known}"
-            )
-        return [
-            check
-            for check in checks
-            if check.group == normalized or check.parent == normalized
-        ]
+        """Checks whose group or parent is the scope, tried as given and then as ``table:`` + scope.
+
+        None and "" mean ``all``.
+        """
+        scopes = self.scopes()
+        resolved = next((name for name in (scope or "all", f"table:{scope}") if name in scopes), None)
+        if resolved is None:
+            raise UnknownScopeError(f"unknown scope {scope!r}; known scopes: {', '.join(scopes)}")
+        return [check for check in self.checks() if resolved in ("all", check.group, check.parent)]
 
     def run_verification(self, scope: str = "all") -> VerificationReport:
         """Run every check matching the scope and return the report."""

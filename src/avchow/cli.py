@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", default=None, metavar="ID", help="emit a single table (for example 3g)")
 
     p = sub.add_parser("verify", help="run the stored checks and report")
-    p.add_argument("--scope", default="all", metavar="S", help="all, a ring name, levels, torelli, equivalences, or table:ID")
+    p.add_argument("--scope", default="all", metavar="S", help="all, or a ring, group or table (table:3g or 3g) that the checks name; an unknown scope lists them")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
@@ -294,7 +294,7 @@ def _format_table_4a(catalog: Catalog) -> list[str]:
 
 
 def _cmd_tables(args, catalog: Catalog) -> int:
-    known = catalog.table_ids()
+    known = sorted(scope.removeprefix("table:") for scope in catalog.scopes() if scope.startswith("table:"))
     if args.id is not None and args.id not in known:
         raise UsageError(f"unknown table {args.id!r}; known tables: {', '.join(known)}")
     owners = {

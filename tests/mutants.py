@@ -684,6 +684,21 @@ MUTANTS = (
         "if False:",
         ("test_catalog.py",),
     ),
+    # Scopes: read off the checks, resolved one way.
+    Mutant(
+        "scope-bare-table-id-unresolved",
+        "catalog.py",
+        'for name in (scope or "all", f"table:{scope}")',
+        'for name in (scope or "all",)',
+        ("test_catalog.py", "test_cli.py"),
+    ),
+    Mutant(
+        "scope-parent-ignored",
+        "catalog.py",
+        'if resolved in ("all", check.group, check.parent)]',
+        'if resolved in ("all", check.group)]',
+        ("test_catalog.py", "test_cli.py"),
+    ),
     # Level counts, the Chern identity and the command line.
     Mutant(
         "group-order-integrality-unchecked",

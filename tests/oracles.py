@@ -5,7 +5,11 @@ Groebner machinery and linear algebra: it enumerates monomials by brute
 force (the tests draw and list their monomials with the same enumerator,
 not the package's) and row-reduces the degree-d slice of the relation ideal with its
 own Gaussian elimination.  Agreement with the staircase count is then a
-meaningful check rather than the same computation twice.
+meaningful check rather than the same computation twice.  For a complete
+intersection the dimensions need no linear algebra at all: they are the
+coefficients of a product of series in the relation degrees, and the
+Jacobian determinant of the relations is a nonzero socle element
+(Scheja and Storch, J. reine angew. Math. 278/279 (1975)).
 
 The three pushforward and degree references keep the formulas the
 package used before degrees and pushforwards became per-monomial tables:
@@ -33,7 +37,7 @@ monomial order's key and formats each magnitude as a Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import combinations, count, permutations
 
 from avchow import (
     DegreeError,
@@ -144,6 +148,46 @@ def hilbert_series_oracle(weights, relations, max_degree):
     return [
         graded_dimension(weights, relations, d) for d in range(max_degree + 1)
     ]
+
+
+def complete_intersection_hilbert(weights, degrees, max_degree):
+    """Coefficients in degrees 0..max_degree of prod_i (1 - t^degrees[i]) / prod_j (1 - t^weights[j]).
+
+    This is the Hilbert series of a graded complete intersection: the
+    quotient of Q[x_j], x_j of weight weights[j], by a regular sequence of
+    relations of the given degrees (Stanley, Adv. Math. 28 (1978)).
+    """
+    series = [1] + [0] * max_degree
+    for d in degrees:
+        for k in range(max_degree, d - 1, -1):
+            series[k] -= series[k - d]
+    for w in weights:
+        for k in range(w, max_degree + 1):
+            series[k] += series[k - w]
+    return series
+
+
+def partial_derivative(p, index):
+    """The derivative of p in the generator of the given index."""
+    terms = {}
+    for mono, coeff in p.terms():
+        if mono[index]:
+            terms[mono[:index] + (mono[index] - 1,) + mono[index + 1 :]] = coeff * mono[index]
+    return Polynomial(p.gens, terms)
+
+
+def jacobian_determinant(relations):
+    """det(d f_i / d x_j) of n relations in n generators, by the expansion over permutations."""
+    n = len(relations)
+    entries = [[partial_derivative(f, j) for j in range(n)] for f in relations]
+    total = relations[0].gens.zero()
+    for perm in permutations(range(n)):
+        inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
+        term = relations[0].gens.one()
+        for i, j in enumerate(perm):
+            term = term * entries[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 class ScanError(Exception):

@@ -323,6 +323,13 @@ class TestTables:
         for tid in ("2a", "2b", "3a", "3b", "3c", "3d", "3e", "3f", "3g", "3h", "4a"):
             assert f"table {tid}" in out
 
+    def test_tables_are_the_table_scopes(self, capsys, catalog):
+        code, out, _ = run(capsys, "tables")
+        assert code == 0
+        printed = [line.removeprefix("table ") for line in out.splitlines() if line.startswith("table ")]
+        scoped = [scope.removeprefix("table:") for scope in catalog.scopes() if scope.startswith("table:")]
+        assert printed == sorted(scoped)
+
     def test_single_table(self, capsys):
         code, out, _ = run(capsys, "tables", "--id", "3e")
         assert code == 0

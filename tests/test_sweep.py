@@ -11,13 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avchow
-from avchow import DegreeError, GeneratorSet, Polynomial, QuotientRing, RingPresentation, parse_expression
+from avchow import (
+    DegreeError,
+    DegreeFunctional,
+    GeneratorSet,
+    Polynomial,
+    QuotientRing,
+    RingPresentation,
+    parse_expression,
+)
 from avchow import groebner
 from avchow.catalog import RING_NAMES, Catalog
 from avchow.groebner import _leading_term, buchberger, monomial_divides, reduce
+from avchow.linalg import det_exact
 from avchow.poly import expand_chern_identity
 
-from oracles import monomials_of_degree, without_pure_powers
+from oracles import complete_intersection_hilbert, jacobian_determinant, monomials_of_degree, without_pure_powers
 
 COEFFICIENTS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -102,6 +111,60 @@ def test_sweep_finishes_any_ideal(presentation):
             if not any(monomial_divides(lead, m) for lead in reference.leading_monomials)
         )
         assert ring.standard_monomials(degree) == expected
+
+
+@st.composite
+def complete_intersections(draw):
+    """1-4 generators of weight 1 or 2, and one relation per generator, under a change of variables.
+
+    The relation for x_i is x_i^a (a in 1-3) plus random terms of its
+    degree in x_{i+1}.. only, so each x_i is nilpotent in turn from the
+    last, and the quotient is an Artinian complete intersection.  Then each
+    x_j is sent to itself plus random terms of its weight in x_0..x_{j-1}:
+    a graded unitriangular change of variables, which keeps the quotient
+    and its Jacobian and mixes the relations' leading monomials.
+    Returns the exponents and the relations.
+    """
+    weights = draw(st.lists(st.sampled_from((1, 2)), min_size=1, max_size=4))
+    gens = GeneratorSet((f"x{i}", w) for i, w in enumerate(weights))
+
+    def combination(degree, among):
+        allowed = [m for m in monomials_of_degree(weights, degree) if all(e == 0 or j in among for j, e in enumerate(m))]
+        chosen = draw(st.lists(st.sampled_from(allowed), max_size=3, unique=True)) if allowed else []
+        return Polynomial(gens, {m: draw(COEFFICIENTS) for m in chosen})
+
+    n = len(weights)
+    exponents = [draw(st.integers(1, 3)) for _ in weights]
+    relations = [
+        gens.gen(f"x{i}") ** a + combination(a * w, range(i + 1, n))
+        for i, (w, a) in enumerate(zip(weights, exponents))
+    ]
+    images = {f"x{j}": gens.gen(f"x{j}") + combination(w, range(j)) for j, w in enumerate(weights)}
+    return exponents, [relation.substitute(images) for relation in relations]
+
+
+@settings(max_examples=60, deadline=None)
+@given(complete_intersections())
+def test_complete_intersections_match_closed_forms(drawn):
+    exponents, relations = drawn
+    gens = relations[0].gens
+    ring = QuotientRing(RingPresentation("drawn", gens, relations))
+    socle = sum((a - 1) * w for a, w in zip(exponents, gens.weights))
+    top = socle + max(gens.weights)
+    degrees = [a * w for a, w in zip(exponents, gens.weights)]
+    assert ring.hilbert_function(top) == complete_intersection_hilbert(gens.weights, degrees, top)
+    assert ring.socle_degree == socle
+    (generator,) = ring.standard_basis_polynomials(socle)
+    # A complete intersection is Gorenstein: under a functional that is 1
+    # on the socle generator, the pairing is perfect in every codimension.
+    functional = DegreeFunctional(ring, generator, Fraction(1))
+    for k in range(socle + 1):
+        rows, cols = ring.standard_basis_polynomials(k), ring.standard_basis_polynomials(socle - k)
+        assert len(rows) == len(cols)
+        assert det_exact(functional.pairing_matrix(k, rows, cols)) != 0
+    # Nonzero in the quotient, and of the socle degree (the zero class has no degree).
+    jacobian = ring.normal_form(jacobian_determinant(relations))
+    assert jacobian.weighted_degree() == socle
 
 
 def test_first_full_degree_is_not_enough():
