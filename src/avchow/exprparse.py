@@ -71,7 +71,7 @@ from .poly import (
     Monomial,
     Polynomial,
     Scalar,
-    add_terms,
+    add_scaled,
     check_size,
     pow_terms,
     rational_power,
@@ -223,7 +223,7 @@ def _expr(context: tuple, pos: int, depth: int) -> tuple[_Terms, int]:
         if value is None:
             value = term
         else:
-            add_terms(value, term)
+            add_scaled(value, 1, term)
         word = words[pos]
         if word != "+" and word != "-":
             return value, pos

@@ -27,7 +27,7 @@ Monomial = tuple[int, ...]
 
 Scalar = Union[int, Fraction]
 
-_RATIONAL_FORM = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_FORM = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 # Coefficients are exact, so a short expression can ask for a huge number:
 # ``7^1000000000000`` has about 2.8e12 bits.  Literal powers, and the powers
@@ -170,22 +170,24 @@ class GeneratorSet:
 
 # Term-dict arithmetic.  A term dict maps exponent vectors to nonzero
 # coefficients, Fractions as in ``Polynomial._terms``, or ints, which the
-# expression evaluator keeps until it builds its Polynomial.  ``Polynomial``'s
-# sums, products and powers and the evaluator share these routines.
+# expression evaluator keeps until it builds its Polynomial.  ``add_scaled``
+# is the one in-place update: ``Polynomial``'s sums, the evaluator's,
+# ``apply_linear`` and the sweep's elimination call it.  ``Polynomial`` and
+# the evaluator also share the products and powers below.
 
 
-def add_terms(
-    into: dict[Monomial, Fraction], terms: Mapping[Monomial, Fraction], negate: bool = False
-) -> dict[Monomial, Fraction]:
-    """Add ``terms`` (subtract them, with ``negate``) into ``into`` in place; return ``into``."""
+def add_scaled(into: dict[Monomial, Scalar], factor: Scalar, terms: Mapping[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+    """``into += factor * terms`` in place, deleting the entries that cancel; return ``into``.
+
+    A new entry is ``factor * coeff`` itself, so an int factor times int
+    coefficients stays an int.  ``factor`` must be nonzero.
+    """
     for mono, coeff in terms.items():
-        if negate:
-            coeff = -coeff
         present = into.get(mono)
         if present is None:
-            into[mono] = coeff
+            into[mono] = factor * coeff
         else:
-            total = present + coeff
+            total = present + factor * coeff
             if total:
                 into[mono] = total
             else:
@@ -206,18 +208,8 @@ def apply_linear(
     result: dict[Monomial, Fraction] = {}
     for key, coeff in terms:
         image = images.get(key)
-        if image is None:
-            continue
-        for target, factor in image.items():
-            present = result.get(target)
-            if present is None:
-                result[target] = coeff * factor
-            else:
-                total = present + coeff * factor
-                if total:
-                    result[target] = total
-                else:
-                    del result[target]
+        if image is not None:
+            add_scaled(result, coeff, image)
     return result
 
 
@@ -383,7 +375,7 @@ class Polynomial:
         return NotImplemented
 
     def __add__(self, other: object) -> Polynomial:
-        return Polynomial._raw(self.gens, add_terms(dict(self._terms), self._coerce(other)._terms))
+        return Polynomial._raw(self.gens, add_scaled(dict(self._terms), 1, self._coerce(other)._terms))
 
     __radd__ = __add__
 
@@ -391,7 +383,7 @@ class Polynomial:
         return Polynomial._raw(self.gens, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: object) -> Polynomial:
-        return Polynomial._raw(self.gens, add_terms(dict(self._terms), self._coerce(other)._terms, negate=True))
+        return Polynomial._raw(self.gens, add_scaled(dict(self._terms), -1, self._coerce(other)._terms))
 
     def __rsub__(self, other: object) -> Polynomial:
         return self._coerce(other) + (-self)

@@ -49,7 +49,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DegreeError, GeneratorMismatchError, InconsistentSystemError, PairingError, SingularSystemError
 from .linalg import solve_exact
-from .poly import GeneratorSet, Monomial, Polynomial, apply_linear, integer_terms
+from .poly import GeneratorSet, Monomial, Polynomial, add_scaled, apply_linear, integer_terms
 
 # The degree sweep lists the standard monomials of every degree it passes,
 # so this bounds the work a short presentation such as ``x^100000000`` can
@@ -391,15 +391,15 @@ def _reduce(rows, stats):
     are kept reduced as rows arrive: a row loses every pivot it holds, one
     substitution each, since no tail holds a pivot; what is left leads
     with a new pivot at coefficient 1, which is then eliminated from the
-    earlier tails.  Each tail lies on monomials that are not pivots.  Rows
-    are consumed, and may be empty; ``stats`` counts the candidates and
-    those reduced to zero.
+    earlier tails.  Each substitution is one ``poly.add_scaled`` call.  Each
+    tail lies on monomials that are not pivots.  Rows are consumed, and may
+    be empty; ``stats`` counts the candidates and those reduced to zero.
     """
     stats.candidate_rows += len(rows)
     tails: dict[Monomial, dict[Monomial, Fraction]] = {}
     for row in rows:
         for pivot in [m for m in row if m in tails]:
-            _subtract(row, row.pop(pivot), tails[pivot])
+            add_scaled(row, -row.pop(pivot), tails[pivot])
         if not row:
             stats.zero_rows += 1
             continue
@@ -408,19 +408,9 @@ def _reduce(rows, stats):
         tail = row if factor == 1 else {mono: c / factor for mono, c in row.items()}
         for other in tails.values():
             if lead in other:
-                _subtract(other, other.pop(lead), tail)
+                add_scaled(other, -other.pop(lead), tail)
         tails[lead] = tail
     return tails
-
-
-def _subtract(row, factor, tail):
-    """row -= factor * tail, in place, deleting the entries that cancel."""
-    for mono, c in tail.items():
-        total = row.get(mono, 0) - factor * c
-        if total:
-            row[mono] = total
-        else:
-            del row[mono]
 
 
 class DegreeFunctional:

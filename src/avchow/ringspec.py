@@ -42,6 +42,11 @@ from .quotient import DegreeFunctional, QuotientRing, RingPresentation
 
 _is_identifier = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch
 
+# A spec file is read up to this many characters, and a longer one is
+# refused, so that a path such as /dev/zero cannot be read without end.
+# The largest catalog spec has about 7,600 characters.
+MAX_SPEC_CHARS = 1_000_000
+
 # The keys each object may have; any other key is reported.  The file's
 # "fibration" is read by ``Catalog.fibered_surface``, and a degrees table's
 # "scale_note" is a note for the reader, checked as a string.
@@ -289,11 +294,13 @@ def _read_source(source: str | os.PathLike | Mapping[str, Any]) -> dict:
     try:
         # fspath refuses an int, which open would take for a file descriptor.
         with open(os.fspath(source), encoding="utf-8") as file:
-            text = file.read()
+            text = file.read(MAX_SPEC_CHARS + 1)
     except OSError as err:
         raise RingSpecError([("", f"cannot read {source}: {err}")]) from err
     except UnicodeDecodeError as err:
         raise RingSpecError([("", f"not UTF-8 text: {err}")]) from err
+    if len(text) > MAX_SPEC_CHARS:
+        raise RingSpecError([("", f"longer than MAX_SPEC_CHARS = {MAX_SPEC_CHARS} characters")])
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as err:  # ValueError includes JSONDecodeError
@@ -446,8 +453,7 @@ def load_ring_spec(source: str | os.PathLike | Mapping[str, Any]) -> LoadedRing:
     data = _read_source(source)
     problems = _Collector()
 
-    name = problems.text(data.get("name", ""), "/name", empty=True)
-    problems.check(name, "/name", "ring needs a non-empty name")
+    name = problems.text(data.get("name"), "/name", "ring needs a non-empty name")
     description = problems.text(data.get("description", ""), "/description", empty=True)
     file_source = _source(data, "", problems)
 

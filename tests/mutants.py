@@ -49,6 +49,13 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # Ring spec files: one reader per JSON shape.
     Mutant(
+        "spec-size-cap-dropped",
+        "ringspec.py",
+        "    if len(text) > MAX_SPEC_CHARS:\n",
+        "    if False:\n",
+        ("test_ringspec.py",),
+    ),
+    Mutant(
         "spec-integer-accepts-bool",
         "ringspec.py",
         "if isinstance(value, int) and not isinstance(value, bool) and ok(value):",
@@ -175,6 +182,20 @@ MUTANTS = (
         "quotient.py",
         "tail = row if factor == 1 else {mono: c / factor for mono, c in row.items()}",
         "tail = row",
+        ("test_sweep.py",),
+    ),
+    Mutant(
+        "pivot-substitution-sign-flipped",
+        "quotient.py",
+        "add_scaled(row, -row.pop(pivot), tails[pivot])",
+        "add_scaled(row, row.pop(pivot), tails[pivot])",
+        ("test_sweep.py",),
+    ),
+    Mutant(
+        "back-elimination-sign-flipped",
+        "quotient.py",
+        "add_scaled(other, -other.pop(lead), tail)",
+        "add_scaled(other, other.pop(lead), tail)",
         ("test_sweep.py",),
     ),
     Mutant(
@@ -355,6 +376,13 @@ MUTANTS = (
         ("test_exprparse.py",),
     ),
     Mutant(
+        "parsed-sum-sign-flipped",
+        "exprparse.py",
+        "add_scaled(value, 1, term)",
+        "add_scaled(value, -1, term)",
+        ("test_exprparse.py",),
+    ),
+    Mutant(
         "final-fraction-pass-removed",
         "exprparse.py",
         "        if type(coeff) is int:\n            terms[mono] = Fraction(coeff)",
@@ -527,15 +555,16 @@ MUTANTS = (
         "return {key: c.numerator for key, c in terms.items()}, scale",
         ("test_linear_maps.py",),
     ),
-    # Both pushforwards: validation, then one apply_linear over a table of images.
+    # The in-place kernel of sums, normal forms, pushforwards and the sweep.
     Mutant(
-        "apply-linear-keeps-cancelled-zeros",
+        "add-scaled-keeps-cancelled-zeros",
         "poly.py",
-        "                if total:\n                    result[target] = total\n"
-        "                else:\n                    del result[target]\n",
-        "                result[target] = total\n",
-        ("test_linear_maps.py",),
+        "            if total:\n                into[mono] = total\n"
+        "            else:\n                del into[mono]\n",
+        "            into[mono] = total\n",
+        ("test_linear_maps.py", "test_poly.py", "test_sweep.py"),
     ),
+    # Both pushforwards: validation, then one apply_linear over a table of images.
     Mutant(
         "fibre-slots-swapped",
         "pushforward.py",

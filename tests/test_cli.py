@@ -166,9 +166,9 @@ class TestBasicCommands:
         assert code == 0
         assert out.strip() == "sigma1"
 
-    @pytest.mark.parametrize("value", ["1e999999999", "0.5", "1/0", "1/2/3", "nan", "5/-8"])
+    @pytest.mark.parametrize("value", ["1e999999999", "0.5", "1/0", "1/2/3", "nan", "5/-8", "٣"])
     def test_solve_class_bad_value_is_usage_error(self, capsys, value):
-        # Values are p or p/q, the grammar of spec files.
+        # Values are p or p/q with ASCII digits, the grammar of spec files.
         start = time.perf_counter()
         code, out, err = run(capsys, "solve-class", "--ring", "a1_tilde", "--deg", "1", "--values", value)
         # Fraction("1e999999999") computes 10^999999999 in full; a hang

@@ -21,6 +21,7 @@ KERNELS = {
     "solve_class",
     "det_exact",
     "solve_exact",
+    "add_scaled",
     "apply_linear",
     "integer_terms",
 }

@@ -46,7 +46,7 @@ class TestRationals:
     def test_parse_whitespace(self):
         assert parse_rational(" 1/2 ") == Fraction(1, 2)
 
-    @pytest.mark.parametrize("bad", ["", "a", "1/0", "1.5", "1/2/3", "½"])
+    @pytest.mark.parametrize("bad", ["", "a", "1/0", "1.5", "1/2/3", "½", "٣/٤", "１２"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)

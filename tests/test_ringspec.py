@@ -10,6 +10,7 @@ from importlib import resources
 import pytest
 
 from avchow import RingSpecError, cli, load_ring_spec
+from avchow.ringspec import MAX_SPEC_CHARS
 
 MINIMAL = {
     "name": "toy",
@@ -165,6 +166,18 @@ class TestValidation:
         assert captured.out == ""
         assert [line for line in captured.err.splitlines() if line.startswith("error:")] == ["error: invalid ring spec:"]
         assert "Traceback" not in captured.err
+
+    def test_file_past_the_size_cap_is_one_problem(self, tmp_path):
+        # A file of exactly MAX_SPEC_CHARS characters still reaches the JSON parser.
+        path = tmp_path / "long.json"
+        path.write_text("[" + " " * (MAX_SPEC_CHARS - 2) + "]", encoding="utf-8")
+        with pytest.raises(RingSpecError) as info:
+            load_ring_spec(path)
+        assert info.value.problems == [("", "top level must be a JSON object")]
+        path.write_text("[" + " " * (MAX_SPEC_CHARS - 1) + "]", encoding="utf-8")
+        with pytest.raises(RingSpecError) as info:
+            load_ring_spec(path)
+        assert info.value.problems == [("", f"longer than MAX_SPEC_CHARS = {MAX_SPEC_CHARS} characters")]
 
     def test_normalization_must_sit_in_socle_degree(self):
         cubic = {"name": "cubic", "generators": [{"name": "x", "degree": 1}], "relations": ["x^3"]}
