@@ -68,16 +68,13 @@ class TorelliTable(NamedTuple):
 
 
 class FiberedSurface(NamedTuple):
-    """A relative ring together with its integration rule and base data."""
+    """A relative ring, its integration rule, its two rings and the degree on the combined one."""
 
     relative: RelativeRing
     rule: PushforwardRule
     base: LoadedRing
     combined: LoadedRing
-
-    def degree(self, element: Polynomial) -> Fraction:
-        """Degree of the pushforward of ``element`` to the base."""
-        return self.relative.relative_degree(element, self.base.functional, self.rule)
+    functional: DegreeFunctional
 
 
 class Cell(NamedTuple):
@@ -152,9 +149,10 @@ class Catalog:
             base = self.ring(fib["base"])
             relative = RelativeRing(base.ring, combined.ring)
             rule = PushforwardRule(*(parse_expression(fib["rule"][slot], base.ring.gens) for slot in ("one", "t", "s")))
-            self._surface = FiberedSurface(
-                relative=relative, rule=rule, base=base, combined=combined
-            )
+            # The top piece has rank one and pushing is linear: one pushed class fixes the degree.
+            top = combined.ring.standard_basis_polynomials(combined.ring.socle_degree)[0]
+            value = base.functional.degree(relative.pushforward(top, rule))
+            self._surface = FiberedSurface(relative, rule, base, combined, DegreeFunctional(combined.ring, top, value))
         return self._surface
 
     def equivalences(self) -> dict:
@@ -168,9 +166,9 @@ class Catalog:
     def table_cells(self, loaded: LoadedRing, table) -> list[Cell]:
         """The cells of one of a ring's tables, in row-major order."""
         if table.kind == "pairing":
-            return _grid_cells(table, partial(_degree, loaded.functional))
+            return _grid_cells(table, loaded.functional)
         if table.kind == "relative_pairing":
-            return _grid_cells(table, self.fibered_surface().degree)
+            return _grid_cells(table, self.fibered_surface().functional)
         if table.kind == "degrees":
             return _degree_entry_cells(table, loaded.functional)
         # ringspec builds only the four kinds, so the last is a pairing vector.
@@ -394,14 +392,14 @@ def _degree(functional: DegreeFunctional | None, element: Polynomial) -> Fractio
     return functional.degree(element)
 
 
-def _grid_cells(table: PairingTable, degree: Callable[[Polynomial], Fraction]) -> list[Cell]:
+def _grid_cells(table: PairingTable, functional: DegreeFunctional | None) -> list[Cell]:
     """Pairing-table cells: the degree of each row class times each column class."""
     return [
         Cell(
             f"r{i}c{j}",
             f"{table.source}, row {row_label}, col {col_label}",
             table.values[i][j],
-            partial(degree, row * col),
+            partial(_degree, functional, row * col),
         )
         for i, (row_label, row) in enumerate(zip(table.row_labels, table.rows))
         for j, (col_label, col) in enumerate(zip(table.col_labels, table.cols))

@@ -36,6 +36,16 @@ class UsageError(AvchowError):
     """Bad command line input (unknown ring, malformed value, ...)."""
 
 
+def _integer(text: str) -> int:
+    """An integer option: a rational literal with no '/', so ASCII digits only."""
+    try:
+        if "/" not in text:
+            return int(parse_rational(text))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="avchow",
@@ -66,11 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="dimensions of the graded pieces")
     ring_option(p)
-    p.add_argument("--max", type=int, default=None, metavar="D", help="largest degree to report")
+    p.add_argument("--max", type=_integer, default=None, metavar="D", help="largest degree to report")
 
     p = sub.add_parser("pairing", help="matrix of degrees of products")
     ring_option(p)
-    p.add_argument("--deg", type=int, required=True, metavar="K", help="codimension of the rows")
+    p.add_argument("--deg", type=_integer, required=True, metavar="K", help="codimension of the rows")
     p.add_argument(
         "--rows",
         nargs="+",
@@ -88,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-class", help="reconstruct a class from its pairing numbers")
     ring_option(p)
-    p.add_argument("--deg", type=int, required=True, metavar="K", help="codimension of the unknown class")
+    p.add_argument("--deg", type=_integer, required=True, metavar="K", help="codimension of the unknown class")
     p.add_argument(
         "--values",
         nargs="+",

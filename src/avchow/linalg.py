@@ -8,8 +8,8 @@ uses Bareiss's elimination (Math. Comp. 22 (1968) 565-578), whose every
 division is exact, and divides by the row scales once at the end.  The
 solver is Gauss-Jordan elimination on the augmented integer rows, each row
 divided by the gcd of its entries after every step, and reads each unknown
-off as one quotient.  ``int`` and ``Fraction`` entries are read through
-their numerator and denominator; anything else goes through ``Fraction()``.
+off as one quotient.  Entries are ``int`` or ``Fraction``, read through
+their numerator and denominator; any other type, a float say, is a TypeError.
 """
 
 from __future__ import annotations
@@ -25,11 +25,13 @@ Matrix = Sequence[Sequence[Fraction]]
 
 def _integer_row(row) -> tuple[list[int], int]:
     """The row times the lcm of its denominators, as ints, and that lcm."""
-    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    scale = lcm(*[x.denominator for x in values])
+    for x in row:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"matrix entries must be int or Fraction, not {type(x).__name__}")
+    scale = lcm(*[x.denominator for x in row])
     if scale == 1:
-        return [x.numerator for x in values], 1
-    return [x.numerator * (scale // x.denominator) for x in values], scale
+        return [x.numerator for x in row], 1
+    return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
 def det_exact(matrix: Matrix) -> Fraction:

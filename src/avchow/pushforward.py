@@ -13,11 +13,12 @@ multiplicatively.
 Both are linear maps given per basis element, and each is validation
 followed by one ``poly.apply_linear`` call over a table of images.  The
 Torelli table keys each symbol's image by the symbol's exponent vector.
-When a RelativeRing is first passed a rule, it reads the rule's
-codimension shift off the images and tabulates the base image of each
-standard combined monomial and, in one pass, of every monomial of the
-combined normal-form table; a monomial outside the normal-form table has
-normal form 0 and pushes to 0.
+When a RelativeRing is first passed a rule, it checks that the images
+agree on the rule's codimension shift and tabulates the base image of
+each standard combined monomial and, in one pass, of every monomial of
+the combined normal-form table; a monomial outside the normal-form table
+has normal form 0 and pushes to 0.  Integration over the total space is a
+``DegreeFunctional`` on the combined ring, which the catalog builds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Mapping
 
 from .errors import DegreeError, GeneratorMismatchError, UnknownSymbolError
 from .poly import GeneratorSet, Monomial, Polynomial, apply_linear, format_rational
-from .quotient import DegreeFunctional, QuotientRing
+from .quotient import QuotientRing
 
 
 class PushforwardRule:
@@ -85,19 +86,18 @@ class RelativeRing:
                     "combined staircase does not reduce the fiber generators; "
                     "module basis {1, t, s} is not free over this presentation"
                 )
-        # A rule's codimension shift and the base image of each monomial of
-        # the combined normal-form table, built when the rule is first passed
-        # and kept for one rule at a time (the catalog always passes the same one).
+        # The base image of each monomial of the combined normal-form table,
+        # built when a rule is first passed and kept for one rule at a time
+        # (the catalog always passes the same one).
         self._pushed_rule: PushforwardRule | None = None
-        self._shift: int | None = None
         self._pushed: dict[Monomial, dict[Monomial, Fraction]] = {}
 
     def _tabulate(self, rule: PushforwardRule) -> None:
-        """Keep the rule, its codimension shift and the base image of each monomial of the table.
+        """Keep the rule and the base image of each monomial of the table.
 
-        Each nonzero image of a module generator gives the shift, the
-        generator's weight minus the image's degree; a rule with no nonzero
-        image has none.  A standard combined monomial b * f, f in {1, t, s},
+        Each nonzero image of a module generator gives a codimension shift,
+        the generator's weight minus the image's degree, and the shifts must
+        agree.  A standard combined monomial b * f, f in {1, t, s},
         maps to the base normal form of b * rule(f); every other monomial of
         the table maps through its normal form.
         """
@@ -125,7 +125,7 @@ class RelativeRing:
                 factor = base.gens.monomial(tuple(mono[j] for j in self._base_positions))
                 images[mono] = base.normal_form(factor * fiber)._terms
         pushed = {mono: apply_linear(nf.items(), images) for mono, nf in combined._nf_cache.items()}
-        self._pushed_rule, self._shift, self._pushed = rule, next(iter(shifts.values()), None), pushed
+        self._pushed_rule, self._pushed = rule, pushed
 
     def pushforward(self, p: Polynomial, rule: PushforwardRule) -> Polynomial:
         """Integrate over the fiber: apply the rule to the module generator of each standard monomial.
@@ -141,22 +141,6 @@ class RelativeRing:
         if rule is not self._pushed_rule:
             self._tabulate(rule)
         return Polynomial._raw(self.base.gens, apply_linear(p._terms.items(), self._pushed))
-
-    def relative_degree(self, p: Polynomial, functional: DegreeFunctional, rule: PushforwardRule) -> Fraction:
-        """Degree of the pushforward of p against the base functional.
-
-        Nonzero input must be homogeneous, of combined degree equal to the
-        base top degree plus the rule's codimension shift when the rule has
-        one; a rule without a shift pushes everything to 0.
-        """
-        if functional.ring is not self.base and functional.ring.gens != self.base.gens:
-            raise GeneratorMismatchError("functional does not live on the base ring")
-        pushed = self.pushforward(p, rule)
-        if not p.is_zero:
-            d = p.weighted_degree()
-            if self._shift is not None and d != functional.top_degree + self._shift:
-                raise DegreeError(f"expected combined degree {functional.top_degree + self._shift}, got {d}")
-        return functional.degree(pushed)
 
 
 class TabulatedPushforward:

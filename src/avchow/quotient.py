@@ -416,8 +416,8 @@ def _reduce(rows, stats):
 class DegreeFunctional:
     """Linear functional on the rank-one top graded piece of a ring.
 
-    Normalized by one reference element and its exact value; every other
-    degree-D class gets its value by exact proportionality.  The value of
+    Normalized by one reference element and its exact, nonzero value;
+    every other degree-D class gets its value by exact proportionality.  The value of
     every monomial whose normal form reaches the top monomial is tabulated
     at construction, as an integer V[m] over the common denominator
     ``_denominator``, so a degree is a dot product of the coefficients
@@ -432,6 +432,8 @@ class DegreeFunctional:
         self.ring = ring
         self.reference_element = reference_element
         self.reference_value = Fraction(reference_value)
+        if not self.reference_value:
+            raise DegreeError("reference value must be nonzero, or every degree would be 0")
         degree = reference_element.weighted_degree()
         if degree is None:
             raise DegreeError("reference element must be nonzero")

@@ -452,8 +452,8 @@ MUTANTS = (
     Mutant(
         "integer-row-lcm-dropped",
         "linalg.py",
-        "scale = lcm(*[x.denominator for x in values])",
-        "scale = max(x.denominator for x in values)",
+        "scale = lcm(*[x.denominator for x in row])",
+        "scale = max(x.denominator for x in row)",
         ("test_linalg.py",),
     ),
     Mutant(
@@ -484,6 +484,22 @@ MUTANTS = (
         "        if rows[r][cols]:\n"
         '            raise InconsistentSystemError("system has no exact solution")\n',
         ("test_linalg.py",),
+    ),
+    Mutant(
+        "linalg-entries-converted",
+        "linalg.py",
+        "    for x in row:\n"
+        "        if not isinstance(x, (int, Fraction)):\n"
+        '            raise TypeError(f"matrix entries must be int or Fraction, not {type(x).__name__}")\n',
+        "    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]\n",
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "degree-zero-normalization-accepted",
+        "quotient.py",
+        "if not self.reference_value:",
+        "if False:",
+        ("test_quotient.py", "test_pushforward.py", "test_ringspec_corpus.py"),
     ),
     Mutant(
         "pairing-ring-denominator-dropped",
@@ -679,6 +695,20 @@ MUTANTS = (
         ("test_catalog.py",),
     ),
     Mutant(
+        "surface-normalized-by-base-reference",
+        "catalog.py",
+        "value = base.functional.degree(relative.pushforward(top, rule))",
+        "value = base.functional.reference_value",
+        ("test_catalog.py",),
+    ),
+    Mutant(
+        "relative-pairing-by-ring-functional",
+        "catalog.py",
+        "return _grid_cells(table, self.fibered_surface().functional)",
+        "return _grid_cells(table, loaded.functional)",
+        ("test_catalog.py", "test_cli.py"),
+    ),
+    Mutant(
         "push-expected-not-normal-formed",
         "catalog.py",
         'expected = base.ring.normal_form(base.parse(case["expected"]))',
@@ -748,6 +778,13 @@ MUTANTS = (
         "cli.py",
         "if not 0 <= deg <= functional.top_degree:",
         "if False:",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "cli-integer-option-reads-int",
+        "cli.py",
+        "return int(parse_rational(text))",
+        "return int(text)",
         ("test_cli.py",),
     ),
 )

@@ -17,6 +17,7 @@ from avchow.catalog import (
     _compare,
     _degree,
 )
+from avchow.linalg import det_exact
 
 from oracles import hilbert_series_oracle
 
@@ -120,13 +121,38 @@ class TestSurface:
         surface = catalog.fibered_surface()
         assert surface.base.name == "a2_tilde"
         assert surface.combined.name == "x2_tilde"
-        # The fibre generators and the rule's shift are read off the rings:
-        # the shift 2 puts the classes that integrate in combined degree 5.
+        # The fibre generators are read off the rings, and the total space
+        # integrates in combined degree 5: the base socle degree 3 plus the
+        # rule's shift 2.
         assert surface.relative.fiber_names == ("t", "s")
-        functional = surface.base.functional
-        assert surface.relative.relative_degree(surface.combined.parse("lambda1^3*s"), functional, surface.rule) != 0
-        with pytest.raises(DegreeError, match="^expected combined degree 5, got 4$"):
-            surface.relative.relative_degree(surface.combined.parse("lambda1^2*s"), functional, surface.rule)
+        functional = surface.functional
+        assert functional.ring is surface.combined.ring
+        assert functional.degree(surface.combined.parse("lambda1^3*s")) != 0
+        with pytest.raises(DegreeError, match="^expected degree 5, got 4$"):
+            functional.degree(surface.combined.parse("lambda1^2*s"))
+
+    def test_functional_is_the_pushed_top_monomial(self, catalog):
+        # The one top standard monomial, normalized by the base degree of its
+        # pushforward; its pairings are perfect in every codimension.
+        surface = catalog.fibered_surface()
+        functional = surface.functional
+        assert functional.reference_element == surface.combined.parse("s*sigma1^3")
+        assert functional.reference_value == Fraction(-11, 12)
+        pushed = surface.relative.pushforward(functional.reference_element, surface.rule)
+        assert surface.base.functional.degree(pushed) == functional.reference_value
+        ring = surface.combined.ring
+        determinants = [
+            det_exact(functional.pairing_matrix(k, ring.standard_basis_polynomials(k), ring.standard_basis_polynomials(5 - k)))
+            for k in range(6)
+        ]
+        assert determinants == [
+            Fraction(-11, 12),
+            Fraction(121, 414720),
+            Fraction(-1331, 14332723200),
+            Fraction(-1331, 14332723200),
+            Fraction(121, 414720),
+            Fraction(-11, 12),
+        ]
 
     def test_fiber_cube_pushforward(self, catalog):
         surface = catalog.fibered_surface()

@@ -539,6 +539,25 @@ class TestUsageErrors:
         assert code == 2
         assert "normalization" in err
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (("hilbert", "--ring", "a1_tilde", "--max"), "٢"),
+            (("hilbert", "--ring", "a1_tilde", "--max"), "1_0"),
+            (("hilbert", "--ring", "a1_tilde", "--max"), "1/2"),
+            (("pairing", "--ring", "a1_tilde", "--deg"), "١"),
+            (("solve-class", "--ring", "a1_tilde", "--values", "1", "--deg"), "１"),
+        ],
+    )
+    def test_integer_options_take_ascii_digits(self, capsys, argv, text):
+        # Read with int(), `--max ٢` printed 1,1,0 and `--max 1_0` read 10.
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, text])
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(f"error: argument {argv[-1]}: not an integer: {text!r}\n")
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("command", [("pairing",), ("solve-class", "--values", "1")])
     @pytest.mark.parametrize("deg", ["7", "99", "-1", "-3"])
     def test_codimension_outside_the_ring_is_usage_error(self, capsys, command, deg):

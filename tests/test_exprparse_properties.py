@@ -106,6 +106,24 @@ def build(tree, loaded):
     return left + right if kind == "+" else left - right if kind == "-" else left * right
 
 
+def product_in_quotient(left, right, ring):
+    """The normal form of left * right.
+
+    A pair of terms whose product lies above the socle degree is 0 in the
+    quotient, so it is dropped before its coefficients are multiplied: the
+    product of two large coefficients there would pass the size cap of
+    ``Polynomial`` arithmetic and tell nothing of the class.
+    """
+    gens = ring.gens
+    terms = {}
+    for mono_a, coeff_a in left.terms():
+        for mono_b, coeff_b in right.terms():
+            mono = tuple(a + b for a, b in zip(mono_a, mono_b))
+            if gens.weighted_degree(mono) <= ring.socle_degree:
+                terms[mono] = terms.get(mono, 0) + coeff_a * coeff_b
+    return ring.normal_form(Polynomial(gens, terms))
+
+
 def build_in_quotient(tree, loaded):
     """The tree's normal form, taken after every operation; powers by repeated squaring."""
     ring = loaded.ring
@@ -119,13 +137,13 @@ def build_in_quotient(tree, loaded):
         result = ring.gens.one()
         while exponent:
             if exponent & 1:
-                result = ring.normal_form(result * base)
+                result = product_in_quotient(result, base, ring)
             exponent >>= 1
             if exponent:
-                base = ring.normal_form(base * base)
+                base = product_in_quotient(base, base, ring)
         return result
     left, right = build_in_quotient(tree[1], loaded), build_in_quotient(tree[2], loaded)
-    return left + right if kind == "+" else left - right if kind == "-" else ring.normal_form(left * right)
+    return left + right if kind == "+" else left - right if kind == "-" else product_in_quotient(left, right, ring)
 
 
 def evaluate(tree, point, loaded):
@@ -220,6 +238,17 @@ def test_large_exponents_match_quotient_arithmetic(catalog, ring_name, data):
         return
     assert_canonical(parsed)
     assert loaded.ring.normal_form(parsed) == build_in_quotient(tree, loaded), text
+
+
+def test_large_exponent_above_the_socle_matches_quotient_arithmetic(catalog):
+    # lambda1^2 lies above the socle degree 1 of a1_tilde, so the square is 0,
+    # though squaring the coefficient of lambda1 would form about 100,000 bits.
+    loaded = catalog.ring("a1_tilde")
+    tree = ("^", ("*", ("gen", "lambda1"), ("^", ("lit", Fraction(1, 8)), 16666)), 2)
+    text = render(tree)
+    assert text == "(lambda1*1/8^16666)^2"
+    assert loaded.parse_class(text).is_zero
+    assert build_in_quotient(tree, loaded).is_zero
 
 
 @pytest.mark.parametrize(

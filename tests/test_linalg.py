@@ -82,8 +82,10 @@ def test_determinant_examples():
     assert det_exact([[Fraction(-3, 4)]]) == Fraction(-3, 4)
     assert det_exact([[0, 1], [1, 0]]) == -1
     assert det_exact([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]) == Fraction(1, 60)
-    # Entries other than int and Fraction go through Fraction().
-    assert det_exact([["1/2", 0], [0, 0.5]]) == Fraction(1, 4)
+    # Entries are int or Fraction only: a float or a string is refused, not made exact.
+    for matrix, name in (([[0.1]], "float"), ([["1/2", 0], [0, 1]], "str"), ([[1, 0], [0, 0.5]], "float")):
+        with pytest.raises(TypeError, match=f"^matrix entries must be int or Fraction, not {name}$"):
+            det_exact(matrix)
     with pytest.raises(ValueError, match="square"):
         det_exact([[1, 2]])
 
@@ -143,4 +145,7 @@ def test_solver_examples():
     assert solve_exact([[], []], [0, 0]) == []
     with pytest.raises(InconsistentSystemError):
         solve_exact([[]], [1])
-    assert solve_exact([["1/2"]], ["3/4"]) == [Fraction(3, 2)]
+    with pytest.raises(TypeError, match="^matrix entries must be int or Fraction, not str$"):
+        solve_exact([["1/2"]], ["3/4"])
+    with pytest.raises(TypeError, match="^matrix entries must be int or Fraction, not float$"):
+        solve_exact([[2]], [0.5])

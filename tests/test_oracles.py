@@ -15,7 +15,6 @@ KERNELS = {
     "decompose",
     "pushforward",
     "push_combination",
-    "relative_degree",
     "degree",
     "pairing_matrix",
     "solve_class",

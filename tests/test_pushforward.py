@@ -18,8 +18,9 @@ from avchow import (
     UnknownSymbolError,
     parse_expression,
 )
+from avchow.catalog import Catalog
 
-from helpers import random_polynomial
+from helpers import random_homogeneous, random_polynomial
 from oracles import decompose
 
 BASE_GENS = GeneratorSet([("a", 1)])
@@ -54,6 +55,17 @@ def c(text):
 
 def b(text):
     return parse_expression(text, BASE_GENS)
+
+
+def base_functional(rel):
+    """The base degree with a^2 -> 1."""
+    return DegreeFunctional(rel.base, b("a^2"), Fraction(1))
+
+
+def total_functional(rel, rule):
+    """The degree on the combined ring that the rule gives: the base degree of its pushed top monomial."""
+    (top,) = rel.combined.standard_basis_polynomials(rel.combined.socle_degree)
+    return DegreeFunctional(rel.combined, top, base_functional(rel).degree(rel.pushforward(top, rule)))
 
 
 class TestRelativeRing:
@@ -127,15 +139,16 @@ class TestRelativeRing:
         rel = surface()
         rule = PushforwardRule(b("0"), b("1"), b("a"))
         assert rel.pushforward(c("t*a + s"), rule) == b("2*a")
-        # Its shift is 1: combined degree 3 integrates against a^2.
-        functional = DegreeFunctional(rel.base, b("a^2"), Fraction(1))
-        assert rel.relative_degree(c("t*a^2 + s*a"), functional, rule) == 2
-        with pytest.raises(DegreeError, match="^expected combined degree 3, got 4$"):
-            rel.relative_degree(c("s*a^2"), functional, rule)
+        assert rel.pushforward(c("t*a^2 + s*a"), rule) == b("2*a^2")
+        # Its shift is 1, so the top monomial s*a^2 pushes above the base
+        # socle, to 0, and gives the combined ring no degree.
+        assert rel.pushforward(c("s*a^2"), rule).is_zero
+        with pytest.raises(DegreeError, match="^reference value must be nonzero"):
+            total_functional(rel, rule)
 
     def test_rule_images_must_share_generators(self):
         other = GeneratorSet([("z", 1)])
-        with pytest.raises(Exception):
+        with pytest.raises(GeneratorMismatchError, match="^rule images must share one generator set$"):
             PushforwardRule(b("0"), other.gen("z"), b("1"))
 
     def test_pushforward_is_linear(self):
@@ -162,21 +175,31 @@ class TestRelativeRing:
             assert rel.pushforward(moved, fiber_integration()) == rel.pushforward(p, fiber_integration())
 
     def test_relative_degree(self):
+        # Base top degree 2 plus shift 2: the combined degree 4 integrates,
+        # and every class there has the base degree of its pushforward.
         rel = surface()
-        functional = DegreeFunctional(rel.base, b("a^2"), Fraction(1))
-        # base top degree 2 plus shift 2: combined degree 4 integrates
         rule = fiber_integration()
-        assert rel.relative_degree(c("s*a^2"), functional, rule) == 1
-        assert rel.relative_degree(c("t^2*a^2"), functional, rule) == 0
+        functional = total_functional(rel, rule)
+        assert functional.reference_element == c("s*a^2")
+        assert functional.reference_value == 1
+        assert functional.degree(c("s*a^2")) == 1
+        assert functional.degree(c("t^2*a^2")) == 0
+        rng = random.Random(5)
+        for _ in range(20):
+            p = random_homogeneous(rng, COMBINED_GENS, 4, max_terms=5)
+            assert functional.degree(p) == base_functional(rel).degree(rel.pushforward(p, rule)), str(p)
 
     def test_relative_degree_rejects_wrong_degree(self):
-        rel = surface()
-        functional = DegreeFunctional(rel.base, b("a^2"), Fraction(1))
-        with pytest.raises(DegreeError):
-            rel.relative_degree(c("s*a"), functional, fiber_integration())
+        functional = total_functional(surface(), fiber_integration())
+        with pytest.raises(DegreeError, match="^expected degree 4, got 3$"):
+            functional.degree(c("s*a"))
 
     def test_relative_degree_rejects_foreign_functional(self):
+        # A class of the base is no class of the total space, and a functional
+        # on another ring takes no class of the total space.
         rel = surface()
+        with pytest.raises(GeneratorMismatchError, match="^element belongs to a different ring$"):
+            total_functional(rel, fiber_integration()).degree(b("a^2"))
         other_gens = GeneratorSet([("z", 1)])
         other = QuotientRing(
             RingPresentation("other", other_gens, [parse_expression("z^3", other_gens)])
@@ -184,22 +207,28 @@ class TestRelativeRing:
         functional = DegreeFunctional(
             other, parse_expression("z^2", other_gens), Fraction(1)
         )
-        with pytest.raises(Exception):
-            rel.relative_degree(c("s*a^2"), functional, fiber_integration())
+        with pytest.raises(GeneratorMismatchError, match="^element belongs to a different ring$"):
+            functional.degree(c("s*a^2"))
 
     def test_rule_shift_is_read_off_its_images(self, catalog):
         # Over the catalog's surface, t -> 1 and s -> lambda1 agree on shift 1,
-        # so s*sigma1^3, of combined degree 5, is refused rather than pushed
-        # above the base socle, whose degree would read 0.
+        # so the top class s*sigma1^3, of combined degree 5, pushes above the
+        # base socle, to 0: a surface with that rule is refused rather than
+        # given a degree that reads 0 on every class.
         fibred = catalog.fibered_surface()
         relative = RelativeRing(fibred.base.ring, fibred.combined.ring)
         gens = fibred.base.ring.gens
         element = fibred.combined.parse("s*sigma1^3")
         shifted = PushforwardRule(gens.zero(), gens.one(), gens.gen("lambda1"))
-        with pytest.raises(DegreeError, match="^expected combined degree 4, got 5$"):
-            relative.relative_degree(element, fibred.base.functional, shifted)
+        assert relative.pushforward(element, shifted).is_zero
+        below = relative.pushforward(fibred.combined.parse("s*sigma1^2"), shifted)
+        assert below == fibred.base.ring.normal_form(fibred.base.parse("lambda1*sigma1^2")) != 0
+        fresh = Catalog()
+        fresh.ring("x2_tilde").raw["fibration"]["rule"] = {"one": "0", "t": "1", "s": "lambda1"}
+        with pytest.raises(DegreeError, match="^reference value must be nonzero"):
+            fresh.fibered_surface()
         sigma1_cubed = fibred.base.functional.degree(fibred.base.parse("sigma1^3"))
-        assert relative.relative_degree(element, fibred.base.functional, fibred.rule) == sigma1_cubed != 0
+        assert fibred.functional.degree(element) == sigma1_cubed != 0
 
     def test_rule_grading_must_match_its_shift(self):
         # Every nonzero image gives a shift, 1 included, and a mixed image is refused.
@@ -215,14 +244,13 @@ class TestRelativeRing:
         assert rel.pushforward(c("t*a + s"), PushforwardRule(b("0"), b("1"), b("a"))) == b("2*a")
 
     def test_rule_without_a_nonzero_image_has_no_shift(self):
+        # It pushes every class to 0, so it gives the combined ring no degree.
         rel = surface()
         zero = PushforwardRule(b("0"), b("0"), b("0"))
-        functional = DegreeFunctional(rel.base, b("a^2"), Fraction(1))
-        for text in ("1", "s*a^2", "t^2*a^2 + 3*s*a^2", "a^7*s"):
+        for text in ("1", "s*a^2", "t^2*a^2 + 3*s*a^2", "a^7*s", "s*a^2 + s"):
             assert rel.pushforward(c(text), zero).is_zero
-            assert rel.relative_degree(c(text), functional, zero) == 0
-        with pytest.raises(DegreeError, match="^polynomial is not homogeneous: degrees \\[2, 4\\]$"):
-            rel.relative_degree(c("s*a^2 + s"), functional, zero)
+        with pytest.raises(DegreeError, match="^reference value must be nonzero"):
+            total_functional(rel, zero)
 
 
 class TestTabulatedPushforward:

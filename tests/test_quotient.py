@@ -311,6 +311,12 @@ class TestDegreeFunctional:
         with pytest.raises(DegreeError):
             DegreeFunctional(ring, q("x*y"), Fraction(1))
 
+    def test_reference_value_must_be_nonzero(self):
+        # Normalized to 0, every degree and every pairing would read 0.
+        for value in (0, Fraction(0), Fraction(0, 7)):
+            with pytest.raises(DegreeError, match="^reference value must be nonzero, or every degree would be 0$"):
+                DegreeFunctional(make_ring(), q("y^2"), value)
+
     def test_pairing_matrix(self):
         ring = make_ring()
         functional = DegreeFunctional(ring, q("y^2"), Fraction(1))

@@ -123,6 +123,7 @@ HAND_CASES = [
     ("normalization-value-float", [("/normalization/value", 0.5)]),
     ("normalization-value-bad", [("/normalization/value", "0.5")]),
     ("normalization-value-zero-denominator", [("/normalization/value", "1/0")]),
+    ("normalization-value-zero", [("/normalization/value", "0")]),
     ("normalization-wrong-degree", [("/normalization/element", "x^2")]),
     ("normalization-zero-element", [("/normalization/element", "0")]),
     ("identities-not-list", [("/identities", {})]),
